@@ -38,7 +38,7 @@ from .schubert import (
     ResourceLimitError,
     census,
     census_matches_formula,
-    max_ground_size,
+    check_ground_size,
     verify_coefficient_counts,
 )
 
@@ -83,7 +83,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="census of Schubert matroids on {1..n}")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--verify", action="store_true", help="check counting formula and coefficients")
-    p.add_argument("--jobs", type=int, default=1, help="parallel chunks (output is identical for any value)")
     add_format(p)
 
     p = sub.add_parser("sequences", help="coefficient values over a range of n")
@@ -204,14 +203,7 @@ def _first_difference(results: dict) -> str:
 
 
 def _cmd_oracle(args) -> int:
-    limit = max_ground_size()
-    if args.n > limit:
-        print(
-            f"error: oracle(n={args.n}) exceeds the resource guard n <= {limit}; "
-            "set CHOW_MAX_N to raise it (unsupported territory)",
-            file=sys.stderr,
-        )
-        return 2
+    check_ground_size("oracle", args.n)
     oracle_poly = chain_chow(uniform(args.k, args.n), augmented=args.augmented)
     closed = {m: closed_form(args.k, args.n, m, args.augmented) for m in METHODS}
     reference = closed["monomial"]
@@ -272,7 +264,7 @@ def _verification_report(n: int, table) -> tuple[bool, list[str]]:
 
 def _cmd_census(args) -> int:
     try:
-        table = census(args.n, jobs=args.jobs)
+        table = census(args.n)
     except (ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

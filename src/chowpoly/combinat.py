@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -153,38 +153,19 @@ def eulerian_poly(n: int) -> UniPoly:
     return UniPoly(out)
 
 
-_DERANGEMENT_ENUM_MAX = 10  # 10! is ~3.6M permutations, still fast to scan
-
-
 @lru_cache(maxsize=None)
 def derangement_poly(n: int) -> UniPoly:
     """Excedance-generating polynomial over fixpoint-free permutations of {1..n}.
 
-    Up to n = 10 this scans all permutations directly, which keeps the
-    function usable as an oracle.  Beyond that it falls back on the exact
-    identity sum_j C(n, j) d_j(x) = A_n(x), where A_n is the Eulerian
-    polynomial for the (equidistributed) excedance statistic.
+    Computed from the exact identity sum_j C(n, j) d_j(x) = A_n(x), where A_n
+    is the Eulerian polynomial for the (equidistributed) excedance statistic:
+    a permutation is a derangement of the points it moves, and fixed points
+    are never excedances.
     """
     if n < 0:
         raise ValueError(f"negative n={n}")
     if n == 0:
         return UniPoly.one()
-    if n == 1:
-        return UniPoly.zero()
-    if n <= _DERANGEMENT_ENUM_MAX:
-        counts = [0] * n
-        for w in permutations(range(1, n + 1)):
-            exc = 0
-            fixed = False
-            for i, v in enumerate(w, start=1):
-                if v == i:
-                    fixed = True
-                    break
-                if v > i:
-                    exc += 1
-            if not fixed:
-                counts[exc] += 1
-        return UniPoly(counts)
     rest = UniPoly.zero()
     for j in range(n):
         rest = rest + comb(n, j) * derangement_poly(j)

@@ -1,20 +1,15 @@
-"""Enumeration kernels, JIT-compiled when numba is available.
+"""Enumeration kernels: a permutation-sum DP and the census sweep, in numpy.
 
 * The permutation-sum closed form needs, for each descent count, a weighted
   sum over the permutations of {1..k} whose descents are never adjacent.
-  It is always an exact insertion DP in Python ints, polynomial in k (about
-  k^3 big-integer additions), whatever the backend default.  A pruned numba
-  scan over the k! permutations is kept as an independent reference; it
-  runs only for an explicit ``backend="numba"`` and only when its int64
-  bound holds.
+  It is an exact insertion DP in Python ints, polynomial in k (about k^3
+  big-integer additions); ``tests/oracles.py`` holds the k! scan it replaces.
 * The census of Schubert matroids sweeps every (index set, permutation)
-  pair, relabeling and fingerprinting each basis collection.
-
-The census kernels have a numba implementation and a vectorized numpy
-fallback.  Passing ``backend="numpy"`` (or setting ``CHOW_BACKEND=numpy``)
-selects the non-JIT paths; the default is numba whenever it imports.  Both
-paths produce identical results; see ``benchmarks/bench_backends.py`` for a
-speed comparison.
+  pair, relabeling and fingerprinting each basis collection.  Fingerprints
+  are built by scattering the relabeled bases into a bool array and packing
+  it; deduplication sorts the fingerprint words and compares neighbours; the
+  classifier reads loops and cogirth off whole arrays of fingerprints with
+  bitwise masks.
 
 Ground-set conventions: element e of {1..n} is bit e-1 of a mask, and a
 collection of bases is fingerprinted as the characteristic bit vector over
@@ -24,99 +19,33 @@ fingerprints mean equal basis collections, so deduplication is exact.
 
 from __future__ import annotations
 
-import os
 from itertools import permutations
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-_BACKENDS = ("numba", "numpy")
-
-
-def backend_name(explicit: str | None = None) -> str:
-    """Resolve the kernel backend: explicit argument, else CHOW_BACKEND, else
-    numba when available."""
-    choice = explicit or os.environ.get("CHOW_BACKEND", "").strip().lower()
-    if not choice:
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    if choice not in _BACKENDS:
-        raise ValueError(f"unknown backend {choice!r}, expected one of {_BACKENDS}")
-    if choice == "numba" and not NUMBA_AVAILABLE:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return choice
-
 
 # ---------------------------------------------------------------------------
 # permutation descent aggregates
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True, nogil=True)
-def _perm_scan_numba(k, binoms, first_ascent_required):  # pragma: no cover - jitted
-    agg = np.zeros(k + 1, dtype=np.int64)
-    val = np.zeros(k + 1, dtype=np.int64)
-    nxt = np.zeros(k + 2, dtype=np.int64)
-    used = np.zeros(k + 1, dtype=np.bool_)
-    desc_at = np.zeros(k + 1, dtype=np.bool_)
-    ndesc = 0
-    pos = 1
-    nxt[1] = 1
-    while pos >= 1:
-        v = nxt[pos]
-        while v <= k and used[v]:
-            v += 1
-        if v > k:
-            pos -= 1
-            if pos >= 1:
-                u = val[pos]
-                used[u] = False
-                if pos >= 2 and desc_at[pos - 1]:
-                    ndesc -= 1
-                    desc_at[pos - 1] = False
-                nxt[pos] = u + 1
-            continue
-        nxt[pos] = v + 1
-        d = pos >= 2 and val[pos - 1] > v
-        if d:
-            if pos == 2 and first_ascent_required:
-                continue
-            if pos >= 3 and desc_at[pos - 2]:
-                continue
-        if pos == k:
-            agg[ndesc + (1 if d else 0)] += binoms[v]
-            continue
-        val[pos] = v
-        used[v] = True
-        if pos >= 2:
-            desc_at[pos - 1] = d
-            if d:
-                ndesc += 1
-        pos += 1
-        nxt[pos] = 1
-    return agg
+def perm_descent_aggregates(
+    k: int, binoms: list[int], first_ascent_required: bool
+) -> list[int]:
+    """For each descent count j, sum ``binoms[last entry]`` over the
+    permutations of {1..k} whose descent set has no two consecutive positions
+    (and, when requested, no descent in position 1).
 
-
-def _perm_scan_python(k: int, binoms: list[int], first_ascent_required: bool) -> list[int]:
-    # Insertion DP over prefixes, in exact Python ints.  A prefix of length m
-    # is tracked by the relative rank r (0-based) of its last entry among its
-    # m entries; asc[r][j] / desc[r][j] count the admissible prefixes with j
-    # descents whose last step was an ascent (or that have length 1) / a
-    # descent.  Appending an entry of relative rank r' among m + 1 entries
-    # makes a descent exactly when r' <= r.  At length k the relative rank is
-    # the value itself, which selects binoms[r + 1].
+    ``binoms`` is indexed by value 1..k (index 0 ignored).  The sum is an
+    exact insertion DP in Python ints, polynomial in k.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    # A prefix of length m is tracked by the relative rank r (0-based) of its
+    # last entry among its m entries; asc[r][j] / desc[r][j] count the
+    # admissible prefixes with j descents whose last step was an ascent (or
+    # that have length 1) / a descent.  Appending an entry of relative rank r'
+    # among m + 1 entries makes a descent exactly when r' <= r.  At length k
+    # the relative rank is the value itself, which selects binoms[r + 1].
     width = k + 1
     asc = [[1] + [0] * k]
     desc = [[0] * width]
@@ -141,39 +70,6 @@ def _perm_scan_python(k: int, binoms: list[int], first_ascent_required: bool) ->
         for j in range(width):
             agg[j] += (asc[r][j] + desc[r][j]) * w
     return agg
-
-
-def perm_descent_aggregates(
-    k: int,
-    binoms: list[int],
-    first_ascent_required: bool,
-    backend: str | None = None,
-) -> list[int]:
-    """For each descent count j, sum ``binoms[last entry]`` over the
-    permutations of {1..k} whose descent set has no two consecutive positions
-    (and, when requested, no descent in position 1).
-
-    ``binoms`` is indexed by value 1..k (index 0 ignored).  The sum is an
-    exact insertion DP in Python ints, polynomial in k; neither the numba
-    default nor ``CHOW_BACKEND`` changes that.  Only an explicit
-    ``backend="numba"`` runs the k! numba scan instead, as a cross-check,
-    and only when every partial sum provably fits in int64; otherwise it
-    too falls back to the DP.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if backend is not None and backend_name(backend) == "numba":
-        # crude overflow bound: every leaf adds at most max(binoms), and
-        # there are fewer than k! leaves
-        total = max(binoms[1:])
-        for i in range(2, k + 1):
-            total *= i
-        if total < 2**62:
-            arr = _perm_scan_numba(
-                k, np.asarray(binoms, dtype=np.int64), first_ascent_required
-            )
-            return [int(x) for x in arr]
-    return _perm_scan_python(k, list(binoms), first_ascent_required)
 
 
 # ---------------------------------------------------------------------------
@@ -206,57 +102,44 @@ def fingerprint_words(n: int) -> int:
     return ((1 << n) + 63) // 64
 
 
-@njit(cache=True, nogil=True)
-def _census_rows_numba(table, bases_flat, offsets, out):  # pragma: no cover - jitted
-    nperms = table.shape[0]
-    num_sets = offsets.shape[0] - 1
-    for i in range(num_sets):
-        lo, hi = offsets[i], offsets[i + 1]
-        base_row = i * nperms
-        for p in range(nperms):
-            r = base_row + p
-            for t in range(lo, hi):
-                m = table[p, bases_flat[t]]
-                out[r, m >> 6] |= np.uint64(1) << np.uint64(m & 63)
-    return out
+def _bit_width(n: int) -> int:
+    return 64 * fingerprint_words(n)
 
 
-def _census_rows_numpy(table, bases_lists, out):
-    nperms = table.shape[0]
-    nwords = out.shape[1]
-    for i, bases in enumerate(bases_lists):
-        rel = table[:, np.asarray(bases, dtype=np.intp)]
-        block = out[i * nperms : (i + 1) * nperms]
-        word = rel >> 6
-        val = np.uint64(1) << (rel & 63).astype(np.uint64)
-        for w in range(nwords):
-            block[:, w] = np.bitwise_or.reduce(
-                np.where(word == w, val, np.uint64(0)), axis=1
-            )
-    return out
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Pack rows of a bool array, 64 columns per word, into uint64 fingerprints
+    (column m is bit m % 64 of word m // 64)."""
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
 def census_fingerprints(
-    table: np.ndarray,
-    bases_lists: list[list[int]],
-    n: int,
-    backend: str | None = None,
+    table: np.ndarray, bases_lists: list[list[int]], n: int
 ) -> np.ndarray:
     """Fingerprint every relabeled basis collection.
 
     Row i * n! + p holds the fingerprint of bases_lists[i] pushed through
     permutation row p of the relabel table.
     """
-    nwords = fingerprint_words(n)
-    out = np.zeros((len(bases_lists) * table.shape[0], nwords), dtype=np.uint64)
-    if not bases_lists:
-        return out
-    if backend_name(backend) == "numba":
-        flat = np.concatenate([np.asarray(b, dtype=np.int64) for b in bases_lists])
-        offsets = np.zeros(len(bases_lists) + 1, dtype=np.int64)
-        np.cumsum([len(b) for b in bases_lists], out=offsets[1:])
-        return _census_rows_numba(table, flat, offsets, out)
-    return _census_rows_numpy(table, bases_lists, out)
+    nperms = table.shape[0]
+    out = np.empty((len(bases_lists) * nperms, fingerprint_words(n)), dtype=np.uint64)
+    bits = np.empty((nperms, _bit_width(n)), dtype=bool)
+    perm_rows = np.arange(nperms)[:, None]
+    for i, bases in enumerate(bases_lists):
+        bits[:] = False
+        bits[perm_rows, np.take(table, np.asarray(bases, dtype=np.intp), axis=1)] = True
+        out[i * nperms : (i + 1) * nperms] = _pack(bits)
+    return out
+
+
+def distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array, by exact equality, in lexicographic
+    order of their words."""
+    if rows.shape[0] < 2:
+        return rows
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(ordered.shape[0], dtype=bool)
+    keep[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -264,85 +147,44 @@ def census_fingerprints(
 # ---------------------------------------------------------------------------
 
 
-def _popcounts(n: int) -> np.ndarray:
-    masks = np.arange(1 << n, dtype=np.uint32)
-    pc = np.zeros(1 << n, dtype=np.int64)
-    for j in range(n):
-        pc += (masks >> j) & 1
-    return pc
-
-
-def _mask_order(n: int, pc: np.ndarray) -> np.ndarray:
-    """Nonzero masks sorted by popcount then value, for hitting-set scans."""
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    return masks[np.lexsort((masks, pc[1:]))]
-
-
-@njit(cache=True, nogil=True)
-def _classify_numba(rows, n, order, pc):  # pragma: no cover - jitted
-    num = rows.shape[0]
+def _mask_fingerprints(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``containing[e]`` fingerprints the masks that contain element e + 1;
+    ``subsets_of[t]`` fingerprints the masks that are subsets of mask t."""
     nmasks = 1 << n
-    loop_counts = np.empty(num, dtype=np.int64)
-    cogirths = np.empty(num, dtype=np.int64)
-    bases = np.empty(nmasks, dtype=np.int64)
-    for r in range(num):
-        nb = 0
-        union = 0
-        for m in range(nmasks):
-            if (rows[r, m >> 6] >> np.uint64(m & 63)) & np.uint64(1):
-                bases[nb] = m
-                nb += 1
-                union |= m
-        loop_counts[r] = n - pc[union]
-        cg = -1
-        for oi in range(order.shape[0]):
-            cand = order[oi]
-            ok = True
-            for t in range(nb):
-                if cand & bases[t] == 0:
-                    ok = False
-                    break
-            if ok:
-                cg = pc[cand]
-                break
-        cogirths[r] = cg
-    return loop_counts, cogirths
+    masks = np.arange(nmasks)
+    containing = np.zeros((n, _bit_width(n)), dtype=bool)
+    containing[:, :nmasks] = (masks[None, :] >> np.arange(n)[:, None]) & 1
+    subsets_of = np.zeros((nmasks, _bit_width(n)), dtype=bool)
+    subsets_of[:, :nmasks] = (masks[None, :] & ~masks[:, None]) == 0
+    return _pack(containing), _pack(subsets_of)
 
 
-def _classify_numpy(rows, n, order, pc):
-    num = rows.shape[0]
-    nmasks = 1 << n
-    masks = np.arange(nmasks, dtype=np.int64)
-    word = masks >> 6
-    shift = (masks & 63).astype(np.uint64)
-    loop_counts = np.empty(num, dtype=np.int64)
-    cogirths = np.empty(num, dtype=np.int64)
-    for r in range(num):
-        bits = (rows[r][word] >> shift) & np.uint64(1)
-        bases = masks[bits.astype(bool)]
-        union = int(np.bitwise_or.reduce(bases)) if bases.size else 0
-        loop_counts[r] = n - pc[union]
-        if bases.size and bases[0] == 0:
-            cogirths[r] = -1  # the empty set is a basis: nothing can hit it
-            continue
-        hits_all = ((order[:, None] & bases[None, :]) != 0).all(axis=1)
-        idx = int(np.argmax(hits_all))
-        cogirths[r] = pc[order[idx]] if hits_all[idx] else -1
-    return loop_counts, cogirths
-
-
-def classify_fingerprints(
-    rows: np.ndarray, n: int, backend: str | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def classify_fingerprints(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Loop counts and cogirths of fingerprinted basis collections.
 
-    The number of loops is n minus the size of the union of the bases.  The
-    cogirth is the smallest size of a subset meeting every basis (the
-    smallest set dependent in the dual); -1 encodes "no such set", which
-    happens exactly for the rank-0 collection {empty set}.
+    The number of loops is n minus the number of elements lying in some
+    basis.  The cogirth is the smallest size of a subset meeting every basis
+    (the smallest set dependent in the dual): S meets every basis exactly
+    when no basis is a subset of the complement of S.  -1 encodes "no such
+    set", which happens exactly when the empty set is a basis, i.e. for the
+    rank-0 collection {empty set}.
     """
-    pc = _popcounts(n)
-    order = _mask_order(n, pc)
-    if backend_name(backend) == "numba":
-        return _classify_numba(rows, n, order, pc)
-    return _classify_numpy(rows, n, order, pc)
+    containing, subsets_of = _mask_fingerprints(n)
+    loop_counts = np.full(rows.shape[0], n, dtype=np.int64)
+    for words in containing:
+        loop_counts -= (rows & words).any(axis=1)
+    cogirths = np.full(rows.shape[0], -1, dtype=np.int64)
+    full = (1 << n) - 1
+    by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for s in range(1, full + 1):
+        by_size[s.bit_count()].append(s)
+    for size in range(1, n + 1):
+        open_rows = np.flatnonzero(cogirths < 0)
+        if open_rows.size == 0:
+            break
+        pending = rows[open_rows]
+        meets_all = np.zeros(open_rows.size, dtype=bool)
+        for s in by_size[size]:
+            meets_all |= ~(pending & subsets_of[full ^ s]).any(axis=1)
+        cogirths[open_rows[meets_all]] = size
+    return loop_counts, cogirths

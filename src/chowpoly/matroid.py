@@ -460,9 +460,25 @@ def matroid_to_json(m: Matroid) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def matroid_from_json(data: dict) -> Matroid:
-    m = Matroid.from_bases(int(data["n"]), data["bases"])
-    if "rank" in data and int(data["rank"]) != m.rank:
+    """Parse the JSON exchange format; a malformed document is a MatroidError."""
+    if not isinstance(data, dict):
+        raise MatroidError("matroid JSON must be an object")
+    if not _is_int(data.get("n")):
+        raise MatroidError('matroid JSON needs an integer "n"')
+    bases = data.get("bases")
+    if not isinstance(bases, list) or not all(
+        isinstance(b, list) and all(_is_int(e) for e in b) for b in bases
+    ):
+        raise MatroidError('matroid JSON needs "bases" as a list of lists of integers')
+    if "rank" in data and not _is_int(data["rank"]):
+        raise MatroidError('matroid JSON "rank" must be an integer')
+    m = Matroid.from_bases(data["n"], bases)
+    if "rank" in data and data["rank"] != m.rank:
         raise MatroidError(
             f"declared rank {data['rank']} does not match basis size {m.rank}"
         )

@@ -10,14 +10,15 @@ of gap multinomials.
 ``census`` cross-checks all of this exhaustively: it constructs the basis
 collection of every (index set, permutation) pair, deduplicates by exact
 basis-set equality, classifies each distinct matroid from its own bases, and
-tabulates counts by (rank, loops, cogirth).  The heavy sweep runs on the
-kernels in ``chowpoly.kernels``.
+tabulates counts by (rank, loops, cogirth).  The sweep streams over index
+sets on the numpy kernels in ``chowpoly.kernels``: each index set's n!
+fingerprints are deduplicated on their own before the survivors of one rank
+are merged, so no rank's full block of fingerprints is held at once.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -36,9 +37,31 @@ class ResourceLimitError(ValueError):
 
 
 def max_ground_size() -> int:
-    """Bound for exhaustive operations; CHOW_MAX_N raises it (at your own risk)."""
-    raw = os.environ.get("CHOW_MAX_N", "")
-    return int(raw) if raw.strip() else DEFAULT_MAX_CENSUS_N
+    """Bound for exhaustive operations; CHOW_MAX_N raises it (at your own risk).
+
+    CHOW_MAX_N must be a positive integer; anything else is a ValueError.
+    """
+    raw = os.environ.get("CHOW_MAX_N", "").strip()
+    if not raw:
+        return DEFAULT_MAX_CENSUS_N
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"CHOW_MAX_N must be a positive integer, got {raw!r}")
+    return limit
+
+
+def check_ground_size(operation: str, n: int) -> None:
+    """Raise ResourceLimitError when an exhaustive operation on ground size n
+    exceeds the resource guard."""
+    limit = max_ground_size()
+    if n > limit:
+        raise ResourceLimitError(
+            f"{operation}(n={n}) exceeds the resource guard n <= {limit}; "
+            "set CHOW_MAX_N to raise it (unsupported territory)"
+        )
 
 
 @dataclass(frozen=True)
@@ -191,6 +214,8 @@ class CensusTable:
     def from_csv(cls, n: int, text: str) -> "CensusTable":
         entries = {}
         lines = [ln for ln in text.strip().splitlines() if ln]
+        if not lines:
+            raise ValueError("census CSV is empty: no header line")
         if lines[0] != "rank,loops,cogirth,count":
             raise ValueError(f"unexpected header {lines[0]!r}")
         for ln in lines[1:]:
@@ -223,52 +248,32 @@ class CensusTable:
         return cls(int(data["n"]), entries)
 
 
-def _chunked(items: list, parts: int) -> list[list]:
-    parts = max(1, min(parts, len(items)))
-    size = (len(items) + parts - 1) // parts
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def census(n: int, jobs: int = 1, backend: str | None = None) -> CensusTable:
+def census(n: int) -> CensusTable:
     """Exhaustive deduplicated census of Schubert matroids on {1..n}.
 
-    Every (index set, permutation) pair is expanded to its basis collection,
-    fingerprints are deduplicated exactly, and each distinct matroid is
-    classified by (rank, loops, cogirth) from its own bases.  The result is
-    independent of ``jobs`` and of the kernel backend.
+    Every (index set, permutation) pair is expanded to its basis collection
+    and fingerprinted.  The fingerprints of one index set are deduplicated
+    exactly, and the survivors of all index sets of one rank are merged and
+    deduplicated again; each distinct matroid is then classified by (rank,
+    loops, cogirth) from its own bases.
     """
     from . import kernels
 
     if n < 1:
         raise ValueError(f"census needs n >= 1, got {n}")
-    limit = max_ground_size()
-    if n > limit:
-        raise ResourceLimitError(
-            f"census(n={n}) exceeds the resource guard n <= {limit}; "
-            "set CHOW_MAX_N to raise it (unsupported territory)"
-        )
-    chosen = kernels.backend_name(backend)
+    check_ground_size("census", n)
     perms = kernels.perm_table(n)
     table = kernels.relabel_table(perms, n)
     entries: dict[tuple[int, int, int | float], int] = {(0, n, INFINITY): 1}
     for k in range(1, n + 1):
-        bases_lists = [
-            _id_order_bases(n, idx) for idx in combinations(range(1, n + 1), k)
+        survivors = [
+            kernels.distinct_rows(
+                kernels.census_fingerprints(table, [_id_order_bases(n, idx)], n)
+            )
+            for idx in combinations(range(1, n + 1), k)
         ]
-        chunks = _chunked(bases_lists, jobs)
-        if len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                blocks = list(
-                    pool.map(
-                        lambda ch: kernels.census_fingerprints(table, ch, n, chosen),
-                        chunks,
-                    )
-                )
-            rows = np.concatenate(blocks, axis=0)
-        else:
-            rows = kernels.census_fingerprints(table, bases_lists, n, chosen)
-        distinct = np.unique(rows, axis=0)
-        loop_counts, cogirths = kernels.classify_fingerprints(distinct, n, chosen)
+        distinct = kernels.distinct_rows(np.concatenate(survivors))
+        loop_counts, cogirths = kernels.classify_fingerprints(distinct, n)
         for ell, cg in zip(loop_counts.tolist(), cogirths.tolist()):
             key = (k, ell, INFINITY if cg < 0 else cg)
             entries[key] = entries.get(key, 0) + 1

@@ -92,3 +92,33 @@ def brute_delta_multinomial(n: int, index_set: tuple[int, ...]) -> int:
     for g in gaps:
         value //= factorial(g)
     return value
+
+
+def brute_fingerprint(masks, n: int) -> list[int]:
+    """Fingerprint of a set of subset masks of {1..n}: the 2^n-bit vector with
+    bit m set for each mask m, cut into 64-bit words, least significant
+    first (at least one word)."""
+    vector = 0
+    for m in masks:
+        vector |= 1 << m
+    words = max(1, (2**n) // 64)
+    return [(vector >> (64 * w)) % 2**64 for w in range(words)]
+
+
+def brute_relabel(mask: int, perm) -> int:
+    """Image of a subset mask under the permutation with one-line ``perm``:
+    element e (bit e-1) goes to perm[e-1]."""
+    return sum(1 << (perm[e - 1] - 1) for e in range(1, len(perm) + 1) if mask >> (e - 1) & 1)
+
+
+def brute_loops_and_cogirth(masks, n: int) -> tuple[int, int]:
+    """Number of elements in no set of the collection, and the smallest size
+    of a set meeting every member (-1 when none does), by a direct scan."""
+    members = list(masks)
+    loops = sum(1 for e in range(n) if not any(m >> e & 1 for m in members))
+    for size in range(1, n + 1):
+        for chosen in combinations(range(n), size):
+            hitter = sum(1 << e for e in chosen)
+            if all(hitter & m for m in members):
+                return loops, size
+    return loops, -1

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chowpoly import CensusTable, UniPoly, census, matroid_to_json, uniform
 from chowpoly.cli import main
 
@@ -122,7 +124,7 @@ def test_census_csv_roundtrip(capsys):
 
 def test_census_json_with_verification(capsys):
     code, out, _ = run(
-        capsys, "census", "--n", "3", "--verify", "--format", "json", "--jobs", "2"
+        capsys, "census", "--n", "3", "--verify", "--format", "json"
     )
     assert code == 0
     payload = json.loads(out)
@@ -141,6 +143,18 @@ def test_census_guard_env_override(capsys, monkeypatch):
     code, _, err = run(capsys, "census", "--n", "3")
     assert code == 2
     monkeypatch.delenv("CHOW_MAX_N")
+
+
+@pytest.mark.parametrize("command", ["census", "oracle"])
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+def test_guard_env_must_be_positive_integer(capsys, monkeypatch, command, raw):
+    monkeypatch.setenv("CHOW_MAX_N", raw)
+    argv = [command, "--n", "3"] + (["--k", "2"] if command == "oracle" else [])
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.strip().splitlines() == [
+        f"error: CHOW_MAX_N must be a positive integer, got {raw!r}"
+    ]
 
 
 def test_sequences_csv(capsys):
@@ -215,3 +229,19 @@ def test_matroid_import_rejects_invalid(tmp_path, capsys):
     code, _, err = run(capsys, "matroid", "--input", str(bad))
     assert code == 2
     assert "unequal size" in err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"rank": 1, "bases": [[1]]}, 'integer "n"'),
+        ({"n": 2, "rank": 1, "bases": [["a"]]}, "lists of integers"),
+    ],
+)
+def test_matroid_import_rejects_malformed_json(tmp_path, capsys, data, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, "matroid", "--input", str(bad))
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]

@@ -8,7 +8,6 @@ from chowpoly import (
     derangement_poly,
     eulerian_poly,
     gamma_vector,
-    kernels,
     multivariate_closed_form,
 )
 
@@ -144,25 +143,8 @@ def test_coefficient_formula_rejects_other_indices():
         coefficient_formula(3, 5, 3)
 
 
-@pytest.mark.skipif(
-    not kernels.NUMBA_AVAILABLE, reason="compares against the numba backend"
-)
-def test_gamma_perm_python_fallback_matches():
-    from chowpoly.kernels import perm_descent_aggregates
-
-    from math import comb
-
-    for k in range(1, 8):
-        n = k + 2
-        binoms = [0] + [comb(n - t, k - t) for t in range(1, k + 1)]
-        for flag in (False, True):
-            assert perm_descent_aggregates(
-                k, binoms, flag, backend="numpy"
-            ) == perm_descent_aggregates(k, binoms, flag, backend="numba")
-
-
 def test_perm_scan_overflow_guard_switches_to_exact_integers():
-    # weights near 2^61 trip the int64 bound, forcing the pure-Python scan;
+    # sums of weights near 2^61 pass 2^62 and stay exact in Python ints;
     # of the 5 admissible permutations of {1,2,3}, one has no descent
     from chowpoly.kernels import perm_descent_aggregates
 

@@ -3,29 +3,17 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowpoly import kernels
 from chowpoly.schubert import _id_order_bases
-from tests.oracles import brute_perm_descent_aggregates
-
-
-def test_backend_name_resolution(monkeypatch):
-    monkeypatch.delenv("CHOW_BACKEND", raising=False)
-    assert kernels.backend_name() == (
-        "numba" if kernels.NUMBA_AVAILABLE else "numpy"
-    )
-    assert kernels.backend_name("numpy") == "numpy"
-    monkeypatch.setenv("CHOW_BACKEND", "numpy")
-    assert kernels.backend_name() == "numpy"
-    if kernels.NUMBA_AVAILABLE:
-        assert kernels.backend_name("numba") == "numba"  # explicit beats env
-    else:
-        with pytest.raises(RuntimeError, match="numba is not importable"):
-            kernels.backend_name("numba")
-    monkeypatch.setenv("CHOW_BACKEND", "numba")
-    assert kernels.backend_name("numpy") == "numpy"  # explicit beats env
-    with pytest.raises(ValueError):
-        kernels.backend_name("fortran")
+from tests.oracles import (
+    brute_fingerprint,
+    brute_loops_and_cogirth,
+    brute_perm_descent_aggregates,
+    brute_relabel,
+)
 
 
 def test_relabel_table_roundtrip():
@@ -42,22 +30,29 @@ def test_relabel_table_roundtrip():
     assert table[row, 0b0101] == 0b0110
 
 
-def test_fingerprints_backends_agree():
+def test_fingerprints_batched_and_streamed_agree():
+    # deduplicating each index set's block and then merging the survivors,
+    # as census does, keeps exactly np.unique's rows of the whole rank
     n = 5
     perms = kernels.perm_table(n)
     table = kernels.relabel_table(perms, n)
+    per_set = perms.shape[0]
     for k in range(1, n + 1):
         bases_lists = [
             _id_order_bases(n, idx) for idx in combinations(range(1, n + 1), k)
         ]
-        a = kernels.census_fingerprints(table, bases_lists, n, backend="numpy")
-        if kernels.NUMBA_AVAILABLE:
-            b = kernels.census_fingerprints(table, bases_lists, n, backend="numba")
-            assert np.array_equal(a, b)
-        la, ca = kernels.classify_fingerprints(np.unique(a, axis=0), n, "numpy")
-        if kernels.NUMBA_AVAILABLE:
-            lb, cb = kernels.classify_fingerprints(np.unique(a, axis=0), n, "numba")
-            assert np.array_equal(la, lb) and np.array_equal(ca, cb)
+        batched = kernels.census_fingerprints(table, bases_lists, n)
+        assert np.array_equal(kernels.distinct_rows(batched), np.unique(batched, axis=0))
+        streamed = kernels.distinct_rows(
+            np.concatenate(
+                [
+                    kernels.distinct_rows(kernels.census_fingerprints(table, [b], n))
+                    for b in bases_lists
+                ]
+            )
+        )
+        assert np.array_equal(streamed, np.unique(batched, axis=0))
+        assert batched.shape[0] == len(bases_lists) * per_set
 
 
 def test_fingerprint_words():
@@ -70,11 +65,8 @@ def test_fingerprint_words():
 def test_rank0_fingerprint_classifies_as_no_hitting_set():
     rows = np.zeros((1, 1), dtype=np.uint64)
     rows[0, 0] = 1  # only the empty mask is a basis
-    loops, cogirths = kernels.classify_fingerprints(rows, 4, "numpy")
+    loops, cogirths = kernels.classify_fingerprints(rows, 4)
     assert loops[0] == 4 and cogirths[0] == -1
-    if kernels.NUMBA_AVAILABLE:
-        loops, cogirths = kernels.classify_fingerprints(rows, 4, "numba")
-        assert loops[0] == 4 and cogirths[0] == -1
 
 
 def test_perm_scan_empty_and_tiny():
@@ -83,13 +75,6 @@ def test_perm_scan_empty_and_tiny():
     assert kernels.perm_descent_aggregates(2, [0, 3, 5], False) == [5, 3, 0]
     with pytest.raises(ValueError):
         kernels.perm_descent_aggregates(0, [0], False)
-
-
-def test_perm_aggregates_default_ignores_backend_env(monkeypatch):
-    # the DP is the default on every backend: CHOW_BACKEND=numba neither
-    # selects the k! scan nor needs numba to be importable
-    monkeypatch.setenv("CHOW_BACKEND", "numba")
-    assert kernels.perm_descent_aggregates(2, [0, 3, 5], False) == [5, 3, 0]
 
 
 @pytest.mark.parametrize("first_ascent_required", [False, True])
@@ -104,8 +89,57 @@ def test_perm_dp_matches_brute_force_oracle(first_ascent_required):
         for binoms in weight_sets:
             expected = brute_perm_descent_aggregates(k, binoms, first_ascent_required)
             assert (
-                kernels.perm_descent_aggregates(
-                    k, binoms, first_ascent_required, backend="numpy"
-                )
+                kernels.perm_descent_aggregates(k, binoms, first_ascent_required)
                 == expected
             )
+
+
+@st.composite
+def basis_collections(draw):
+    """A ground size n <= 7, some permutations of {1..n}, and collections of
+    subset masks that always include the rank-0 collection {empty set} and a
+    repeated collection."""
+    n = draw(st.integers(1, 7))
+    perms = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=3))
+    collection = st.frozensets(st.integers(0, (1 << n) - 1), min_size=1, max_size=10)
+    colls = draw(st.lists(collection, min_size=1, max_size=5))
+    colls = colls + [frozenset({0}), colls[0]]
+    return n, perms, [sorted(c) for c in colls]
+
+
+@settings(max_examples=80, deadline=None)
+@given(basis_collections())
+def test_census_fingerprints_match_brute_oracle(case):
+    n, perms, colls = case
+    table = kernels.relabel_table(np.array(perms, dtype=np.uint8), n)
+    rows = kernels.census_fingerprints(table, colls, n)
+    assert rows.shape == (len(colls) * len(perms), kernels.fingerprint_words(n))
+    r = 0
+    for coll in colls:
+        for perm in perms:
+            image = {brute_relabel(m, perm) for m in coll}
+            assert rows[r].tolist() == brute_fingerprint(image, n)
+            r += 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(basis_collections())
+def test_classify_fingerprints_matches_brute_oracle(case):
+    n, _, colls = case
+    rows = np.array([brute_fingerprint(c, n) for c in colls], dtype=np.uint64)
+    loops, cogirths = kernels.classify_fingerprints(rows, n)
+    for i, coll in enumerate(colls):
+        assert (loops[i], cogirths[i]) == brute_loops_and_cogirth(coll, n), coll
+
+
+@settings(max_examples=80, deadline=None)
+@given(basis_collections())
+def test_distinct_rows_is_exact_dedupe(case):
+    n, _, colls = case
+    rows = np.array([brute_fingerprint(c, n) for c in colls], dtype=np.uint64)
+    for w in range(rows.shape[1]):  # add rows that differ from others in one word only
+        variant = rows.copy()
+        variant[:, w] ^= np.uint64(1 << 63)
+        rows = np.concatenate([rows, variant])
+    distinct = kernels.distinct_rows(rows)
+    assert sorted(map(tuple, distinct.tolist())) == sorted(set(map(tuple, rows.tolist())))

@@ -190,11 +190,12 @@ def test_census_matches_formula_small():
         assert census_matches_formula(census(n)), n
 
 
-def test_census_backend_and_jobs_independent():
-    base = census(5)
-    assert census(5, backend="numpy") == base
-    assert census(5, jobs=4) == base
-    assert census(5, jobs=3, backend="numpy") == base
+def test_census_is_deterministic():
+    # repeated runs give equal tables with the same CSV bytes
+    base = census(6)
+    again = census(6)
+    assert again == base
+    assert again.to_csv() == base.to_csv()
 
 
 def test_census_resource_guard(monkeypatch):
@@ -204,6 +205,19 @@ def test_census_resource_guard(monkeypatch):
     with pytest.raises(ResourceLimitError):
         census(4)
     monkeypatch.delenv("CHOW_MAX_N")
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", "0", "2.5"])
+def test_census_guard_rejects_bad_env(monkeypatch, raw):
+    monkeypatch.setenv("CHOW_MAX_N", raw)
+    with pytest.raises(ValueError, match="CHOW_MAX_N must be a positive integer"):
+        census(3)
+
+
+def test_census_from_csv_rejects_empty_text():
+    for text in ("", "\n\n"):
+        with pytest.raises(ValueError, match="empty"):
+            CensusTable.from_csv(3, text)
 
 
 def test_verify_coefficient_counts_golden():
