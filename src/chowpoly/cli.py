@@ -8,7 +8,8 @@ sizes), and ``matroid`` (JSON import/export of explicit matroids).
 
 All numeric output in json/csv formats uses decimal strings so big integers
 survive downstream tools.  Exit status is 0 only when every requested
-verification passes; domain and resource errors exit with status 2.
+verification passes; domain, resource and I/O errors exit with status 2
+with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .forms import (
 )
 from .matroid import (
     INFINITY,
-    MatroidError,
     chain_chow,
     matroid_from_json,
     matroid_invariants,
@@ -35,7 +35,6 @@ from .matroid import (
 )
 from .polynomial import SqfMultiPoly, UniPoly
 from .schubert import (
-    ResourceLimitError,
     census,
     census_matches_formula,
     check_ground_size,
@@ -125,12 +124,10 @@ def _cmd_compute(args) -> int:
         elif args.method in MULTIVARIATE_BASES:
             methods = [args.method]
         else:
-            print(
-                f"error: method {args.method!r} has no multivariate form "
-                f"(choose from {MULTIVARIATE_BASES} or all)",
-                file=sys.stderr,
+            raise ValueError(
+                f"method {args.method!r} has no multivariate form "
+                f"(choose from {MULTIVARIATE_BASES} or all)"
             )
-            return 2
         results = {
             m: multivariate_closed_form(args.k, args.n, m, augmented) for m in methods
         }
@@ -138,12 +135,10 @@ def _cmd_compute(args) -> int:
         if args.method == "all":
             methods = list(METHODS)
         elif args.method == "gamma":
-            print(
-                "error: 'gamma' is a multivariate basis; univariate gamma methods are "
-                "gamma-eulerian and gamma-perm",
-                file=sys.stderr,
+            raise ValueError(
+                "'gamma' is a multivariate basis; univariate gamma methods are "
+                "gamma-eulerian and gamma-perm"
             )
-            return 2
         else:
             methods = [_METHOD_FLAGS[args.method]]
         results = {m: closed_form(args.k, args.n, m, augmented) for m in methods}
@@ -263,11 +258,7 @@ def _verification_report(n: int, table) -> tuple[bool, list[str]]:
 
 
 def _cmd_census(args) -> int:
-    try:
-        table = census(args.n)
-    except (ResourceLimitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    table = census(args.n)
     ok = True
     report_lines: list[str] = []
     if args.verify:
@@ -295,11 +286,9 @@ def _cmd_census(args) -> int:
 
 def _cmd_sequences(args) -> int:
     if args.k > args.n_from:
-        print("error: need k <= n-from", file=sys.stderr)
-        return 2
+        raise ValueError("need k <= n-from")
     if args.n_to < args.n_from:
-        print("error: need n-from <= n-to", file=sys.stderr)
-        return 2
+        raise ValueError("need n-from <= n-to")
     rows = [
         (n, coefficient_formula(args.k, n, args.coeff, args.augmented))
         for n in range(args.n_from, args.n_to + 1)
@@ -327,22 +316,15 @@ def _cmd_sequences(args) -> int:
 
 
 def _cmd_matroid(args) -> int:
-    try:
-        if args.uniform:
-            if args.k is None or args.n is None:
-                print("error: --uniform requires --k and --n", file=sys.stderr)
-                return 2
-            m = uniform(args.k, args.n)
-        else:
-            if args.input == "-":
-                data = json.load(sys.stdin)
-            else:
-                with open(args.input) as fh:
-                    data = json.load(fh)
-            m = matroid_from_json(data)
-    except (MatroidError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.uniform:
+        if args.k is None or args.n is None:
+            raise ValueError("--uniform requires --k and --n")
+        m = uniform(args.k, args.n)
+    elif args.input == "-":
+        m = matroid_from_json(json.load(sys.stdin))
+    else:
+        with open(args.input) as fh:
+            m = matroid_from_json(json.load(fh))
     payload = matroid_to_json(m)
     if args.output:
         with open(args.output, "w") as fh:
@@ -390,7 +372,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (MatroidError, ResourceLimitError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
+        # MatroidError, ResourceLimitError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,6 @@ to the univariate forms under ``specialize``.  All results are exact.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb, factorial
 
 from .combinat import (
@@ -32,9 +31,15 @@ from .combinat import (
     nc_subsets,
 )
 from .polynomial import SqfMultiPoly, UniPoly
+from .polynomial import gamma_reconstruct, gamma_reconstruct_multivariate
 
 METHODS = ("monomial", "gamma_eulerian", "gamma_perm", "convolution")
 MULTIVARIATE_BASES = ("monomial", "gamma")
+
+# Largest rank for the forms exponential in k (``monomial``, ``gamma_eulerian``
+# and both multivariate bases; seconds at k = 20, about 4x per two ranks).
+# Above it they raise ValueError; ``gamma_perm`` and ``convolution`` scale.
+EXPONENTIAL_RANK_MAX = 18
 
 
 def _check_domain(k: int, n: int, augmented: bool) -> None:
@@ -48,15 +53,12 @@ def _check_domain(k: int, n: int, augmented: bool) -> None:
         raise ValueError(f"rank k={k} out of domain {lower} <= k <= n for n={n}{note}")
 
 
-def _gamma_shaped(weights: dict[int, int], exponent_base: int) -> UniPoly:
-    """sum weights[j] * x^j * (1+x)^(exponent_base - 2j)."""
-    result = UniPoly.zero()
-    for j, w in sorted(weights.items()):
-        if w:
-            result = result + UniPoly.monomial(w, j) * UniPoly.one_plus_x_power(
-                exponent_base - 2 * j
-            )
-    return result
+def _check_exponential_rank(form: str, k: int) -> None:
+    if form not in ("gamma_perm", "convolution") and k > EXPONENTIAL_RANK_MAX:
+        raise ValueError(
+            f"the {form} form is exponential in k and capped at k <= "
+            f"{EXPONENTIAL_RANK_MAX}, got k={k}; use gamma_perm or convolution"
+        )
 
 
 def _monomial_form(k: int, n: int, augmented: bool) -> UniPoly:
@@ -72,22 +74,19 @@ def _monomial_form(k: int, n: int, augmented: bool) -> UniPoly:
 
 
 def _gamma_eulerian_form(k: int, n: int, augmented: bool) -> UniPoly:
-    weights: dict[int, int] = {}
+    d = k if augmented else k - 1
+    gammas = [0] * (d // 2 + 1)
     for dset in nc_subsets(k - 1, exclude_one=not augmented):
-        count = eulerian_fixed_descents(n, dset)
-        weights[len(dset)] = weights.get(len(dset), 0) + count
-    return _gamma_shaped(weights, k if augmented else k - 1)
+        gammas[len(dset)] += eulerian_fixed_descents(n, dset)
+    return gamma_reconstruct(gammas, d)
 
 
 def _gamma_perm_form(k: int, n: int, augmented: bool) -> UniPoly:
-    if k == 0:
-        return UniPoly.one()
     from .kernels import perm_descent_aggregates
 
     binoms = [0] + [comb(n - t, k - t) for t in range(1, k + 1)]
     agg = perm_descent_aggregates(k, binoms, first_ascent_required=not augmented)
-    weights = {j: w for j, w in enumerate(agg) if w}
-    return _gamma_shaped(weights, k if augmented else k - 1)
+    return gamma_reconstruct(agg, k if augmented else k - 1)
 
 
 def _convolution_form(k: int, n: int, augmented: bool) -> UniPoly:
@@ -117,7 +116,8 @@ def closed_form(
 
     All methods agree; computing several and comparing is a useful
     independent check.  Requires 1 <= k <= n (k = 0 is admitted for the
-    augmented polynomial and yields the constant 1).
+    augmented polynomial and yields the constant 1); ``monomial`` and
+    ``gamma_eulerian`` also require k <= EXPONENTIAL_RANK_MAX.
     """
     _check_domain(k, n, augmented)
     try:
@@ -126,6 +126,7 @@ def closed_form(
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}") from None
     if k == 0:  # augmented only; sole contribution is the empty index set
         return UniPoly.one()
+    _check_exponential_rank(method, k)
     return form(k, n, augmented)
 
 
@@ -142,32 +143,28 @@ def multivariate_closed_form(
     """
     if not 1 <= k <= n:
         raise ValueError(f"rank k={k} out of domain 1 <= k <= n for n={n}")
-    var_range = (0 if augmented else 1, k - 1)
-    terms: dict[tuple[int, ...], int] = {}
-    if basis == "monomial":
-        for pattern in range(1 << k):
-            if not augmented and not pattern & 1:
-                continue
-            index_set = [i + 1 for i in range(k) if pattern >> i & 1]
-            if augmented:
-                key = tuple(i - 1 for i in index_set)
-            else:
-                key = tuple(i - 1 for i in index_set if i != 1)
-            terms[key] = terms.get(key, 0) + delta_multinomial(n, index_set)
-    elif basis == "gamma":
-        window = range(0 if augmented else 1, k)
-        for dset in nc_subsets(k - 1, exclude_one=not augmented):
-            count = eulerian_fixed_descents(n, dset)
-            in_d = set(dset)
-            free = [i for i in window if i not in in_d and i + 1 not in in_d]
-            for size in range(len(free) + 1):
-                for extra in combinations(free, size):
-                    key = tuple(sorted(dset + extra))
-                    terms[key] = terms.get(key, 0) + count
-    else:
+    if basis not in MULTIVARIATE_BASES:
         raise ValueError(
             f"unknown basis {basis!r}, expected one of {MULTIVARIATE_BASES}"
         )
+    _check_exponential_rank(f"multivariate {basis}", k)
+    var_range = (0 if augmented else 1, k - 1)
+    if basis == "gamma":
+        weights = {
+            dset: eulerian_fixed_descents(n, dset)
+            for dset in nc_subsets(k - 1, exclude_one=not augmented)
+        }
+        return gamma_reconstruct_multivariate(weights, var_range)
+    terms: dict[tuple[int, ...], int] = {}
+    for pattern in range(1 << k):
+        if not augmented and not pattern & 1:
+            continue
+        index_set = [i + 1 for i in range(k) if pattern >> i & 1]
+        if augmented:
+            key = tuple(i - 1 for i in index_set)
+        else:
+            key = tuple(i - 1 for i in index_set if i != 1)
+        terms[key] = terms.get(key, 0) + delta_multinomial(n, index_set)
     return SqfMultiPoly(var_range, terms)
 
 

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator
 
 from .combinat import SubsetPermutation, descent_set
 from .polynomial import SqfMultiPoly, UniPoly
+from .polynomial import gamma_reconstruct, gamma_reconstruct_multivariate
 
 INFINITY = float("inf")
 
@@ -407,14 +408,11 @@ def chain_chow(m: Matroid, augmented: bool = False) -> UniPoly:
     of the lattice of flats whose label sequence has no two consecutive
     descents (and no descent in position 1 when not augmented)."""
     weights = _chain_descent_weights(m, augmented)
-    base = m.rank if augmented else m.rank - 1
-    result = UniPoly.zero()
-    for dset, count in sorted(weights.items()):
-        d = len(dset)
-        result = result + UniPoly.monomial(count, d) * UniPoly.one_plus_x_power(
-            base - 2 * d
-        )
-    return result
+    d = m.rank if augmented else m.rank - 1
+    gammas = [0] * (d // 2 + 1)
+    for dset, count in weights.items():
+        gammas[len(dset)] += count
+    return gamma_reconstruct(gammas, d)
 
 
 def chain_chow_multivariate(m: Matroid, augmented: bool = False) -> SqfMultiPoly:
@@ -422,18 +420,9 @@ def chain_chow_multivariate(m: Matroid, augmented: bool = False) -> SqfMultiPoly
     product of x_i over its descent positions i times (1 + x_i) over window
     positions i with neither i nor i+1 a descent."""
     weights = _chain_descent_weights(m, augmented)
-    k = m.rank
-    var_range = (0 if augmented else 1, k - 1)
-    window = range(0 if augmented else 1, k)
-    terms: dict[tuple[int, ...], int] = {}
-    for dset, count in weights.items():
-        in_d = set(dset)
-        free = [i for i in window if i not in in_d and i + 1 not in in_d]
-        for size in range(len(free) + 1):
-            for extra in combinations(free, size):
-                key = tuple(sorted(dset + extra))
-                terms[key] = terms.get(key, 0) + count
-    return SqfMultiPoly(var_range, terms)
+    return gamma_reconstruct_multivariate(
+        weights, (0 if augmented else 1, m.rank - 1)
+    )
 
 
 def chain_label_permutations(k: int, n: int) -> Iterator[SubsetPermutation]:

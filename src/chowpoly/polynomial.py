@@ -18,8 +18,9 @@ All coefficients are Python ints, so results are exact at any size.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 
 class NonSquarefreeProductError(ValueError):
@@ -358,9 +359,30 @@ def gamma_vector(p: UniPoly, d: int) -> tuple[int, ...]:
 
 
 def gamma_reconstruct(gammas: Iterable[int], d: int) -> UniPoly:
-    """Inverse of gamma_vector: sum g_i * x^i * (1+x)^(d-2i)."""
+    """Inverse of gamma_vector: sum g_i * x^i * (1+x)^(d-2i).
+
+    Zero g_i are skipped, so a list padded with zeros past d // 2 is fine."""
     result = UniPoly.zero()
     for i, g in enumerate(gammas):
         if g:
             result = result + UniPoly.monomial(g, i) * UniPoly.one_plus_x_power(d - 2 * i)
     return result
+
+
+def gamma_reconstruct_multivariate(
+    weights: Mapping[tuple[int, ...], int], var_range: tuple[int, int]
+) -> SqfMultiPoly:
+    """Sum over descent sets D of weights[D] * prod_{i in D} x_i * prod (1 + x_i)
+    over the free i in var_range, those with neither i nor i+1 in D.  For D
+    with no consecutive entries inside lo+1..hi, ``specialize`` gives
+    ``gamma_reconstruct`` of the weights summed by |D| with d = hi - lo + 1."""
+    lo, hi = var_range
+    terms: dict[tuple[int, ...], int] = {}
+    for dset, w in weights.items():
+        in_d = set(dset)
+        free = [i for i in range(lo, hi + 1) if i not in in_d and i + 1 not in in_d]
+        for size in range(len(free) + 1):
+            for extra in combinations(free, size):
+                key = tuple(sorted(dset + extra))
+                terms[key] = terms.get(key, 0) + w
+    return SqfMultiPoly(var_range, terms)

@@ -242,10 +242,15 @@ class CensusTable:
     @classmethod
     def from_json(cls, data: dict) -> "CensusTable":
         entries = {}
-        for row in data["entries"]:
-            g = INFINITY if row["cogirth"] == "inf" else int(row["cogirth"])
-            entries[(int(row["rank"]), int(row["loops"]), g)] = int(row["count"])
-        return cls(int(data["n"]), entries)
+        try:
+            for row in data["entries"]:
+                g = INFINITY if row["cogirth"] == "inf" else int(row["cogirth"])
+                entries[(int(row["rank"]), int(row["loops"]), g)] = int(row["count"])
+            return cls(int(data["n"]), entries)
+        except KeyError as exc:
+            raise ValueError(f"census JSON lacks the field {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"census JSON is malformed: {exc}") from None
 
 
 def census(n: int) -> CensusTable:

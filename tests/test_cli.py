@@ -245,3 +245,34 @@ def test_matroid_import_rejects_malformed_json(tmp_path, capsys, data, message):
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
+
+def test_matroid_output_to_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys, "matroid", "--uniform", "--k", "2", "--n", "3", "--output", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(target) in lines[0]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--method", "monomial"], ["--method", "gamma-eulerian"], ["--multivariate"]],
+)
+def test_compute_exponential_forms_refuse_large_rank(capsys, extra):
+    code, out, err = run(capsys, "compute", "--k", "40", "--n", "40", *extra)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "gamma_perm" in lines[0] and "convolution" in lines[0]
+
+
+@pytest.mark.parametrize("method", ["gamma-perm", "convolution"])
+def test_compute_polynomial_forms_reach_large_rank(capsys, method):
+    code, out, _ = run(capsys, "compute", "--k", "40", "--n", "40", "--method", method)
+    assert code == 0
+    assert out.startswith(f"{method.replace('-', '_')}: 1 + ")

@@ -1,5 +1,6 @@
 import pytest
 
+from chowpoly import forms
 from chowpoly import (
     METHODS,
     UniPoly,
@@ -162,3 +163,18 @@ def test_coefficients_beyond_64_bit_stay_exact():
     assert p == q == r == s
     assert max(p.coeffs) > 2**63
     assert p.is_palindromic(15)
+
+
+def test_exponential_forms_guard_rank(monkeypatch):
+    monkeypatch.setattr(forms, "EXPONENTIAL_RANK_MAX", 3)
+    for method in METHODS:
+        assert closed_form(3, 5, method) == GOLDEN_35
+    for method in ("monomial", "gamma_eulerian"):
+        with pytest.raises(ValueError, match="gamma_perm or convolution"):
+            closed_form(4, 5, method, augmented=True)
+    for method in ("gamma_perm", "convolution"):
+        assert closed_form(4, 5, method, augmented=True).coeffs == (1, 26, 66, 26, 1)
+    for basis in ("monomial", "gamma"):
+        assert multivariate_closed_form(3, 5, basis).specialize() == GOLDEN_35
+        with pytest.raises(ValueError, match="gamma_perm or convolution"):
+            multivariate_closed_form(4, 5, basis)

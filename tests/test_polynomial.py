@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowpoly import (
     NonSquarefreeProductError,
@@ -8,7 +10,9 @@ from chowpoly import (
     SqfMultiPoly,
     UniPoly,
     gamma_reconstruct,
+    gamma_reconstruct_multivariate,
     gamma_vector,
+    nc_subsets,
 )
 from tests.oracles import brute_eulerian_poly
 
@@ -108,6 +112,51 @@ def test_gamma_roundtrip_various():
         p = UniPoly(coeffs)
         gs = gamma_vector(p, d)
         assert gamma_reconstruct(gs, d) == p
+
+
+@st.composite
+def gamma_lists(draw):
+    d = draw(st.integers(0, 24))
+    size = d // 2 + 1
+    return d, draw(st.lists(st.integers(0, 10**25), min_size=size, max_size=size))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma_lists())
+def test_gamma_roundtrip_random(case):
+    d, gammas = case
+    assert gamma_vector(gamma_reconstruct(gammas, d), d) == tuple(gammas)
+
+
+def test_gamma_multivariate_small_example():
+    # the empty set leaves x1 and x2 free; D = {2} leaves neither free, since
+    # 2 is in D and 1 + 1 is
+    p = gamma_reconstruct_multivariate({(): 1, (2,): 3}, (1, 2))
+    assert p.terms == {(): 1, (1,): 1, (2,): 4, (1, 2): 1}
+
+
+@st.composite
+def descent_weights(draw):
+    lo = draw(st.integers(0, 1))
+    hi = draw(st.integers(lo, lo + 8))
+    # descent sets without consecutive entries inside lo+1..hi
+    candidates = [tuple(i + lo for i in dset) for dset in nc_subsets(hi - lo)]
+    chosen = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=12))
+    weights = {dset: draw(st.integers(0, 10**20)) for dset in chosen}
+    return (lo, hi), weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(descent_weights())
+def test_gamma_multivariate_specializes_to_univariate(case):
+    (lo, hi), weights = case
+    d = hi - lo + 1
+    by_size = [0] * (d // 2 + 1)
+    for dset, w in weights.items():
+        by_size[len(dset)] += w
+    multi = gamma_reconstruct_multivariate(weights, (lo, hi))
+    assert multi.var_range == (lo, hi)
+    assert multi.specialize() == gamma_reconstruct(by_size, d)
 
 
 def test_render_text():

@@ -2,6 +2,8 @@ import json
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowpoly import (
     CensusTable,
@@ -292,6 +294,34 @@ def test_census_csv_json_roundtrip():
     assert lines[0] == "rank,loops,cogirth,count"
     keys = [tuple(ln.split(",")[:3]) for ln in lines[1:]]
     assert keys == sorted(keys, key=lambda t: (int(t[0]), int(t[1]), float(t[2])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.dictionaries(
+        st.tuples(
+            st.integers(0, 12),
+            st.integers(0, 12),
+            st.one_of(st.integers(1, 12), st.just(INFINITY)),
+        ),
+        st.integers(1, 10**30),
+        max_size=20,
+    ),
+)
+def test_census_table_roundtrip_random(n, entries):
+    table = CensusTable(n, {(0, n, INFINITY): 1, **entries})
+    assert CensusTable.from_csv(n, table.to_csv()) == table
+    assert CensusTable.from_json(json.loads(json.dumps(table.to_json()))) == table
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [({}, "entries"), ({"n": 3, "entries": [{"rank": 1}]}, "cogirth")],
+)
+def test_census_from_json_rejects_missing_fields(data, field):
+    with pytest.raises(ValueError, match=field):
+        CensusTable.from_json(data)
 
 
 def test_grassmannian_avoiding_counts():
