@@ -5,7 +5,8 @@ matroid on n elements, selected by name:
 
 * ``monomial``        -- sum over index sets I inside {1..k} (containing 1 in
   the non-augmented case) of the gap multinomial of I times x^(|I|-1)
-  (augmented: x^|I|).
+  (augmented: x^|I|).  The multinomial depends only on the run minima of I,
+  so the sum is a polynomial-time DP over run minima and sizes.
 * ``gamma_eulerian``  -- sum over no-consecutive descent sets D (avoiding 1 in
   the non-augmented case) of the number of n-permutations with descent set D
   times x^|D| (1+x)^(k-1-2|D|) (augmented exponent: k-2|D|).
@@ -16,7 +17,8 @@ matroid on n elements, selected by name:
   polynomials against binomials with a truncated geometric factor.
 
 The two multivariate refinements (``monomial`` and ``gamma`` bases) collapse
-to the univariate forms under ``specialize``.  All results are exact.
+to the univariate forms under ``specialize``; they have up to 2^k terms.  All
+results are exact.
 """
 
 from __future__ import annotations
@@ -31,14 +33,20 @@ from .combinat import (
     nc_subsets,
 )
 from .polynomial import SqfMultiPoly, UniPoly
-from .polynomial import gamma_reconstruct, gamma_reconstruct_multivariate
+from .polynomial import (
+    gamma_reconstruct,
+    gamma_reconstruct_multivariate,
+    variable_subsets,
+)
 
 METHODS = ("monomial", "gamma_eulerian", "gamma_perm", "convolution")
 MULTIVARIATE_BASES = ("monomial", "gamma")
 
-# Largest rank for the forms exponential in k (``monomial``, ``gamma_eulerian``
-# and both multivariate bases; seconds at k = 20, about 4x per two ranks).
-# Above it they raise ValueError; ``gamma_perm`` and ``convolution`` scale.
+# Largest rank for the forms exponential in k: ``gamma_eulerian`` sums over
+# Fib(k) descent sets (0.6 s at k = 20, 3.2 s at k = 22) and both multivariate
+# bases return 2^k terms (0.8 s at k = 18, about 4x per two ranks).  Above it
+# they raise ValueError; ``monomial``, ``gamma_perm`` and ``convolution`` are
+# polynomial in k.
 EXPONENTIAL_RANK_MAX = 18
 
 
@@ -54,23 +62,42 @@ def _check_domain(k: int, n: int, augmented: bool) -> None:
 
 
 def _check_exponential_rank(form: str, k: int) -> None:
-    if form not in ("gamma_perm", "convolution") and k > EXPONENTIAL_RANK_MAX:
+    if form not in ("monomial", "gamma_perm", "convolution") and k > EXPONENTIAL_RANK_MAX:
         raise ValueError(
-            f"the {form} form is exponential in k and capped at k <= "
-            f"{EXPONENTIAL_RANK_MAX}, got k={k}; use gamma_perm or convolution"
+            f"the {form} form is exponential in k and capped at k <= {EXPONENTIAL_RANK_MAX}, "
+            f"got k={k}; use monomial, gamma_perm or convolution"
         )
 
 
 def _monomial_form(k: int, n: int, augmented: bool) -> UniPoly:
-    coeffs = [0] * (k + 1)
-    # subsets of {1..k} as bit patterns in increasing numeric order
-    for pattern in range(1 << k):
-        if not augmented and not pattern & 1:
-            continue
-        index_set = [i + 1 for i in range(k) if pattern >> i & 1]
-        degree = len(index_set) if augmented else len(index_set) - 1
-        coeffs[degree] += delta_multinomial(n, index_set)
-    return UniPoly(coeffs)
+    # An index set is a sequence of runs [m_j, m_j + l_j) with gaps between
+    # them, and its gap multinomial telescopes to
+    # C(n, m_1 - 1) * prod_j C(n - m_j + 1, m_{j+1} - m_j).  f[m][t] is the
+    # weighted count of run sequences whose next run starts at m after t
+    # elements; the non-augmented sets start at 1.
+    f = [[0] * (k + 1) for _ in range(k + 1)]
+    for m in range(1, k + 1 if augmented else 2):
+        f[m][0] = comb(n, m - 1)
+    sizes = [1 if augmented else 0] + [0] * k  # by |I|; augmented: the empty set
+    for m in range(1, k + 1):
+        row = f[m]
+        # the last run, of length 1..k - m + 1
+        for t, w in enumerate(row):
+            if w:
+                for length in range(1, k - m + 2):
+                    sizes[t + length] += w
+        # a run of length 1..m' - m - 1 before the next minimum m'
+        window = [0] * (k + 1)
+        for nxt in range(m + 2, k + 1):
+            length = nxt - m - 1
+            for t in range(k + 1 - length):
+                window[t + length] += row[t]
+            c = comb(n - m + 1, nxt - m)
+            target = f[nxt]
+            for t, w in enumerate(window):
+                if w:
+                    target[t] += c * w
+    return UniPoly(sizes if augmented else sizes[1:])
 
 
 def _gamma_eulerian_form(k: int, n: int, augmented: bool) -> UniPoly:
@@ -116,8 +143,8 @@ def closed_form(
 
     All methods agree; computing several and comparing is a useful
     independent check.  Requires 1 <= k <= n (k = 0 is admitted for the
-    augmented polynomial and yields the constant 1); ``monomial`` and
-    ``gamma_eulerian`` also require k <= EXPONENTIAL_RANK_MAX.
+    augmented polynomial and yields the constant 1); ``gamma_eulerian``
+    also requires k <= EXPONENTIAL_RANK_MAX.
     """
     _check_domain(k, n, augmented)
     try:
@@ -155,16 +182,22 @@ def multivariate_closed_form(
             for dset in nc_subsets(k - 1, exclude_one=not augmented)
         }
         return gamma_reconstruct_multivariate(weights, var_range)
-    terms: dict[tuple[int, ...], int] = {}
-    for pattern in range(1 << k):
-        if not augmented and not pattern & 1:
-            continue
-        index_set = [i + 1 for i in range(k) if pattern >> i & 1]
-        if augmented:
-            key = tuple(i - 1 for i in index_set)
-        else:
-            key = tuple(i - 1 for i in index_set if i != 1)
-        terms[key] = terms.get(key, 0) + delta_multinomial(n, index_set)
+    # index sets as bit patterns (bit i for index i + 1), keyed by their
+    # shifted sets; the non-augmented sets all hold index 1, which has no
+    # variable.  The gap multinomial depends only on the run minima.
+    lo = var_range[0]
+    keys = variable_subsets(lo, k - 1)
+    weight_of: dict[int, int] = {}
+    terms = {}
+    for q, key in enumerate(keys):
+        pattern = q << lo | lo
+        minima = pattern & ~(pattern << 1)
+        w = weight_of.get(minima)
+        if w is None:
+            w = weight_of[minima] = delta_multinomial(
+                n, [i + 1 for i in range(k) if minima >> i & 1]
+            )
+        terms[key] = w
     return SqfMultiPoly(var_range, terms)
 
 

@@ -18,7 +18,6 @@ All coefficients are Python ints, so results are exact at any size.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Mapping
 
@@ -208,9 +207,9 @@ class SqfMultiPoly:
             k = tuple(sorted(key))
             if len(set(k)) != len(k):
                 raise NonSquarefreeProductError(f"repeated variable in monomial {k}")
-            for v in k:
-                if not lo <= v <= hi:
-                    raise ValueError(f"variable x{v} outside declared range x{lo}..x{hi}")
+            if k and not lo <= k[0] <= k[-1] <= hi:
+                v = next(v for v in k if not lo <= v <= hi)
+                raise ValueError(f"variable x{v} outside declared range x{lo}..x{hi}")
             normalized[k] = normalized.get(k, 0) + coeff
         self.terms: dict[tuple[int, ...], int] = {
             k: c for k, c in normalized.items() if c != 0
@@ -369,20 +368,58 @@ def gamma_reconstruct(gammas: Iterable[int], d: int) -> UniPoly:
     return result
 
 
+def variable_subsets(lo: int, hi: int) -> list[tuple[int, ...]]:
+    """Every subset of the variables lo..hi as a sorted index tuple, listed so
+    that the subset at position q holds lo + i exactly when bit i of q is set."""
+    keys: list[tuple[int, ...]] = [()]
+    for i in range(lo, hi + 1):
+        keys += [key + (i,) for key in keys]
+    return keys
+
+
 def gamma_reconstruct_multivariate(
     weights: Mapping[tuple[int, ...], int], var_range: tuple[int, int]
 ) -> SqfMultiPoly:
     """Sum over descent sets D of weights[D] * prod_{i in D} x_i * prod (1 + x_i)
-    over the free i in var_range, those with neither i nor i+1 in D.  For D
-    with no consecutive entries inside lo+1..hi, ``specialize`` gives
-    ``gamma_reconstruct`` of the weights summed by |D| with d = hi - lo + 1."""
+    over the free i in var_range, those with neither i nor i+1 in D.
+
+    Each D must be a strictly increasing tuple with no consecutive entries
+    inside lo+1..hi; any other set raises ValueError.  ``specialize`` then
+    gives ``gamma_reconstruct`` of the weights summed by |D| with
+    d = hi - lo + 1.
+
+    The pairs (D, E) with E a set of free positions of D match one to one the
+    pairs (S, D) with D a subset of A(S), the run minima of S above lo, via
+    S = D + E.  So x_S has coefficient W(A(S)), the sum of weights[D] over
+    the D inside A(S), found once per A by submask enumeration.
+    """
     lo, hi = var_range
-    terms: dict[tuple[int, ...], int] = {}
+    by_mask: dict[int, int] = {}
     for dset, w in weights.items():
-        in_d = set(dset)
-        free = [i for i in range(lo, hi + 1) if i not in in_d and i + 1 not in in_d]
-        for size in range(len(free) + 1):
-            for extra in combinations(free, size):
-                key = tuple(sorted(dset + extra))
-                terms[key] = terms.get(key, 0) + w
+        if (
+            any(b - a < 2 for a, b in zip(dset, dset[1:]))
+            or dset and not lo < dset[0] <= dset[-1] <= hi
+        ):
+            raise ValueError(
+                f"descent set {dset} is not strictly increasing without "
+                f"consecutive entries inside {lo + 1}..{hi}"
+            )
+        mask = 0
+        for i in dset:
+            mask |= 1 << (i - lo)
+        by_mask[mask] = w
+    keys = variable_subsets(lo, hi)
+    summed: dict[int, int] = {}
+    terms = {}
+    for s, key in enumerate(keys):
+        a = s & ~(s << 1) & ~1  # bit 0 is position lo, which no D holds
+        total = summed.get(a)
+        if total is None:
+            total = by_mask.get(0, 0)
+            sub = a
+            while sub:
+                total += by_mask.get(sub, 0)
+                sub = (sub - 1) & a
+            summed[a] = total
+        terms[key] = total
     return SqfMultiPoly(var_range, terms)

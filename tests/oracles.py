@@ -94,6 +94,46 @@ def brute_delta_multinomial(n: int, index_set: tuple[int, ...]) -> int:
     return value
 
 
+def brute_monomial_terms(k: int, n: int, augmented: bool) -> dict[tuple[int, ...], int]:
+    """Terms of the multivariate monomial basis: every index set I inside
+    {1..k} (holding 1 when not augmented) adds its gap multinomial to the
+    monomial over the shifted set {i - 1 : i in I} (without 0 when not
+    augmented)."""
+    terms: dict[tuple[int, ...], int] = {}
+    for size in range(k + 1):
+        for index_set in combinations(range(1, k + 1), size):
+            if not augmented and 1 not in index_set:
+                continue
+            key = tuple(i - 1 for i in index_set if augmented or i != 1)
+            terms[key] = terms.get(key, 0) + brute_delta_multinomial(n, index_set)
+    return terms
+
+
+def brute_monomial_form(k: int, n: int, augmented: bool) -> UniPoly:
+    """The monomial expansion, with the terms of each degree summed."""
+    coeffs = [0] * (k + 1)
+    for key, c in brute_monomial_terms(k, n, augmented).items():
+        coeffs[len(key)] += c
+    return UniPoly(coeffs)
+
+
+def brute_gamma_reconstruct_multivariate(
+    weights, var_range: tuple[int, int]
+) -> dict[tuple[int, ...], int]:
+    """Nonzero terms of the sum over D of weights[D] * x_D times the product of
+    (1 + x_i) over the i in var_range with neither i nor i+1 in D, expanded
+    one subset of those free positions at a time."""
+    lo, hi = var_range
+    terms: dict[tuple[int, ...], int] = {}
+    for dset, w in weights.items():
+        free = [i for i in range(lo, hi + 1) if i not in dset and i + 1 not in dset]
+        for size in range(len(free) + 1):
+            for extra in combinations(free, size):
+                key = tuple(sorted(dset + extra))
+                terms[key] = terms.get(key, 0) + w
+    return {key: c for key, c in terms.items() if c}
+
+
 def brute_fingerprint(masks, n: int) -> list[int]:
     """Fingerprint of a set of subset masks of {1..n}: the 2^n-bit vector with
     bit m set for each mask m, cut into 64-bit words, least significant

@@ -12,6 +12,8 @@ from chowpoly import (
     multivariate_closed_form,
 )
 
+from tests.oracles import brute_monomial_form, brute_monomial_terms
+
 GOLDEN_35 = UniPoly((1, 11, 1))
 
 
@@ -79,6 +81,31 @@ def test_multivariate_bases_agree_exactly():
                 a = multivariate_closed_form(k, n, "monomial", augmented)
                 b = multivariate_closed_form(k, n, "gamma", augmented)
                 assert a == b, (k, n, augmented)
+
+
+def test_monomial_form_matches_brute_force_oracle():
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            for augmented in (False, True):
+                assert closed_form(k, n, "monomial", augmented) == brute_monomial_form(
+                    k, n, augmented
+                ), (k, n, augmented)
+
+
+def test_multivariate_monomial_matches_brute_force_terms():
+    for n in range(1, 11):
+        for k in range(1, min(n, 8) + 1):
+            for augmented in (False, True):
+                expected = brute_monomial_terms(k, n, augmented)
+                got = multivariate_closed_form(k, n, "monomial", augmented)
+                assert got.terms == expected, (k, n, augmented)
+
+
+def test_monomial_form_reaches_large_rank():
+    for k, n in ((40, 40), (80, 80), (33, 70)):
+        for augmented in (False, True):
+            p = closed_form(k, n, "monomial", augmented)
+            assert p == closed_form(k, n, "gamma_perm", augmented), (k, n, augmented)
 
 
 def test_multivariate_variable_windows():
@@ -169,10 +196,9 @@ def test_exponential_forms_guard_rank(monkeypatch):
     monkeypatch.setattr(forms, "EXPONENTIAL_RANK_MAX", 3)
     for method in METHODS:
         assert closed_form(3, 5, method) == GOLDEN_35
-    for method in ("monomial", "gamma_eulerian"):
-        with pytest.raises(ValueError, match="gamma_perm or convolution"):
-            closed_form(4, 5, method, augmented=True)
-    for method in ("gamma_perm", "convolution"):
+    with pytest.raises(ValueError, match="monomial, gamma_perm or convolution"):
+        closed_form(4, 5, "gamma_eulerian", augmented=True)
+    for method in ("monomial", "gamma_perm", "convolution"):
         assert closed_form(4, 5, method, augmented=True).coeffs == (1, 26, 66, 26, 1)
     for basis in ("monomial", "gamma"):
         assert multivariate_closed_form(3, 5, basis).specialize() == GOLDEN_35

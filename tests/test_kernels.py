@@ -95,6 +95,23 @@ def test_perm_dp_matches_brute_force_oracle(first_ascent_required):
 
 
 @st.composite
+def perm_weight_cases(draw):
+    k = draw(st.integers(1, 7))
+    small_or_wide = st.one_of(st.integers(0, 1000), st.integers(2**64, 2**80))
+    weights = draw(st.lists(small_or_wide, min_size=k + 1, max_size=k + 1))
+    return k, weights, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(perm_weight_cases())
+def test_perm_dp_matches_brute_force_oracle_random(case):
+    k, weights, first_ascent_required = case
+    assert kernels.perm_descent_aggregates(
+        k, weights, first_ascent_required
+    ) == brute_perm_descent_aggregates(k, weights, first_ascent_required)
+
+
+@st.composite
 def basis_collections(draw):
     """A ground size n <= 7, some permutations of {1..n}, and collections of
     subset masks that always include the rank-0 collection {empty set} and a

@@ -1,10 +1,14 @@
+import json
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowpoly import (
     INFINITY,
     MatroidError,
+    SchubertSpec,
     chain_chow,
     chain_chow_multivariate,
     chain_label_permutations,
@@ -18,6 +22,7 @@ from chowpoly import (
     matroid_to_json,
     multivariate_closed_form,
     r_label,
+    schubert_matroid,
     uniform,
 )
 from chowpoly.polynomial import UniPoly
@@ -246,3 +251,19 @@ def test_json_roundtrip():
     assert matroid_from_json(data) == m
     with pytest.raises(MatroidError):
         matroid_from_json({"n": 3, "rank": 2, "bases": [[1]]})
+
+
+@st.composite
+def small_matroids(draw):
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        return uniform(draw(st.integers(0, n)), n)
+    index_set = draw(st.sets(st.integers(1, n)))
+    perm = draw(st.permutations(range(1, n + 1)))
+    return schubert_matroid(SchubertSpec(n, tuple(index_set), tuple(perm)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matroids())
+def test_json_roundtrip_random(m):
+    assert matroid_from_json(json.loads(json.dumps(matroid_to_json(m)))) == m

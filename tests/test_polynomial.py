@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from chowpoly import (
     gamma_vector,
     nc_subsets,
 )
-from tests.oracles import brute_eulerian_poly
+from tests.oracles import brute_eulerian_poly, brute_gamma_reconstruct_multivariate
 
 
 def test_trailing_zeros_trimmed():
@@ -76,6 +77,19 @@ def test_multivariate_range_mismatch_rejected():
 def test_multivariate_variable_outside_range_rejected():
     with pytest.raises(ValueError):
         SqfMultiPoly((1, 2), {(3,): 1})
+
+
+def test_multivariate_constructor_errors():
+    with pytest.raises(NonSquarefreeProductError, match=r"repeated variable"):
+        SqfMultiPoly((1, 3), {(2, 1, 2): 1})
+    # the message names the first variable of the sorted key out of range
+    with pytest.raises(ValueError, match=r"x0 outside declared range x1\.\.x3"):
+        SqfMultiPoly((1, 3), {(5, 2, 0): 1})
+    with pytest.raises(ValueError, match=r"x4 outside declared range x1\.\.x3"):
+        SqfMultiPoly((1, 3), {(2, 4, 5): 1})
+    with pytest.raises(ValueError, match=r"x1 outside declared range x1\.\.x0"):
+        SqfMultiPoly((1, 0), {(1,): 1})
+    assert SqfMultiPoly((1, 3), {(3, 1): 2, (1, 3): -2, (2,): 0}).terms == {}
 
 
 def test_specialize_degree_is_set_size():
@@ -157,6 +171,31 @@ def test_gamma_multivariate_specializes_to_univariate(case):
     multi = gamma_reconstruct_multivariate(weights, (lo, hi))
     assert multi.var_range == (lo, hi)
     assert multi.specialize() == gamma_reconstruct(by_size, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(descent_weights())
+def test_gamma_multivariate_matches_brute_expansion(case):
+    var_range, weights = case
+    multi = gamma_reconstruct_multivariate(weights, var_range)
+    assert multi.terms == brute_gamma_reconstruct_multivariate(weights, var_range)
+
+
+@pytest.mark.parametrize(
+    "dset",
+    [
+        (4, 2),  # not increasing
+        (3, 3),  # repeated
+        (2, 3),  # consecutive
+        (2, 5, 6),  # consecutive
+        (1,),  # position lo
+        (0, 3),  # below the window
+        (3, 7),  # above hi
+    ],
+)
+def test_gamma_multivariate_rejects_bad_descent_sets(dset):
+    with pytest.raises(ValueError, match=re.escape(f"descent set {dset} ")):
+        gamma_reconstruct_multivariate({(): 1, dset: 1}, (1, 6))
 
 
 def test_render_text():
