@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 
+from . import __version__
 from .forms import (
     METHODS,
     MULTIVARIATE_BASES,
@@ -29,7 +30,6 @@ from .matroid import (
     INFINITY,
     chain_chow,
     matroid_from_json,
-    matroid_invariants,
     matroid_to_json,
     uniform,
 )
@@ -51,6 +51,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="chowpoly",
         description="Exact Chow and augmented Chow polynomials of uniform matroids.",
     )
+    top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_format(p):
@@ -330,32 +331,34 @@ def _cmd_matroid(args) -> int:
         with open(args.output, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-    inv = matroid_invariants(m)
+    # only what is printed: no circuits, no dual beyond the cogirth's own
+    loops, coloops = m.loops(), m.coloops()
+    girth, cogirth = (
+        "inf" if g == INFINITY else g for g in (m.girth(), m.cogirth())
+    )
     if args.format == "json":
         print(
             json.dumps(
                 {
                     **payload,
-                    "loops": list(inv.loops),
-                    "coloops": list(inv.coloops),
-                    "girth": "inf" if inv.girth == INFINITY else inv.girth,
-                    "cogirth": "inf" if inv.cogirth == INFINITY else inv.cogirth,
+                    "loops": list(loops),
+                    "coloops": list(coloops),
+                    "girth": girth,
+                    "cogirth": cogirth,
                 },
                 indent=2,
             )
         )
     elif args.format == "csv":
         print("n,rank,bases,loops,coloops,girth,cogirth")
-        girth = "inf" if inv.girth == INFINITY else inv.girth
-        cogirth = "inf" if inv.cogirth == INFINITY else inv.cogirth
         print(
-            f"{m.n},{m.rank},{len(m.bases)},{len(inv.loops)},{len(inv.coloops)},"
+            f"{m.n},{m.rank},{len(m.bases)},{len(loops)},{len(coloops)},"
             f"{girth},{cogirth}"
         )
     else:
         print(f"matroid on 1..{m.n}, rank {m.rank}, {len(m.bases)} bases")
-        print(f"loops: {list(inv.loops)}  coloops: {list(inv.coloops)}")
-        print(f"girth: {inv.girth}  cogirth: {inv.cogirth}")
+        print(f"loops: {list(loops)}  coloops: {list(coloops)}")
+        print(f"girth: {girth}  cogirth: {cogirth}")
     return 0
 
 

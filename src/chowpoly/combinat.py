@@ -5,9 +5,12 @@ sequence (a_1, ..., a_m) is a position i in 1..m-1 with a_i > a_{i+1}.
 
 The module provides the gap multinomial attached to an index set (via its
 partition into maximal consecutive runs), the no-consecutive subsets of
-{1..m}, descent-set counting over the symmetric group, the Eulerian and
-derangement polynomials, and permutations of subsets of {1..n} together
-with their extension and standardization maps.
+{1..m}, descent-set counting over the symmetric group, the weighted sums
+over permutations with no two adjacent descents that ``gamma_perm`` needs
+(an exact insertion DP, polynomial in k; ``tests/oracles.py`` holds the k!
+scan it replaces), the Eulerian and derangement polynomials, and
+permutations of subsets of {1..n} together with their extension and
+standardization maps.
 """
 
 from __future__ import annotations
@@ -131,6 +134,50 @@ def eulerian_fixed_descents(n: int, dset: Iterable[int]) -> int:
         for sub in combinations(ds, r):
             total += sign * descent_superset_count(n, sub)
     return total
+
+
+def perm_descent_aggregates(
+    k: int, binoms: list[int], first_ascent_required: bool
+) -> list[int]:
+    """For each descent count j, sum ``binoms[last entry]`` over the
+    permutations of {1..k} whose descent set has no two consecutive positions
+    (and, when requested, no descent in position 1).
+
+    ``binoms`` is indexed by value 1..k (index 0 ignored).  The sum is an
+    exact insertion DP in Python ints, polynomial in k.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    # A prefix of length m is tracked by the relative rank r (0-based) of its
+    # last entry among its m entries; asc[r][j] / desc[r][j] count the
+    # admissible prefixes with j descents whose last step was an ascent (or
+    # that have length 1) / a descent.  Appending an entry of relative rank r'
+    # among m + 1 entries makes a descent exactly when r' <= r.  At length k
+    # the relative rank is the value itself, which selects binoms[r + 1].
+    width = k + 1
+    asc = [[1] + [0] * k]
+    desc = [[0] * width]
+    for m in range(1, k):
+        descent_allowed = not (m == 1 and first_ascent_required)
+        new_asc = []
+        below = [0] * width  # sum over r < r' of every prefix ending at rank r
+        for r_new in range(m + 1):
+            new_asc.append(below)
+            if r_new < m:
+                below = [b + a + d for b, a, d in zip(below, asc[r_new], desc[r_new])]
+        new_desc = [[0] * width for _ in range(m + 1)]
+        if descent_allowed:
+            at_or_above = [0] * width  # sum over r >= r' of ascent-ended prefixes
+            for r_new in range(m - 1, -1, -1):
+                at_or_above = [s + a for s, a in zip(at_or_above, asc[r_new])]
+                new_desc[r_new] = [0] + at_or_above[:-1]
+        asc, desc = new_asc, new_desc
+    agg = [0] * width
+    for r in range(k):
+        w = binoms[r + 1]
+        for j in range(width):
+            agg[j] += (asc[r][j] + desc[r][j]) * w
+    return agg
 
 
 @lru_cache(maxsize=None)

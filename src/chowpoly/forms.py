@@ -31,6 +31,7 @@ from .combinat import (
     eulerian_fixed_descents,
     eulerian_poly,
     nc_subsets,
+    perm_descent_aggregates,
 )
 from .polynomial import SqfMultiPoly, UniPoly
 from .polynomial import (
@@ -109,8 +110,6 @@ def _gamma_eulerian_form(k: int, n: int, augmented: bool) -> UniPoly:
 
 
 def _gamma_perm_form(k: int, n: int, augmented: bool) -> UniPoly:
-    from .kernels import perm_descent_aggregates
-
     binoms = [0] + [comb(n - t, k - t) for t in range(1, k + 1)]
     agg = perm_descent_aggregates(k, binoms, first_ascent_required=not augmented)
     return gamma_reconstruct(agg, k if augmented else k - 1)

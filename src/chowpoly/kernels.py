@@ -1,80 +1,37 @@
-"""Enumeration kernels: a permutation-sum DP and the census sweep, in numpy.
+"""The census sweep in numpy: relabel, fingerprint, deduplicate, classify.
 
-* The permutation-sum closed form needs, for each descent count, a weighted
-  sum over the permutations of {1..k} whose descents are never adjacent.
-  It is an exact insertion DP in Python ints, polynomial in k (about k^3
-  big-integer additions); ``tests/oracles.py`` holds the k! scan it replaces.
-* The census of Schubert matroids sweeps every (index set, permutation)
-  pair, relabeling and fingerprinting each basis collection.  Fingerprints
-  are built by scattering the relabeled bases into a bool array and packing
-  it; deduplication sorts the fingerprint words and compares neighbours; the
-  classifier reads loops and cogirth off whole arrays of fingerprints with
-  bitwise masks.
+The census of Schubert matroids sweeps every (index set, permutation) pair,
+relabeling and fingerprinting each basis collection.  A rank-k collection is
+a set of k-subsets of {1..n}, so its fingerprint is a bit vector over the
+C(n, k) k-subsets: bit i is set when the i-th k-subset, in
+``itertools.combinations`` order, is a basis.  The vector is cut into
+ceil(C(n, k) / 64) little-endian uint64 words.  That is one word for every
+rank at n <= 7, and for every rank at n = 8 except k = 4 (C(8, 4) = 70),
+which takes two.  Equal fingerprints mean equal basis collections, so
+deduplication is exact.
 
-Ground-set conventions: element e of {1..n} is bit e-1 of a mask, and a
-collection of bases is fingerprinted as the characteristic bit vector over
-all 2^n masks, packed into ceil(2^n / 64) little-endian uint64 words.  Equal
-fingerprints mean equal basis collections, so deduplication is exact.
+* ``relabel_table`` maps each k-subset and permutation to the rank of the
+  image subset.
+* ``census_fingerprints`` adds up, for each basis, the power of two at the
+  rank of its image.  The bits are distinct, so the sum is their OR.  The
+  permutations are walked in blocks of ``PERM_BLOCK`` to bound the memory of
+  the intermediate array.
+* ``distinct_rows`` sorts one-word fingerprints as plain integers and
+  orders two-word ones with a ``lexsort``, then drops equal neighbours.
+* ``classify_fingerprints`` reads loops and cogirth off whole arrays of
+  fingerprints with bitwise masks over the k-subsets.
+
+Ground-set convention: element e of {1..n} is bit e-1 of a subset mask.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 
-# ---------------------------------------------------------------------------
-# permutation descent aggregates
-# ---------------------------------------------------------------------------
-
-
-def perm_descent_aggregates(
-    k: int, binoms: list[int], first_ascent_required: bool
-) -> list[int]:
-    """For each descent count j, sum ``binoms[last entry]`` over the
-    permutations of {1..k} whose descent set has no two consecutive positions
-    (and, when requested, no descent in position 1).
-
-    ``binoms`` is indexed by value 1..k (index 0 ignored).  The sum is an
-    exact insertion DP in Python ints, polynomial in k.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    # A prefix of length m is tracked by the relative rank r (0-based) of its
-    # last entry among its m entries; asc[r][j] / desc[r][j] count the
-    # admissible prefixes with j descents whose last step was an ascent (or
-    # that have length 1) / a descent.  Appending an entry of relative rank r'
-    # among m + 1 entries makes a descent exactly when r' <= r.  At length k
-    # the relative rank is the value itself, which selects binoms[r + 1].
-    width = k + 1
-    asc = [[1] + [0] * k]
-    desc = [[0] * width]
-    for m in range(1, k):
-        descent_allowed = not (m == 1 and first_ascent_required)
-        new_asc = []
-        below = [0] * width  # sum over r < r' of every prefix ending at rank r
-        for r_new in range(m + 1):
-            new_asc.append(below)
-            if r_new < m:
-                below = [b + a + d for b, a, d in zip(below, asc[r_new], desc[r_new])]
-        new_desc = [[0] * width for _ in range(m + 1)]
-        if descent_allowed:
-            at_or_above = [0] * width  # sum over r >= r' of ascent-ended prefixes
-            for r_new in range(m - 1, -1, -1):
-                at_or_above = [s + a for s, a in zip(at_or_above, asc[r_new])]
-                new_desc[r_new] = [0] + at_or_above[:-1]
-        asc, desc = new_asc, new_desc
-    agg = [0] * width
-    for r in range(k):
-        w = binoms[r + 1]
-        for j in range(width):
-            agg[j] += (asc[r][j] + desc[r][j]) * w
-    return agg
-
-
-# ---------------------------------------------------------------------------
-# census fingerprints
-# ---------------------------------------------------------------------------
+PERM_BLOCK = 1024  # permutations fingerprinted per step of the sweep
 
 
 def perm_table(n: int) -> np.ndarray:
@@ -82,85 +39,105 @@ def perm_table(n: int) -> np.ndarray:
     return np.array(list(permutations(range(1, n + 1))), dtype=np.uint8)
 
 
-def relabel_table(perms: np.ndarray, n: int) -> np.ndarray:
-    """table[p, m] = image of mask m under permutation row p.
+def _subset_masks(n: int, k: int) -> np.ndarray:
+    """Masks of the k-subsets of {1..n}, in ``combinations`` order."""
+    return np.array(
+        [sum(1 << e for e in c) for c in combinations(range(n), k)], dtype=np.int64
+    )
 
-    Element e (bit e-1) is sent to perms[p, e-1].  Shape (n!, 2^n), uint16.
+
+def _rank_of_mask(n: int, k: int) -> np.ndarray:
+    """lookup[m] = rank of the k-subset mask m; -1 for masks of other sizes."""
+    lookup = np.full(1 << n, -1, dtype=np.intp)
+    lookup[_subset_masks(n, k)] = np.arange(comb(n, k))
+    return lookup
+
+
+def relabel_table(perms: np.ndarray, n: int, k: int) -> np.ndarray:
+    """table[i, p] = rank of the image of the i-th k-subset under permutation
+    row p.
+
+    Element e (bit e-1) is sent to perms[p, e-1].  Shape (C(n, k), n!), in
+    the smallest unsigned dtype that holds C(n, k) - 1.
     """
-    nmasks = 1 << n
-    masks = np.arange(nmasks, dtype=np.uint16)
-    table = np.zeros((perms.shape[0], nmasks), dtype=np.uint16)
+    masks = _subset_masks(n, k).astype(np.uint16)
+    image = np.zeros((masks.size, perms.shape[0]), dtype=np.uint16)
     for j in range(n):
-        bit = ((masks >> j) & 1).astype(np.uint16)
-        target = (perms[:, j].astype(np.uint16) - 1)[:, None]
-        table |= bit[None, :] << target
-    return table
+        bit = (masks >> j) & 1
+        target = (perms[:, j].astype(np.uint16) - 1)[None, :]
+        image |= bit[:, None] << target
+    # the image of a k-subset is a k-subset, so no lookup entry of -1 is read
+    rank_of = _rank_of_mask(n, k).astype(np.min_scalar_type(masks.size - 1))
+    return rank_of[image]
 
 
-def fingerprint_words(n: int) -> int:
-    """Number of uint64 words in a basis-set fingerprint on ground size n."""
-    return ((1 << n) + 63) // 64
+def fingerprint_words(n: int, k: int) -> int:
+    """Number of uint64 words in a fingerprint of k-subsets of {1..n}."""
+    return (comb(n, k) + 63) // 64
 
 
-def _bit_width(n: int) -> int:
-    return 64 * fingerprint_words(n)
+def _rank_bits(n: int, k: int) -> np.ndarray:
+    """bits[i] is the fingerprint of the i-th k-subset alone."""
+    size = comb(n, k)
+    ranks = np.arange(size)
+    bits = np.zeros((size, fingerprint_words(n, k)), dtype=np.uint64)
+    bits[ranks, ranks // 64] = np.uint64(1) << (ranks % 64).astype(np.uint64)
+    return bits
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Pack rows of a bool array, 64 columns per word, into uint64 fingerprints
-    (column m is bit m % 64 of word m // 64)."""
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+def _fingerprints_of(members: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Row r fingerprints the k-subsets i with members[r, i] true."""
+    words = np.where(members[:, :, None], _rank_bits(n, k), 0)
+    return words.sum(axis=1, dtype=np.uint64)
 
 
 def census_fingerprints(
-    table: np.ndarray, bases_lists: list[list[int]], n: int
+    table: np.ndarray, bases_lists: list[list[int]], n: int, k: int
 ) -> np.ndarray:
     """Fingerprint every relabeled basis collection.
 
-    Row i * n! + p holds the fingerprint of bases_lists[i] pushed through
-    permutation row p of the relabel table.
+    Each collection is a list of k-subset masks.  Row i * n! + p holds the
+    fingerprint of bases_lists[i] pushed through permutation row p of the
+    relabel table.
     """
-    nperms = table.shape[0]
-    out = np.empty((len(bases_lists) * nperms, fingerprint_words(n)), dtype=np.uint64)
-    bits = np.empty((nperms, _bit_width(n)), dtype=bool)
-    perm_rows = np.arange(nperms)[:, None]
+    nperms = table.shape[1]
+    bits = _rank_bits(n, k)
+    rank_of = _rank_of_mask(n, k)
+    out = np.empty((len(bases_lists) * nperms, bits.shape[1]), dtype=np.uint64)
     for i, bases in enumerate(bases_lists):
-        bits[:] = False
-        bits[perm_rows, np.take(table, np.asarray(bases, dtype=np.intp), axis=1)] = True
-        out[i * nperms : (i + 1) * nperms] = _pack(bits)
+        ranks = rank_of[np.asarray(bases, dtype=np.intp)]
+        if (ranks < 0).any():
+            raise ValueError(f"collection {i} holds a set that is not a {k}-subset")
+        images = table[ranks]
+        row = i * nperms
+        for start in range(0, nperms, PERM_BLOCK):
+            stop = min(start + PERM_BLOCK, nperms)
+            out[row + start : row + stop] = np.take(
+                bits, images[:, start:stop], axis=0
+            ).sum(axis=0, dtype=np.uint64)
     return out
 
 
 def distinct_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of a 2-D array, by exact equality, in lexicographic
-    order of their words."""
-    if rows.shape[0] < 2:
-        return rows
-    ordered = rows[np.lexsort(rows.T[::-1])]
+    order of their words.
+
+    One-word rows are sorted as one column; wider rows are ordered with a
+    ``lexsort``.  Duplicates are then adjacent.
+    """
+    if rows.shape[1] == 1:
+        ordered = np.sort(rows, axis=0)
+    else:
+        ordered = rows[np.lexsort(rows.T[::-1])]
     keep = np.ones(ordered.shape[0], dtype=bool)
     keep[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     return ordered[keep]
 
 
-# ---------------------------------------------------------------------------
-# classification of deduplicated fingerprints
-# ---------------------------------------------------------------------------
-
-
-def _mask_fingerprints(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``containing[e]`` fingerprints the masks that contain element e + 1;
-    ``subsets_of[t]`` fingerprints the masks that are subsets of mask t."""
-    nmasks = 1 << n
-    masks = np.arange(nmasks)
-    containing = np.zeros((n, _bit_width(n)), dtype=bool)
-    containing[:, :nmasks] = (masks[None, :] >> np.arange(n)[:, None]) & 1
-    subsets_of = np.zeros((nmasks, _bit_width(n)), dtype=bool)
-    subsets_of[:, :nmasks] = (masks[None, :] & ~masks[:, None]) == 0
-    return _pack(containing), _pack(subsets_of)
-
-
-def classify_fingerprints(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Loop counts and cogirths of fingerprinted basis collections.
+def classify_fingerprints(
+    rows: np.ndarray, n: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Loop counts and cogirths of fingerprinted rank-k basis collections.
 
     The number of loops is n minus the number of elements lying in some
     basis.  The cogirth is the smallest size of a subset meeting every basis
@@ -169,7 +146,11 @@ def classify_fingerprints(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndar
     set", which happens exactly when the empty set is a basis, i.e. for the
     rank-0 collection {empty set}.
     """
-    containing, subsets_of = _mask_fingerprints(n)
+    masks = _subset_masks(n, k)
+    every_mask = np.arange(1 << n)
+    elements = np.arange(n)[:, None]
+    containing = _fingerprints_of((masks[None, :] >> elements) & 1 == 1, n, k)
+    subsets_of = _fingerprints_of((masks[None, :] & ~every_mask[:, None]) == 0, n, k)
     loop_counts = np.full(rows.shape[0], n, dtype=np.int64)
     for words in containing:
         loop_counts -= (rows & words).any(axis=1)

@@ -161,13 +161,6 @@ class Matroid:
                 sub = (sub - 1) & b
         return table
 
-    def is_independent(self, elements: Iterable[int]) -> bool:
-        return bool(self._independent[mask_of(elements, self.n)])
-
-    def rank_of(self, elements: Iterable[int]) -> int:
-        m = mask_of(elements, self.n)
-        return max((m & b).bit_count() for b in self.bases)
-
     def circuits(self) -> tuple[tuple[int, ...], ...]:
         """Minimal dependent sets, sorted by (size, mask)."""
         indep = self._independent

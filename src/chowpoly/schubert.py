@@ -11,9 +11,12 @@ of gap multinomials.
 collection of every (index set, permutation) pair, deduplicates by exact
 basis-set equality, classifies each distinct matroid from its own bases, and
 tabulates counts by (rank, loops, cogirth).  The sweep streams over index
-sets on the numpy kernels in ``chowpoly.kernels``: each index set's n!
-fingerprints are deduplicated on their own before the survivors of one rank
-are merged, so no rank's full block of fingerprints is held at once.
+sets on the numpy kernels in ``chowpoly.kernels``: a rank-k collection is
+fingerprinted over the C(n, k) k-subsets (one or two uint64 words up to
+n = 8), and each index set's n! fingerprints are deduplicated on their own
+before the survivors of one rank are merged, so no rank's full block of
+fingerprints is held at once.  ``census`` is the only function that imports
+numpy, so ``import chowpoly`` and every other command run without it.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ import os
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from .combinat import delta_multinomial, descent_count
 from .forms import closed_form
@@ -262,23 +263,25 @@ def census(n: int) -> CensusTable:
     deduplicated again; each distinct matroid is then classified by (rank,
     loops, cogirth) from its own bases.
     """
+    import numpy as np
+
     from . import kernels
 
     if n < 1:
         raise ValueError(f"census needs n >= 1, got {n}")
     check_ground_size("census", n)
     perms = kernels.perm_table(n)
-    table = kernels.relabel_table(perms, n)
     entries: dict[tuple[int, int, int | float], int] = {(0, n, INFINITY): 1}
     for k in range(1, n + 1):
+        table = kernels.relabel_table(perms, n, k)
         survivors = [
             kernels.distinct_rows(
-                kernels.census_fingerprints(table, [_id_order_bases(n, idx)], n)
+                kernels.census_fingerprints(table, [_id_order_bases(n, idx)], n, k)
             )
             for idx in combinations(range(1, n + 1), k)
         ]
         distinct = kernels.distinct_rows(np.concatenate(survivors))
-        loop_counts, cogirths = kernels.classify_fingerprints(distinct, n)
+        loop_counts, cogirths = kernels.classify_fingerprints(distinct, n, k)
         for ell, cg in zip(loop_counts.tolist(), cogirths.tolist()):
             key = (k, ell, INFINITY if cg < 0 else cg)
             entries[key] = entries.get(key, 0) + 1

@@ -134,14 +134,15 @@ def brute_gamma_reconstruct_multivariate(
     return {key: c for key, c in terms.items() if c}
 
 
-def brute_fingerprint(masks, n: int) -> list[int]:
-    """Fingerprint of a set of subset masks of {1..n}: the 2^n-bit vector with
-    bit m set for each mask m, cut into 64-bit words, least significant
-    first (at least one word)."""
+def brute_rank_fingerprint(masks, n: int, k: int) -> list[int]:
+    """Fingerprint of a set of k-subset masks of {1..n}: the bit vector with
+    bit i set when the i-th k-subset in ``combinations`` order is in the set,
+    cut into 64-bit words, least significant first."""
+    subsets = [sum(1 << (e - 1) for e in c) for c in combinations(range(1, n + 1), k)]
     vector = 0
     for m in masks:
-        vector |= 1 << m
-    words = max(1, (2**n) // 64)
+        vector |= 1 << subsets.index(m)
+    words = -(-len(subsets) // 64)
     return [(vector >> (64 * w)) % 2**64 for w in range(words)]
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chowpoly
 from chowpoly import CensusTable, UniPoly, census, matroid_to_json, uniform
 from chowpoly.cli import main
 
@@ -10,6 +15,43 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"chowpoly {chowpoly.__version__}\n"
+    assert chowpoly.__version__ == "0.1.0"
+
+
+def _imported_top_level_modules(*args: str) -> set[str]:
+    """Top-level packages a fresh ``python -X importtime`` run imports."""
+    src = str(Path(chowpoly.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return {
+        line.rsplit("|", 1)[1].strip().split(".")[0]
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize(
+    "args, loads_numpy",
+    [
+        (["-c", "import chowpoly"], False),
+        (["-m", "chowpoly", "compute", "--k", "10", "--n", "12"], False),
+        (["-m", "chowpoly", "oracle", "--k", "4", "--n", "4"], False),
+        (["-m", "chowpoly", "census", "--n", "3"], True),
+    ],
+)
+def test_numpy_is_imported_only_by_census(args, loads_numpy):
+    assert ("numpy" in _imported_top_level_modules(*args)) is loads_numpy
 
 
 def test_compute_text_agreement(capsys):

@@ -174,7 +174,7 @@ def test_coefficient_formula_rejects_other_indices():
 def test_perm_scan_overflow_guard_switches_to_exact_integers():
     # sums of weights near 2^61 pass 2^62 and stay exact in Python ints;
     # of the 5 admissible permutations of {1,2,3}, one has no descent
-    from chowpoly.kernels import perm_descent_aggregates
+    from chowpoly.combinat import perm_descent_aggregates
 
     big = 2**61
     agg = perm_descent_aggregates(3, [0, big, big, big], False)

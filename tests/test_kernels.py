@@ -7,27 +7,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowpoly import kernels
+from chowpoly.combinat import perm_descent_aggregates
 from chowpoly.schubert import _id_order_bases
 from tests.oracles import (
-    brute_fingerprint,
     brute_loops_and_cogirth,
     brute_perm_descent_aggregates,
+    brute_rank_fingerprint,
     brute_relabel,
 )
 
 
+def _k_subset_masks(n: int, k: int) -> list[int]:
+    return [sum(1 << (e - 1) for e in c) for c in combinations(range(1, n + 1), k)]
+
+
 def test_relabel_table_roundtrip():
-    n = 4
+    n, k = 4, 2
     perms = kernels.perm_table(n)
-    table = kernels.relabel_table(perms, n)
-    assert table.shape == (24, 16)
-    # identity permutation is the first lexicographic row
-    assert list(table[0]) == list(range(16))
-    # relabeling by (2,1,3,4) swaps bits 0 and 1
-    row = perms.tolist().index([2, 1, 3, 4])
-    assert table[row, 0b0001] == 0b0010
-    assert table[row, 0b0011] == 0b0011
-    assert table[row, 0b0101] == 0b0110
+    table = kernels.relabel_table(perms, n, k)
+    assert table.shape == (6, 24)
+    # the identity permutation is the first lexicographic row; k-subsets in
+    # combinations order: 12, 13, 14, 23, 24, 34
+    assert list(table[:, 0]) == list(range(6))
+    # relabeling by (2,1,3,4) swaps 1 and 2: 13 -> 23, 24 -> 14
+    col = perms.tolist().index([2, 1, 3, 4])
+    assert list(table[:, col]) == [0, 3, 4, 1, 2, 5]
+    # every entry against the relabeled mask, for every rank
+    for rank in range(n + 1):
+        masks = _k_subset_masks(n, rank)
+        table = kernels.relabel_table(perms, n, rank)
+        for p, perm in enumerate(perms.tolist()):
+            assert [masks[r] for r in table[:, p]] == [brute_relabel(m, perm) for m in masks]
 
 
 def test_fingerprints_batched_and_streamed_agree():
@@ -35,18 +45,18 @@ def test_fingerprints_batched_and_streamed_agree():
     # as census does, keeps exactly np.unique's rows of the whole rank
     n = 5
     perms = kernels.perm_table(n)
-    table = kernels.relabel_table(perms, n)
     per_set = perms.shape[0]
     for k in range(1, n + 1):
+        table = kernels.relabel_table(perms, n, k)
         bases_lists = [
             _id_order_bases(n, idx) for idx in combinations(range(1, n + 1), k)
         ]
-        batched = kernels.census_fingerprints(table, bases_lists, n)
+        batched = kernels.census_fingerprints(table, bases_lists, n, k)
         assert np.array_equal(kernels.distinct_rows(batched), np.unique(batched, axis=0))
         streamed = kernels.distinct_rows(
             np.concatenate(
                 [
-                    kernels.distinct_rows(kernels.census_fingerprints(table, [b], n))
+                    kernels.distinct_rows(kernels.census_fingerprints(table, [b], n, k))
                     for b in bases_lists
                 ]
             )
@@ -56,25 +66,58 @@ def test_fingerprints_batched_and_streamed_agree():
 
 
 def test_fingerprint_words():
-    assert kernels.fingerprint_words(3) == 1
-    assert kernels.fingerprint_words(6) == 1
-    assert kernels.fingerprint_words(7) == 2
-    assert kernels.fingerprint_words(8) == 4
+    # one word per rank up to n = 7; at n = 8 only C(8, 4) = 70 needs two
+    for n in range(1, 8):
+        assert [kernels.fingerprint_words(n, k) for k in range(n + 1)] == [1] * (n + 1)
+    assert [kernels.fingerprint_words(8, k) for k in range(9)] == [1] * 4 + [2] + [1] * 4
+    assert kernels.fingerprint_words(9, 4) == 2  # C(9, 4) = 126
+
+
+def test_fingerprints_reject_sets_of_another_size():
+    table = kernels.relabel_table(kernels.perm_table(3), 3, 2)
+    with pytest.raises(ValueError):
+        kernels.census_fingerprints(table, [[0b011, 0b111]], 3, 2)
 
 
 def test_rank0_fingerprint_classifies_as_no_hitting_set():
-    rows = np.zeros((1, 1), dtype=np.uint64)
-    rows[0, 0] = 1  # only the empty mask is a basis
-    loops, cogirths = kernels.classify_fingerprints(rows, 4)
+    rows = np.ones((1, 1), dtype=np.uint64)  # only the empty set is a basis
+    loops, cogirths = kernels.classify_fingerprints(rows, 4, 0)
     assert loops[0] == 4 and cogirths[0] == -1
 
 
+def test_second_word_fingerprints_at_rank_four_of_eight():
+    # collections on n = 8, k = 4 that differ only in k-subsets of rank >= 64,
+    # the bits of the second word
+    n, k = 8, 4
+    masks = _k_subset_masks(n, k)
+    low = masks[:10]
+    colls = [low] + [low + [masks[r]] for r in range(64, 70)] + [low + masks[64:]]
+    perms = [tuple(range(1, n + 1)), (8, 7, 6, 5, 4, 3, 2, 1), (2, 5, 8, 3, 6, 1, 4, 7)]
+    table = kernels.relabel_table(np.array(perms, dtype=np.uint8), n, k)
+    rows = kernels.census_fingerprints(table, colls, n, k)
+    assert rows.shape == (len(colls) * len(perms), 2)
+    r = 0
+    for coll in colls:
+        for perm in perms:
+            image = {brute_relabel(m, perm) for m in coll}
+            assert rows[r].tolist() == brute_rank_fingerprint(image, n, k)
+            r += 1
+    # under the identity the collections stay apart only through word 2
+    identity = rows[:: len(perms)]
+    assert len(set(identity[:, 0].tolist())) == 1
+    assert kernels.distinct_rows(identity).shape == (len(colls), 2)
+    assert kernels.distinct_rows(rows).shape[0] == len({tuple(x) for x in rows.tolist()})
+    loops, cogirths = kernels.classify_fingerprints(identity, n, k)
+    for i, coll in enumerate(colls):
+        assert (loops[i], cogirths[i]) == brute_loops_and_cogirth(coll, n), coll
+
+
 def test_perm_scan_empty_and_tiny():
-    assert kernels.perm_descent_aggregates(1, [0, 7], False) == [7, 0]
-    assert kernels.perm_descent_aggregates(2, [0, 3, 5], True) == [5, 0, 0]
-    assert kernels.perm_descent_aggregates(2, [0, 3, 5], False) == [5, 3, 0]
+    assert perm_descent_aggregates(1, [0, 7], False) == [7, 0]
+    assert perm_descent_aggregates(2, [0, 3, 5], True) == [5, 0, 0]
+    assert perm_descent_aggregates(2, [0, 3, 5], False) == [5, 3, 0]
     with pytest.raises(ValueError):
-        kernels.perm_descent_aggregates(0, [0], False)
+        perm_descent_aggregates(0, [0], False)
 
 
 @pytest.mark.parametrize("first_ascent_required", [False, True])
@@ -89,7 +132,7 @@ def test_perm_dp_matches_brute_force_oracle(first_ascent_required):
         for binoms in weight_sets:
             expected = brute_perm_descent_aggregates(k, binoms, first_ascent_required)
             assert (
-                kernels.perm_descent_aggregates(k, binoms, first_ascent_required)
+                perm_descent_aggregates(k, binoms, first_ascent_required)
                 == expected
             )
 
@@ -106,45 +149,47 @@ def perm_weight_cases(draw):
 @given(perm_weight_cases())
 def test_perm_dp_matches_brute_force_oracle_random(case):
     k, weights, first_ascent_required = case
-    assert kernels.perm_descent_aggregates(
+    assert perm_descent_aggregates(
         k, weights, first_ascent_required
     ) == brute_perm_descent_aggregates(k, weights, first_ascent_required)
 
 
 @st.composite
 def basis_collections(draw):
-    """A ground size n <= 7, some permutations of {1..n}, and collections of
-    subset masks that always include the rank-0 collection {empty set} and a
-    repeated collection."""
+    """A ground size n <= 7, a rank k, some permutations of {1..n}, and
+    collections of k-subset masks that always include a repeated collection
+    (at k = 0 every collection is the rank-0 collection {empty set})."""
     n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, n))
+    masks = _k_subset_masks(n, k)
     perms = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=3))
-    collection = st.frozensets(st.integers(0, (1 << n) - 1), min_size=1, max_size=10)
+    collection = st.frozensets(st.sampled_from(masks), min_size=1, max_size=10)
     colls = draw(st.lists(collection, min_size=1, max_size=5))
-    colls = colls + [frozenset({0}), colls[0]]
-    return n, perms, [sorted(c) for c in colls]
+    colls = colls + [colls[0]]
+    return n, k, perms, [sorted(c) for c in colls]
 
 
 @settings(max_examples=80, deadline=None)
 @given(basis_collections())
 def test_census_fingerprints_match_brute_oracle(case):
-    n, perms, colls = case
-    table = kernels.relabel_table(np.array(perms, dtype=np.uint8), n)
-    rows = kernels.census_fingerprints(table, colls, n)
-    assert rows.shape == (len(colls) * len(perms), kernels.fingerprint_words(n))
+    n, k, perms, colls = case
+    table = kernels.relabel_table(np.array(perms, dtype=np.uint8), n, k)
+    rows = kernels.census_fingerprints(table, colls, n, k)
+    assert rows.shape == (len(colls) * len(perms), kernels.fingerprint_words(n, k))
     r = 0
     for coll in colls:
         for perm in perms:
             image = {brute_relabel(m, perm) for m in coll}
-            assert rows[r].tolist() == brute_fingerprint(image, n)
+            assert rows[r].tolist() == brute_rank_fingerprint(image, n, k)
             r += 1
 
 
 @settings(max_examples=80, deadline=None)
 @given(basis_collections())
 def test_classify_fingerprints_matches_brute_oracle(case):
-    n, _, colls = case
-    rows = np.array([brute_fingerprint(c, n) for c in colls], dtype=np.uint64)
-    loops, cogirths = kernels.classify_fingerprints(rows, n)
+    n, k, _, colls = case
+    rows = np.array([brute_rank_fingerprint(c, n, k) for c in colls], dtype=np.uint64)
+    loops, cogirths = kernels.classify_fingerprints(rows, n, k)
     for i, coll in enumerate(colls):
         assert (loops[i], cogirths[i]) == brute_loops_and_cogirth(coll, n), coll
 
@@ -152,11 +197,14 @@ def test_classify_fingerprints_matches_brute_oracle(case):
 @settings(max_examples=80, deadline=None)
 @given(basis_collections())
 def test_distinct_rows_is_exact_dedupe(case):
-    n, _, colls = case
-    rows = np.array([brute_fingerprint(c, n) for c in colls], dtype=np.uint64)
-    for w in range(rows.shape[1]):  # add rows that differ from others in one word only
-        variant = rows.copy()
-        variant[:, w] ^= np.uint64(1 << 63)
-        rows = np.concatenate([rows, variant])
-    distinct = kernels.distinct_rows(rows)
-    assert sorted(map(tuple, distinct.tolist())) == sorted(set(map(tuple, rows.tolist())))
+    n, k, _, colls = case
+    rows = np.array([brute_rank_fingerprint(c, n, k) for c in colls], dtype=np.uint64)
+    # one-word rows, and two-word rows for the lexsort path, each with added
+    # rows that differ from others in one word only
+    for block in (rows, np.concatenate([rows, rows[:, ::-1]], axis=1)):
+        for w in range(block.shape[1]):
+            variant = block.copy()
+            variant[:, w] ^= np.uint64(1 << 63)
+            block = np.concatenate([block, variant])
+        distinct = kernels.distinct_rows(block)
+        assert sorted(map(tuple, distinct.tolist())) == sorted(set(map(tuple, block.tolist())))

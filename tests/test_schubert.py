@@ -76,13 +76,13 @@ def test_invariants_formula_matches_kernel_classification():
 
     n = 6
     perms = kernels.perm_table(n)
-    table = kernels.relabel_table(perms, n)
     perm_rows = [tuple(int(v) for v in row) for row in perms]
     for size in range(1, n + 1):
+        table = kernels.relabel_table(perms, n, size)
         subsets = list(combinations(range(1, n + 1), size))
         bases_lists = [_id_order_bases(n, idx) for idx in subsets]
-        rows = kernels.census_fingerprints(table, bases_lists, n)
-        loops, cogirths = kernels.classify_fingerprints(rows, n)
+        rows = kernels.census_fingerprints(table, bases_lists, n, size)
+        loops, cogirths = kernels.classify_fingerprints(rows, n, size)
         r = 0
         for idx in subsets:
             for perm in perm_rows:
@@ -190,6 +190,14 @@ def test_census_against_brute_dedup():
 def test_census_matches_formula_small():
     for n in range(1, 7):
         assert census_matches_formula(census(n)), n
+
+
+def test_census_at_eight_matches_formula():
+    # within the default guard only n = 8 has a two-word rank (k = 4)
+    table = census(8)
+    assert census_matches_formula(table)
+    assert table.total == 109_601
+    assert sum(c for (r, _, _), c in table.entries.items() if r == 4) == 44_929
 
 
 def test_census_is_deterministic():
