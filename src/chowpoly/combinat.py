@@ -8,14 +8,11 @@ partition into maximal consecutive runs), the no-consecutive subsets of
 {1..m}, descent-set counting over the symmetric group, the weighted sums
 over permutations with no two adjacent descents that ``gamma_perm`` needs
 (an exact insertion DP, polynomial in k; ``tests/oracles.py`` holds the k!
-scan it replaces), the Eulerian and derangement polynomials, and
-permutations of subsets of {1..n} together with their extension and
-standardization maps.
+scan it replaces), and the Eulerian and derangement polynomials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
@@ -217,43 +214,3 @@ def derangement_poly(n: int) -> UniPoly:
     for j in range(n):
         rest = rest + comb(n, j) * derangement_poly(j)
     return eulerian_poly(n) - rest
-
-
-@dataclass(frozen=True)
-class SubsetPermutation:
-    """A bijection of a subset S of {1..n}, in one-line notation.
-
-    With S = {s_1 < ... < s_k}, entry i of ``one_line`` is the image of s_i.
-    """
-
-    support: tuple[int, ...]
-    one_line: tuple[int, ...]
-
-    def __post_init__(self):
-        support = _as_index_set(self.support)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "one_line", tuple(self.one_line))
-        if tuple(sorted(self.one_line)) != support:
-            raise ValueError(
-                f"one-line {self.one_line} is not a permutation of {support}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.support)
-
-    def descent_set(self) -> tuple[int, ...]:
-        return descent_set(self.one_line)
-
-    def extend(self, n: int) -> tuple[int, ...]:
-        """One-line of the extension to {1..n}: the missing elements are
-        appended in increasing order.  Preserves descents."""
-        if self.support and self.support[-1] > n:
-            raise ValueError(f"support {self.support} not contained in 1..{n}")
-        tail = tuple(e for e in range(1, n + 1) if e not in set(self.support))
-        return self.one_line + tail
-
-    def standardize(self) -> tuple[int, ...]:
-        """One-line of the order-isomorphic permutation of {1..len(S)}.
-        Preserves descents."""
-        relabel = {s: i for i, s in enumerate(self.support, start=1)}
-        return tuple(relabel[v] for v in self.one_line)

@@ -56,7 +56,7 @@ def _check_domain(k: int, n: int, augmented: bool) -> None:
     if not lower <= k <= n:
         note = (
             " (k = 0 is only defined for the augmented polynomial)"
-            if k < 1 and not augmented
+            if k == 0 and not augmented
             else ""
         )
         raise ValueError(f"rank k={k} out of domain {lower} <= k <= n for n={n}{note}")

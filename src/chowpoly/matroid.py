@@ -9,18 +9,21 @@ module builds the lattice of flats, labels its cover relations by the first
 atom entering the upper flat (atoms ordered by their smallest new element),
 and enumerates maximal chains.  Summing a gamma-shaped weight over chains
 whose label sequence has no two consecutive descents yields the Chow and
-augmented Chow polynomials of the matroid; this is the package's brute-force
-oracle against the closed forms for uniform matroids.
+augmented Chow polynomials of the matroid; this is the package's chain
+oracle against the closed forms for uniform matroids.  The oracle counts
+those chains by their descent sets with a transfer count over the flats in
+rank order, so its cost grows with the lattice (at most 2^n flats), not with
+the number of maximal chains; ``tests/oracles.py`` holds the chain-by-chain
+tally it replaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Iterator
 
-from .combinat import SubsetPermutation, descent_set
 from .polynomial import SqfMultiPoly, UniPoly
 from .polynomial import gamma_reconstruct, gamma_reconstruct_multivariate
 
@@ -275,9 +278,18 @@ class FlatLattice:
 def flats_lattice(m: Matroid) -> FlatLattice:
     n = m.n
     nmasks = 1 << n
+    indep = m._independent
     rank = [0] * nmasks
-    for s in range(nmasks):
-        rank[s] = max((s & b).bit_count() for b in m.bases)
+    for s in range(1, nmasks):
+        if indep[s]:
+            rank[s] = s.bit_count()
+            continue
+        # a dependent set has the largest rank among its one-smaller subsets
+        rest = s
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            rank[s] = max(rank[s], rank[s ^ x])
 
     def closure(s: int) -> int:
         r = rank[s]
@@ -372,34 +384,56 @@ def chain_label_sequences(lattice: FlatLattice) -> Iterator[tuple[int, ...]]:
         yield chain.labels
 
 
-def _has_consecutive(dset: tuple[int, ...]) -> bool:
-    return any(b == a + 1 for a, b in zip(dset, dset[1:]))
-
-
 def _chain_descent_weights(
     m: Matroid, augmented: bool
 ) -> dict[tuple[int, ...], int]:
-    """Multiplicity of each admissible descent set over maximal chains."""
+    """Number of maximal chains with each admissible descent set.
+
+    A transfer count over the flats in rank order: ``states[f]`` maps
+    (label of the last cover, bitmask of descent positions) to the number of
+    chains from the bottom to f.  A step whose descent would follow another
+    descent, or sit at position 1 when not augmented, is dropped where it
+    happens, so no extension of it is ever visited.
+    """
     if not m.is_loopless:
         raise MatroidError("oracle requires loopless input")
     if m.rank < 1:
         raise MatroidError("oracle requires rank at least 1")
     lattice = flats_lattice(m)
+    first_allowed = 1 if augmented else 2
+    states: dict[int, dict[tuple[int, int], int]] = {lattice.bottom: {(0, 0): 1}}
+    for f in lattice.flats:  # sorted by rank, so predecessors come first
+        if f == lattice.top:
+            break
+        here = states.pop(f, None)
+        if not here:
+            continue
+        pos = lattice.flat_rank[f]  # position of a descent from f's label to g's
+        below_f = lattice.atoms_below[f]
+        for g in lattice.covers[f]:
+            fresh = lattice.atoms_below[g] & ~below_f
+            label = (fresh & -fresh).bit_length()
+            there = states.setdefault(g, {})
+            for (last, mask), count in here.items():
+                if last > label:
+                    if pos < first_allowed or mask >> (pos - 1) & 1:
+                        continue
+                    mask |= 1 << pos
+                key = (label, mask)
+                there[key] = there.get(key, 0) + count
     weights: dict[tuple[int, ...], int] = {}
-    for labels in chain_label_sequences(lattice):
-        dset = descent_set(labels)
-        if _has_consecutive(dset):
-            continue
-        if not augmented and dset and dset[0] == 1:
-            continue
-        weights[dset] = weights.get(dset, 0) + 1
+    for (_, mask), count in states.get(lattice.top, {}).items():
+        dset = tuple(i for i in range(1, m.rank) if mask >> i & 1)
+        weights[dset] = weights.get(dset, 0) + count
     return weights
 
 
 def chain_chow(m: Matroid, augmented: bool = False) -> UniPoly:
     """Chow (augmented: augmented Chow) polynomial summed over maximal chains
     of the lattice of flats whose label sequence has no two consecutive
-    descents (and no descent in position 1 when not augmented)."""
+    descents (and no descent in position 1 when not augmented).  The chains
+    are counted by descent set with a transfer count over the flats, not
+    listed one at a time."""
     weights = _chain_descent_weights(m, augmented)
     d = m.rank if augmented else m.rank - 1
     gammas = [0] * (d // 2 + 1)
@@ -411,24 +445,12 @@ def chain_chow(m: Matroid, augmented: bool = False) -> UniPoly:
 def chain_chow_multivariate(m: Matroid, augmented: bool = False) -> SqfMultiPoly:
     """Multivariate refinement of ``chain_chow``: each chain contributes the
     product of x_i over its descent positions i times (1 + x_i) over window
-    positions i with neither i nor i+1 a descent."""
+    positions i with neither i nor i+1 a descent.  The chain counts per
+    descent set come from the same transfer count as ``chain_chow``."""
     weights = _chain_descent_weights(m, augmented)
     return gamma_reconstruct_multivariate(
         weights, (0 if augmented else 1, m.rank - 1)
     )
-
-
-def chain_label_permutations(k: int, n: int) -> Iterator[SubsetPermutation]:
-    """Subset permutations realizable as chain label sequences of the rank-k
-    uniform matroid on {1..n}: permutations of a k-subset S whose last entry
-    v satisfies {1..v} inside S.  Deterministic (support, one-line) order."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    for support in combinations(range(1, n + 1), k):
-        in_s = set(support)
-        for one_line in permutations(support):
-            if all(e in in_s for e in range(1, one_line[-1])):
-                yield SubsetPermutation(support, one_line)
 
 
 # -- JSON exchange format -----------------------------------------------------

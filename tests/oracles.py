@@ -1,15 +1,19 @@
 """Independent brute-force reference implementations used across the tests.
 
-Everything here scans permutations or subsets directly from the definitions,
-with no shared code paths into the package, so these stay valid as oracles
-for the faster implementations.
+Everything here scans permutations, subsets or chains directly from the
+definitions, with no shared code paths into the faster implementations, so
+these stay valid as oracles for them.  The chain tally reads the package's
+lattice of flats and its chain walk, which are the definitions it counts
+over.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import Iterator
 
-from chowpoly import UniPoly
+from chowpoly import UniPoly, chain_label_sequences
 
 
 def brute_descents(seq) -> tuple[int, ...]:
@@ -163,3 +167,69 @@ def brute_loops_and_cogirth(masks, n: int) -> tuple[int, int]:
             if all(hitter & m for m in members):
                 return loops, size
     return loops, -1
+
+
+def brute_chain_descent_weights(lattice, augmented: bool) -> dict[tuple[int, ...], int]:
+    """Descent set -> number of maximal chains of the lattice whose label
+    sequence has that descent set, no two consecutive descents, and (when
+    not augmented) no descent at position 1; one chain at a time.  It shares
+    the lattice and its depth-first chain walk with the package, and nothing
+    of the transfer count that the chain oracle runs."""
+    weights: dict[tuple[int, ...], int] = {}
+    for labels in chain_label_sequences(lattice):
+        dset = brute_descents(labels)
+        if any(b == a + 1 for a, b in zip(dset, dset[1:])):
+            continue
+        if not augmented and dset and dset[0] == 1:
+            continue
+        weights[dset] = weights.get(dset, 0) + 1
+    return weights
+
+
+@dataclass(frozen=True)
+class SubsetPermutation:
+    """A bijection of a subset S of {1..n}, in one-line notation.
+
+    With S = {s_1 < ... < s_k}, entry i of ``one_line`` is the image of s_i.
+    """
+
+    support: tuple[int, ...]
+    one_line: tuple[int, ...]
+
+    def __post_init__(self):
+        support = tuple(sorted(set(self.support)))
+        if support and support[0] < 1:
+            raise ValueError(f"supports hold positive integers only, got {support[0]}")
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "one_line", tuple(self.one_line))
+        if tuple(sorted(self.one_line)) != support:
+            raise ValueError(
+                f"one-line {self.one_line} is not a permutation of {support}"
+            )
+
+    def extend(self, n: int) -> tuple[int, ...]:
+        """One-line of the extension to {1..n}: the missing elements are
+        appended in increasing order.  Preserves descents."""
+        if self.support and self.support[-1] > n:
+            raise ValueError(f"support {self.support} not contained in 1..{n}")
+        tail = tuple(e for e in range(1, n + 1) if e not in set(self.support))
+        return self.one_line + tail
+
+    def standardize(self) -> tuple[int, ...]:
+        """One-line of the order-isomorphic permutation of {1..len(S)}.
+        Preserves descents."""
+        relabel = {s: i for i, s in enumerate(self.support, start=1)}
+        return tuple(relabel[v] for v in self.one_line)
+
+
+def chain_label_permutations(k: int, n: int) -> Iterator[SubsetPermutation]:
+    """Subset permutations realizable as chain label sequences of the rank-k
+    uniform matroid on {1..n}: permutations of a k-subset S whose last entry
+    v satisfies {1..v} inside S.  Deterministic (support, one-line) order."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    for support in combinations(range(1, n + 1), k):
+        in_s = set(support)
+        for one_line in permutations(support):
+            if all(e in in_s for e in range(1, one_line[-1])):
+                yield SubsetPermutation(support, one_line)

@@ -99,6 +99,21 @@ def test_compute_invalid_domain(capsys):
     assert "error" in err
 
 
+def test_compute_domain_hint_only_for_rank_zero(capsys):
+    code, _, err = run(capsys, "compute", "--k", "0", "--n", "3")
+    assert code == 2
+    assert "rank k=0 out of domain 1 <= k <= n for n=3" in err
+    assert "(k = 0 is only defined for the augmented polynomial)" in err
+    code, _, err = run(capsys, "compute", "--k", "-1", "--n", "3")
+    assert code == 2
+    assert "rank k=-1 out of domain 1 <= k <= n for n=3" in err
+    assert "k = 0" not in err
+    code, _, err = run(capsys, "compute", "--k", "-1", "--n", "3", "--augmented")
+    assert code == 2
+    assert "rank k=-1 out of domain 0 <= k <= n for n=3" in err
+    assert "k = 0" not in err
+
+
 def test_compute_multivariate(capsys):
     code, out, _ = run(
         capsys, "compute", "--k", "2", "--n", "2", "--multivariate"

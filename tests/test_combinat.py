@@ -4,7 +4,6 @@ from math import factorial
 import pytest
 
 from chowpoly import (
-    SubsetPermutation,
     delta_multinomial,
     derangement_poly,
     descent_set,
@@ -15,6 +14,7 @@ from chowpoly import (
 )
 from chowpoly.combinat import descent_superset_count
 from tests.oracles import (
+    SubsetPermutation,
     brute_delta_multinomial,
     brute_derangement_poly,
     brute_descent_census,

@@ -2,7 +2,7 @@ import json
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chowpoly import (
@@ -11,7 +11,6 @@ from chowpoly import (
     SchubertSpec,
     chain_chow,
     chain_chow_multivariate,
-    chain_label_permutations,
     chain_label_sequences,
     closed_form,
     descent_set,
@@ -25,7 +24,17 @@ from chowpoly import (
     schubert_matroid,
     uniform,
 )
+from chowpoly.matroid import _chain_descent_weights
 from chowpoly.polynomial import UniPoly
+from tests.oracles import brute_chain_descent_weights, chain_label_permutations
+
+
+def _graphic_k4():
+    # edges 1..6 of K4; the triangles are its 3-element circuits
+    triangles = {(1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6)}
+    return matroid_from_bases(
+        6, [c for c in combinations(range(1, 7), 3) if c not in triangles]
+    )
 
 
 def test_construction_validates():
@@ -134,12 +143,7 @@ def test_unique_increasing_chain_in_intervals():
     # a strictly increasing label sequence
     mats = [uniform(k, n) for n in range(1, 7) for k in range(1, n + 1)]
     mats.append(matroid_from_bases(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]))
-    triangles = {(1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6)}
-    mats.append(
-        matroid_from_bases(
-            6, [c for c in combinations(range(1, 7), 3) if c not in triangles]
-        )
-    )
+    mats.append(_graphic_k4())
     for m in mats:
         lat = flats_lattice(m)
         for low in lat.flats:
@@ -184,7 +188,7 @@ def test_chain_chow_matches_closed_forms():
 
 
 def test_chain_chow_multivariate_matches_closed_forms():
-    for n in range(1, 7):
+    for n in range(1, 9):
         for k in range(1, n + 1):
             m = uniform(k, n)
             for augmented in (False, True):
@@ -196,6 +200,37 @@ def test_chain_chow_multivariate_matches_closed_forms():
         (): 1,
         (0,): 1,
     }
+
+
+def test_chain_chow_graphic_k4():
+    m = _graphic_k4()
+    plain = chain_chow(m)
+    augmented = chain_chow(m, augmented=True)
+    assert plain == UniPoly((1, 8, 1))
+    assert augmented == UniPoly((1, 14, 14, 1))
+    assert chain_chow_multivariate(m).specialize() == plain
+    assert chain_chow_multivariate(m, augmented=True).specialize() == augmented
+
+
+@st.composite
+def loopless_schubert_matroids(draw):
+    # the loops of a Schubert matroid are the elements ordered before every
+    # member of its index set, so holding perm[0] makes it loopless
+    n = draw(st.integers(1, 7))
+    perm = draw(st.permutations(range(1, n + 1)))
+    index_set = draw(st.sets(st.integers(1, n))) | {perm[0]}
+    return schubert_matroid(SchubertSpec(n, tuple(index_set), tuple(perm)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(loopless_schubert_matroids(), st.booleans())
+@example(_graphic_k4(), False)
+@example(_graphic_k4(), True)
+@example(matroid_from_bases(3, [(1, 2), (1, 3)]), False)
+@example(matroid_from_bases(3, [(1, 2), (1, 3)]), True)
+def test_transfer_count_matches_brute_chain_tally(m, augmented):
+    want = brute_chain_descent_weights(flats_lattice(m), augmented)
+    assert _chain_descent_weights(m, augmented) == want
 
 
 def test_chain_labels_equal_admissible_subset_permutations():
