@@ -9,7 +9,8 @@ matroid on n elements, selected by name:
   so the sum is a polynomial-time DP over run minima and sizes.
 * ``gamma_eulerian``  -- sum over no-consecutive descent sets D (avoiding 1 in
   the non-augmented case) of the number of n-permutations with descent set D
-  times x^|D| (1+x)^(k-1-2|D|) (augmented exponent: k-2|D|).
+  times x^|D| (1+x)^(k-1-2|D|) (augmented exponent: k-2|D|).  The counts of
+  all D come from one Moebius transform over the family.
 * ``gamma_perm``      -- sum over permutations s of {1..k} whose descent set
   has no consecutive positions (and an ascent in position 1 when not
   augmented) of C(n - s(k), k - s(k)) times the same gamma-shaped weight.
@@ -28,26 +29,21 @@ from math import comb, factorial
 from .combinat import (
     delta_multinomial,
     derangement_poly,
-    eulerian_fixed_descents,
     eulerian_poly,
-    nc_subsets,
+    exact_descent_counts,
     perm_descent_aggregates,
 )
 from .polynomial import SqfMultiPoly, UniPoly
-from .polynomial import (
-    gamma_reconstruct,
-    gamma_reconstruct_multivariate,
-    variable_subsets,
-)
+from .polynomial import gamma_reconstruct, gamma_reconstruct_multivariate
 
 METHODS = ("monomial", "gamma_eulerian", "gamma_perm", "convolution")
 MULTIVARIATE_BASES = ("monomial", "gamma")
 
 # Largest rank for the forms exponential in k: ``gamma_eulerian`` sums over
-# Fib(k) descent sets (0.6 s at k = 20, 3.2 s at k = 22) and both multivariate
-# bases return 2^k terms (0.8 s at k = 18, about 4x per two ranks).  Above it
-# they raise ValueError; ``monomial``, ``gamma_perm`` and ``convolution`` are
-# polynomial in k.
+# Fib(k) descent sets (augmented, 2 CPUs, Python 3.11: 0.04 s at k = n = 20,
+# 0.2 s at 22) and both multivariate bases return 2^k terms (about 0.25 s at
+# k = n = 18, about 4x per two ranks).  Above it they raise ValueError;
+# ``monomial``, ``gamma_perm`` and ``convolution`` are polynomial in k.
 EXPONENTIAL_RANK_MAX = 18
 
 
@@ -104,8 +100,8 @@ def _monomial_form(k: int, n: int, augmented: bool) -> UniPoly:
 def _gamma_eulerian_form(k: int, n: int, augmented: bool) -> UniPoly:
     d = k if augmented else k - 1
     gammas = [0] * (d // 2 + 1)
-    for dset in nc_subsets(k - 1, exclude_one=not augmented):
-        gammas[len(dset)] += eulerian_fixed_descents(n, dset)
+    for dset, count in exact_descent_counts(n, k - 1, not augmented).items():
+        gammas[len(dset)] += count
     return gamma_reconstruct(gammas, d)
 
 
@@ -176,19 +172,16 @@ def multivariate_closed_form(
     _check_exponential_rank(f"multivariate {basis}", k)
     var_range = (0 if augmented else 1, k - 1)
     if basis == "gamma":
-        weights = {
-            dset: eulerian_fixed_descents(n, dset)
-            for dset in nc_subsets(k - 1, exclude_one=not augmented)
-        }
+        weights = exact_descent_counts(n, k - 1, not augmented)
         return gamma_reconstruct_multivariate(weights, var_range)
-    # index sets as bit patterns (bit i for index i + 1), keyed by their
-    # shifted sets; the non-augmented sets all hold index 1, which has no
-    # variable.  The gap multinomial depends only on the run minima.
+    # index sets as bit patterns (bit i for index i + 1); bit i of the dense
+    # position q is variable lo + i, index lo + i + 1, and the non-augmented
+    # sets all hold index 1, which has no variable.  The gap multinomial
+    # depends only on the run minima.
     lo = var_range[0]
-    keys = variable_subsets(lo, k - 1)
     weight_of: dict[int, int] = {}
-    terms = {}
-    for q, key in enumerate(keys):
+    coeffs = []
+    for q in range(1 << (k - lo)):
         pattern = q << lo | lo
         minima = pattern & ~(pattern << 1)
         w = weight_of.get(minima)
@@ -196,8 +189,8 @@ def multivariate_closed_form(
             w = weight_of[minima] = delta_multinomial(
                 n, [i + 1 for i in range(k) if minima >> i & 1]
             )
-        terms[key] = w
-    return SqfMultiPoly(var_range, terms)
+        coeffs.append(w)
+    return SqfMultiPoly.from_dense(var_range, coeffs)
 
 
 def _trinomial(n: int, a: int, b: int) -> int:

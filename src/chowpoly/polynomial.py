@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic over arbitrary-precision integers.
+"""Exact polynomials with arbitrary-precision integer coefficients.
 
 Two representations are provided:
 
@@ -10,8 +10,10 @@ Two representations are provided:
   squarefree products of indexed variables x_i.  Each term is keyed by the
   set of variable indices appearing in it; the coefficient of the key ``()``
   is the constant term.  A declared index range restricts which variables
-  are admissible, and products that would create a squared variable are
-  rejected (the formulas computed by this package never need them).
+  are admissible, and a key that repeats a variable is rejected.  It has no
+  arithmetic: the multivariate formulas of this package fill one coefficient
+  per subset of the range (``from_dense``), then compare, specialize,
+  render or serialize the result.
 
 All coefficients are Python ints, so results are exact at any size.
 """
@@ -19,11 +21,11 @@ All coefficients are Python ints, so results are exact at any size.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class NonSquarefreeProductError(ValueError):
-    """Raised when a multivariate product would square a variable."""
+    """Raised when a multivariate monomial repeats a variable."""
 
 
 class NotPalindromicError(ValueError):
@@ -216,12 +218,24 @@ class SqfMultiPoly:
         }
 
     @classmethod
-    def constant(cls, var_range: tuple[int, int], c: int) -> "SqfMultiPoly":
-        return cls(var_range, {(): c})
-
-    @classmethod
-    def variable(cls, var_range: tuple[int, int], i: int) -> "SqfMultiPoly":
-        return cls(var_range, {(i,): 1})
+    def from_dense(
+        cls, var_range: tuple[int, int], coeffs: Sequence[int]
+    ) -> "SqfMultiPoly":
+        """The polynomial whose monomial at position q of
+        ``variable_subsets(lo, hi)`` has coefficient ``coeffs[q]``, one entry
+        per subset of the range.  Those keys are sorted, distinct and in range
+        by construction, so only the length is checked (ValueError) and zero
+        coefficients are dropped."""
+        lo, hi = var_range
+        keys = variable_subsets(lo, hi)
+        if len(coeffs) != len(keys):
+            raise ValueError(
+                f"{len(coeffs)} coefficients for the {len(keys)} monomials "
+                f"in x{lo}..x{hi}"
+            )
+        poly = cls((lo, hi))
+        poly.terms = {key: c for key, c in zip(keys, coeffs) if c}
+        return poly
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -233,47 +247,6 @@ class SqfMultiPoly:
 
     def __hash__(self) -> int:
         return hash((self.var_range, frozenset(self.terms.items())))
-
-    def _check_range(self, other: "SqfMultiPoly") -> None:
-        if self.var_range != other.var_range:
-            raise ValueError(
-                f"variable ranges differ: {self.var_range} vs {other.var_range}"
-            )
-
-    def __add__(self, other: "SqfMultiPoly | int") -> "SqfMultiPoly":
-        if isinstance(other, int):
-            other = SqfMultiPoly.constant(self.var_range, other)
-        if not isinstance(other, SqfMultiPoly):
-            return NotImplemented
-        self._check_range(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return SqfMultiPoly(self.var_range, out)
-
-    __radd__ = __add__
-
-    def __mul__(self, other: "SqfMultiPoly | int") -> "SqfMultiPoly":
-        if isinstance(other, int):
-            return SqfMultiPoly(
-                self.var_range, {k: other * c for k, c in self.terms.items()}
-            )
-        if not isinstance(other, SqfMultiPoly):
-            return NotImplemented
-        self._check_range(other)
-        out: dict[tuple[int, ...], int] = {}
-        for ka, ca in self.terms.items():
-            sa = set(ka)
-            for kb, cb in other.terms.items():
-                if sa & set(kb):
-                    raise NonSquarefreeProductError(
-                        f"non-squarefree product: monomials {ka} and {kb} share a variable"
-                    )
-                k = tuple(sorted(ka + kb))
-                out[k] = out.get(k, 0) + ca * cb
-        return SqfMultiPoly(self.var_range, out)
-
-    __rmul__ = __mul__
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in the canonical (total degree, index tuple) order."""
@@ -408,10 +381,9 @@ def gamma_reconstruct_multivariate(
         for i in dset:
             mask |= 1 << (i - lo)
         by_mask[mask] = w
-    keys = variable_subsets(lo, hi)
     summed: dict[int, int] = {}
-    terms = {}
-    for s, key in enumerate(keys):
+    coeffs = []
+    for s in range(1 << max(hi - lo + 1, 0)):
         a = s & ~(s << 1) & ~1  # bit 0 is position lo, which no D holds
         total = summed.get(a)
         if total is None:
@@ -421,5 +393,5 @@ def gamma_reconstruct_multivariate(
                 total += by_mask.get(sub, 0)
                 sub = (sub - 1) & a
             summed[a] = total
-        terms[key] = total
-    return SqfMultiPoly(var_range, terms)
+        coeffs.append(total)
+    return SqfMultiPoly.from_dense(var_range, coeffs)

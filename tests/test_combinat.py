@@ -9,6 +9,7 @@ from chowpoly import (
     descent_set,
     eulerian_fixed_descents,
     eulerian_poly,
+    exact_descent_counts,
     nc_subsets,
     runs_partition,
 )
@@ -98,6 +99,31 @@ def test_eulerian_fixed_descents_against_scan():
                 assert count == census.get(dset, 0), (n, dset)
                 total += count
         assert total == factorial(n)
+
+
+def test_exact_descent_counts_against_scan():
+    for n in range(1, 9):
+        census = brute_descent_census(n)
+        for m in range(n):
+            for exclude_one in (False, True):
+                counts = exact_descent_counts(n, m, exclude_one)
+                assert list(counts) == list(nc_subsets(m, exclude_one))
+                for dset, count in counts.items():
+                    assert count == census.get(dset, 0), (n, m, exclude_one, dset)
+
+
+def test_exact_descent_counts_match_per_set_check_at_wide_point():
+    for exclude_one in (False, True):
+        counts = exact_descent_counts(30, 15, exclude_one)
+        assert len(counts) == len(list(nc_subsets(15, exclude_one)))
+        for dset, count in counts.items():
+            assert count == eulerian_fixed_descents(30, dset), (exclude_one, dset)
+
+
+def test_exact_descent_counts_rejects_positions_past_n():
+    assert exact_descent_counts(1, 0) == {(): 1}
+    with pytest.raises(ValueError, match="descent position 3 out of range for n=3"):
+        exact_descent_counts(3, 3)
 
 
 def test_descent_superset_count():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from chowpoly import forms
@@ -75,12 +78,36 @@ def test_multivariate_specializes_to_univariate():
 
 
 def test_multivariate_bases_agree_exactly():
-    for n in range(1, 8):
+    for n in range(1, 11):
         for k in range(1, n + 1):
             for augmented in (False, True):
                 a = multivariate_closed_form(k, n, "monomial", augmented)
                 b = multivariate_closed_form(k, n, "gamma", augmented)
                 assert a == b, (k, n, augmented)
+
+
+# sha256 of json.dumps(p.to_json()) of both bases at (16, 30), by the
+# augmented flag, computed before the bases were built as dense vectors
+WIDE_POINT_DIGESTS = {
+    False: "85e82d2a02d2b84cc2a70db435207c195a974a980ed71d3d776f014888b79004",
+    True: "066f35ba8379ef22144079f6f0263381156c323fff6d783a80df62302c2d170b",
+}
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+def test_multivariate_bases_at_wide_point(augmented):
+    a = multivariate_closed_form(16, 30, "monomial", augmented)
+    b = multivariate_closed_form(16, 30, "gamma", augmented)
+    assert a == b
+    assert len(a.terms) == 2 ** (16 if augmented else 15)
+    uni = closed_form(16, 30, "monomial", augmented)
+    assert a.specialize() == uni
+    assert closed_form(16, 30, "gamma_eulerian", augmented) == closed_form(
+        16, 30, "gamma_perm", augmented
+    )
+    for p in (a, b):
+        digest = hashlib.sha256(json.dumps(p.to_json()).encode()).hexdigest()
+        assert digest == WIDE_POINT_DIGESTS[augmented]
 
 
 def test_monomial_form_matches_brute_force_oracle():

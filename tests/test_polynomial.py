@@ -15,6 +15,7 @@ from chowpoly import (
     gamma_vector,
     nc_subsets,
 )
+from chowpoly.polynomial import variable_subsets
 from tests.oracles import brute_eulerian_poly, brute_gamma_reconstruct_multivariate
 
 
@@ -53,27 +54,6 @@ def test_getitem_past_degree():
     assert p[1] == 2
 
 
-def test_multivariate_disjoint_product():
-    vr = (1, 2)
-    p = SqfMultiPoly(vr, {(): 1, (1,): 1})  # 1 + x1
-    q = SqfMultiPoly(vr, {(2,): 1})  # x2
-    assert (p * q).terms == {(2,): 1, (1, 2): 1}
-
-
-def test_multivariate_shared_variable_rejected():
-    vr = (1, 2)
-    p = SqfMultiPoly(vr, {(): 1, (1,): 1})
-    with pytest.raises(NonSquarefreeProductError):
-        p * p
-
-
-def test_multivariate_range_mismatch_rejected():
-    p = SqfMultiPoly((1, 2), {(1,): 1})
-    q = SqfMultiPoly((1, 3), {(1,): 1})
-    with pytest.raises(ValueError):
-        p + q
-
-
 def test_multivariate_variable_outside_range_rejected():
     with pytest.raises(ValueError):
         SqfMultiPoly((1, 2), {(3,): 1})
@@ -90,6 +70,35 @@ def test_multivariate_constructor_errors():
     with pytest.raises(ValueError, match=r"x1 outside declared range x1\.\.x0"):
         SqfMultiPoly((1, 0), {(1,): 1})
     assert SqfMultiPoly((1, 3), {(3, 1): 2, (1, 3): -2, (2,): 0}).terms == {}
+
+
+@st.composite
+def dense_coefficients(draw):
+    lo = draw(st.integers(0, 1))
+    width = draw(st.integers(0, 8))
+    coeff = st.one_of(
+        st.just(0), st.integers(-(10**6), 10**6), st.integers(2**64, 2**80)
+    )
+    coeffs = draw(st.lists(coeff, min_size=1 << width, max_size=1 << width))
+    return (lo, lo + width - 1), coeffs
+
+
+@settings(max_examples=50, deadline=None)
+@given(dense_coefficients())
+def test_from_dense_matches_constructor(case):
+    var_range, coeffs = case
+    expected = SqfMultiPoly(var_range, dict(zip(variable_subsets(*var_range), coeffs)))
+    got = SqfMultiPoly.from_dense(var_range, coeffs)
+    assert got == expected
+    assert got.var_range == var_range
+
+
+@pytest.mark.parametrize(
+    "var_range, length", [((1, 3), 7), ((1, 3), 9), ((0, -1), 0), ((0, 0), 1)]
+)
+def test_from_dense_rejects_wrong_length(var_range, length):
+    with pytest.raises(ValueError, match="coefficients for the"):
+        SqfMultiPoly.from_dense(var_range, [1] * length)
 
 
 def test_specialize_degree_is_set_size():
