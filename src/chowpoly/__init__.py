@@ -26,20 +26,14 @@ from .forms import (
 from .matroid import (
     INFINITY,
     FlatLattice,
-    LabeledChain,
     Matroid,
     MatroidError,
-    MatroidInvariants,
     chain_chow,
     chain_chow_multivariate,
-    chain_label_sequences,
     flats_lattice,
-    labeled_chains,
     matroid_from_bases,
     matroid_from_json,
-    matroid_invariants,
     matroid_to_json,
-    r_label,
     uniform,
 )
 from .polynomial import (
@@ -76,12 +70,10 @@ __all__ = [
     "CoefficientCountReport",
     "FlatLattice",
     "INFINITY",
-    "LabeledChain",
     "METHODS",
     "MULTIVARIATE_BASES",
     "Matroid",
     "MatroidError",
-    "MatroidInvariants",
     "NonSquarefreeProductError",
     "NotPalindromicError",
     "ResourceLimitError",
@@ -93,7 +85,6 @@ __all__ = [
     "census_matches_formula",
     "chain_chow",
     "chain_chow_multivariate",
-    "chain_label_sequences",
     "closed_form",
     "coefficient_formula",
     "delta_multinomial",
@@ -108,15 +99,12 @@ __all__ = [
     "gamma_reconstruct_multivariate",
     "gamma_vector",
     "grassmannian_avoiding_count",
-    "labeled_chains",
     "matroid_from_bases",
     "matroid_from_json",
-    "matroid_invariants",
     "matroid_to_json",
     "max_ground_size",
     "multivariate_closed_form",
     "nc_subsets",
-    "r_label",
     "runs_partition",
     "schubert_invariants_formula",
     "schubert_matroid",

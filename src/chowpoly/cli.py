@@ -331,7 +331,7 @@ def _cmd_matroid(args) -> int:
         with open(args.output, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-    # only what is printed: no circuits, no dual beyond the cogirth's own
+    # only what is printed: no dual beyond the cogirth's own
     loops, coloops = m.loops(), m.coloops()
     girth, cogirth = (
         "inf" if g == INFINITY else g for g in (m.girth(), m.cogirth())

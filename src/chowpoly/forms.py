@@ -163,8 +163,7 @@ def multivariate_closed_form(
     products of (1 + x_i) over positions not adjacent to a descent.
     Specializing all variables to x recovers ``closed_form``.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"rank k={k} out of domain 1 <= k <= n for n={n}")
+    _check_domain(k, n, augmented)
     if basis not in MULTIVARIATE_BASES:
         raise ValueError(
             f"unknown basis {basis!r}, expected one of {MULTIVARIATE_BASES}"

@@ -92,29 +92,23 @@ def _fingerprints_of(members: np.ndarray, n: int, k: int) -> np.ndarray:
 
 
 def census_fingerprints(
-    table: np.ndarray, bases_lists: list[list[int]], n: int, k: int
+    table: np.ndarray, ranks: list[int], n: int, k: int
 ) -> np.ndarray:
-    """Fingerprint every relabeled basis collection.
+    """Fingerprint one basis collection under every permutation.
 
-    Each collection is a list of k-subset masks.  Row i * n! + p holds the
-    fingerprint of bases_lists[i] pushed through permutation row p of the
-    relabel table.
+    The collection is given as the ranks of its k-subsets in
+    ``combinations`` order.  Row p holds the fingerprint of its image under
+    permutation row p of the relabel table.
     """
     nperms = table.shape[1]
     bits = _rank_bits(n, k)
-    rank_of = _rank_of_mask(n, k)
-    out = np.empty((len(bases_lists) * nperms, bits.shape[1]), dtype=np.uint64)
-    for i, bases in enumerate(bases_lists):
-        ranks = rank_of[np.asarray(bases, dtype=np.intp)]
-        if (ranks < 0).any():
-            raise ValueError(f"collection {i} holds a set that is not a {k}-subset")
-        images = table[ranks]
-        row = i * nperms
-        for start in range(0, nperms, PERM_BLOCK):
-            stop = min(start + PERM_BLOCK, nperms)
-            out[row + start : row + stop] = np.take(
-                bits, images[:, start:stop], axis=0
-            ).sum(axis=0, dtype=np.uint64)
+    images = table[np.asarray(ranks, dtype=np.intp)]
+    out = np.empty((nperms, bits.shape[1]), dtype=np.uint64)
+    for start in range(0, nperms, PERM_BLOCK):
+        stop = min(start + PERM_BLOCK, nperms)
+        out[start:stop] = np.take(bits, images[:, start:stop], axis=0).sum(
+            axis=0, dtype=np.uint64
+        )
     return out
 
 

@@ -4,17 +4,17 @@ Ground sets are {1..n} with n capped at 16; subsets are stored as bit masks
 (element e is bit e-1).  A matroid is its canonically sorted tuple of basis
 masks; the basis-exchange axiom is verified on construction for n <= 12.
 
-Besides the usual invariants (dual, loops, circuits, girth, cogirth), the
-module builds the lattice of flats, labels its cover relations by the first
-atom entering the upper flat (atoms ordered by their smallest new element),
-and enumerates maximal chains.  Summing a gamma-shaped weight over chains
-whose label sequence has no two consecutive descents yields the Chow and
-augmented Chow polynomials of the matroid; this is the package's chain
-oracle against the closed forms for uniform matroids.  The oracle counts
-those chains by their descent sets with a transfer count over the flats in
-rank order, so its cost grows with the lattice (at most 2^n flats), not with
-the number of maximal chains; ``tests/oracles.py`` holds the chain-by-chain
-tally it replaces.
+Besides the usual invariants (dual, loops, coloops, girth, cogirth), the
+module builds the lattice of flats and labels each cover relation by the
+first atom entering the upper flat (atoms ordered by their smallest new
+element).  Summing a gamma-shaped weight over maximal chains whose label
+sequence has no two consecutive descents yields the Chow and augmented Chow
+polynomials of the matroid; this is the package's chain oracle against the
+closed forms for uniform matroids.  The oracle counts those chains by their
+descent sets with a transfer count over the flats in rank order, so its cost
+grows with the lattice (at most 2^n flats), not with the number of maximal
+chains; ``tests/oracles.py`` holds the chain-by-chain walk and tally it
+replaces.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .polynomial import SqfMultiPoly, UniPoly
 from .polynomial import gamma_reconstruct, gamma_reconstruct_multivariate
@@ -164,26 +164,6 @@ class Matroid:
                 sub = (sub - 1) & b
         return table
 
-    def circuits(self) -> tuple[tuple[int, ...], ...]:
-        """Minimal dependent sets, sorted by (size, mask)."""
-        indep = self._independent
-        found = []
-        for m in range(1, 1 << self.n):
-            if indep[m]:
-                continue
-            sub = m
-            minimal = True
-            while sub:
-                x = sub & -sub
-                sub ^= x
-                if not indep[m ^ x]:
-                    minimal = False
-                    break
-            if minimal:
-                found.append(m)
-        found.sort(key=lambda m: (m.bit_count(), m))
-        return tuple(elements_of(m) for m in found)
-
     def girth(self) -> int | float:
         """Size of the smallest dependent set; inf when everything is independent."""
         indep = self._independent
@@ -221,29 +201,6 @@ def uniform(k: int, n: int) -> Matroid:
     return Matroid.uniform(k, n)
 
 
-@dataclass(frozen=True)
-class MatroidInvariants:
-    rank: int
-    loops: tuple[int, ...]
-    coloops: tuple[int, ...]
-    circuits: tuple[tuple[int, ...], ...]
-    girth: int | float
-    cogirth: int | float
-    dual: Matroid
-
-
-def matroid_invariants(m: Matroid) -> MatroidInvariants:
-    return MatroidInvariants(
-        rank=m.rank,
-        loops=m.loops(),
-        coloops=m.coloops(),
-        circuits=m.circuits(),
-        girth=m.girth(),
-        cogirth=m.cogirth(),
-        dual=m.dual(),
-    )
-
-
 # -- lattice of flats --------------------------------------------------------
 
 
@@ -251,26 +208,24 @@ def matroid_invariants(m: Matroid) -> MatroidInvariants:
 class FlatLattice:
     """Flats of a matroid ordered by inclusion, with cover labels.
 
-    ``atoms`` lists the rank-1 flats ordered by their smallest element
-    outside the bottom flat; ``atoms_below[f]`` is a bitmask over atom
-    indices recording which atoms lie below flat f.  The label of a cover
-    F < G is the smallest (1-based) atom index below G but not below F.
+    ``covers[f]`` lists the pairs (g, label) of the flats g covering f.  The
+    atoms (rank-1 flats) are numbered 1, 2, ... in the order of their
+    smallest element outside the bottom flat, and the label of a cover F < G
+    is the number of the first atom below G but not below F: the atom that
+    holds the smallest element of G - F.
     """
 
-    n: int
     rank: int
     flats: tuple[int, ...]
     flat_rank: dict
     covers: dict
-    atoms: tuple[int, ...]
-    atoms_below: dict
     bottom: int
     top: int
 
     def maximal_chain_count(self) -> int:
         counts = {self.bottom: 1}
         for f in self.flats:  # sorted by rank, so predecessors come first
-            for g in self.covers[f]:
+            for g, _ in self.covers[f]:
                 counts[g] = counts.get(g, 0) + counts[f]
         return counts[self.top]
 
@@ -309,79 +264,32 @@ def flats_lattice(m: Matroid) -> FlatLattice:
     by_rank: dict[int, list[int]] = {}
     for f in flats:
         by_rank.setdefault(flat_rank[f], []).append(f)
+    bottom = flats[0]
+    # atoms meet only in the bottom flat, so each element outside it lies in
+    # exactly one atom
+    atoms = sorted(by_rank.get(1, ()), key=lambda a: elements_of(a & ~bottom))
+    atom_label = {
+        e: j for j, a in enumerate(atoms, start=1) for e in elements_of(a & ~bottom)
+    }
+
+    def label(f: int, g: int) -> int:
+        fresh = g & ~f
+        return atom_label[(fresh & -fresh).bit_length()]
+
     covers = {
-        f: tuple(g for g in by_rank.get(flat_rank[f] + 1, ()) if g & f == f)
+        f: tuple(
+            (g, label(f, g)) for g in by_rank.get(flat_rank[f] + 1, ()) if g & f == f
+        )
         for f in flats
     }
-    bottom = flats[0]
-    top = m.full_mask
-    atoms = tuple(
-        sorted(by_rank.get(1, ()), key=lambda a: (a & ~bottom & -(a & ~bottom)))
-    )
-    atoms_below = {
-        f: sum(1 << j for j, a in enumerate(atoms) if a & f == a) for f in flats
-    }
     return FlatLattice(
-        n=n,
         rank=m.rank,
         flats=tuple(flats),
         flat_rank=flat_rank,
         covers=covers,
-        atoms=atoms,
-        atoms_below=atoms_below,
         bottom=bottom,
-        top=top,
+        top=m.full_mask,
     )
-
-
-def r_label(lattice: FlatLattice, lower: Iterable[int] | int, upper: Iterable[int] | int) -> int:
-    """Label of the cover relation lower < upper.
-
-    The label is the 1-based index of the first atom below ``upper`` that is
-    not below ``lower``.  For uniform matroids the atoms are the singletons
-    in natural order, so this is min(upper - lower).
-    """
-    lo = lower if isinstance(lower, int) else mask_of(lower, lattice.n)
-    hi = upper if isinstance(upper, int) else mask_of(upper, lattice.n)
-    if lo not in lattice.covers or hi not in lattice.covers[lo]:
-        raise MatroidError(f"{elements_of(hi)} does not cover {elements_of(lo)}")
-    fresh = lattice.atoms_below[hi] & ~lattice.atoms_below[lo]
-    return (fresh & -fresh).bit_length()
-
-
-@dataclass(frozen=True)
-class LabeledChain:
-    """A maximal chain of flats together with its cover-label sequence."""
-
-    flats: tuple[int, ...]
-    labels: tuple[int, ...]
-
-
-def labeled_chains(lattice: FlatLattice) -> Iterator[LabeledChain]:
-    """All maximal chains of the lattice, by depth-first traversal."""
-    flats: list[int] = [lattice.bottom]
-    labels: list[int] = []
-
-    def walk(f: int) -> Iterator[LabeledChain]:
-        if f == lattice.top:
-            yield LabeledChain(tuple(flats), tuple(labels))
-            return
-        below_f = lattice.atoms_below[f]
-        for g in lattice.covers[f]:
-            fresh = lattice.atoms_below[g] & ~below_f
-            flats.append(g)
-            labels.append((fresh & -fresh).bit_length())
-            yield from walk(g)
-            flats.pop()
-            labels.pop()
-
-    yield from walk(lattice.bottom)
-
-
-def chain_label_sequences(lattice: FlatLattice) -> Iterator[tuple[int, ...]]:
-    """Label sequences of all maximal chains."""
-    for chain in labeled_chains(lattice):
-        yield chain.labels
 
 
 def _chain_descent_weights(
@@ -409,10 +317,7 @@ def _chain_descent_weights(
         if not here:
             continue
         pos = lattice.flat_rank[f]  # position of a descent from f's label to g's
-        below_f = lattice.atoms_below[f]
-        for g in lattice.covers[f]:
-            fresh = lattice.atoms_below[g] & ~below_f
-            label = (fresh & -fresh).bit_length()
+        for g, label in lattice.covers[f]:
             there = states.setdefault(g, {})
             for (last, mask), count in here.items():
                 if last > label:

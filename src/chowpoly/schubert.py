@@ -22,7 +22,7 @@ numpy, so ``import chowpoly`` and every other command run without it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -85,14 +85,14 @@ class SchubertSpec:
             raise ValueError(f"repeated index in {self.index_set}")
 
 
-def _id_order_bases(n: int, index_set: tuple[int, ...]) -> list[int]:
-    """Basis masks of the identity-order Schubert matroid of ``index_set``."""
-    k = len(index_set)
-    out = []
-    for j in combinations(range(1, n + 1), k):
-        if all(a <= b for a, b in zip(index_set, j)):
-            out.append(mask_of(j, n))
-    return out
+def _id_order_ranks(n: int, index_set: tuple[int, ...]) -> list[int]:
+    """Bases of the identity-order Schubert matroid of ``index_set``, as the
+    ranks of the k-subsets in ``combinations`` order."""
+    return [
+        i
+        for i, j in enumerate(combinations(range(1, n + 1), len(index_set)))
+        if all(a <= b for a, b in zip(index_set, j))
+    ]
 
 
 def schubert_matroid(spec: SchubertSpec, validate: bool = True) -> Matroid:
@@ -161,7 +161,7 @@ def sm_count(n: int, m: int, loops: int, k: int) -> int:
 # -- census -------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class CensusTable:
     """Counts of distinct Schubert matroids keyed by (rank, loops, cogirth).
 
@@ -169,7 +169,7 @@ class CensusTable:
     """
 
     n: int
-    entries: dict = field(compare=True)
+    entries: dict
 
     def __post_init__(self):
         object.__setattr__(self, "entries", dict(self.entries))
@@ -195,11 +195,6 @@ class CensusTable:
             for (r, l, g), c in self.entries.items()
             if r == rank and g > min_cogirth_exclusive and (l == 0 or not loopless)
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CensusTable):
-            return NotImplemented
-        return self.n == other.n and self.entries == other.entries
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.entries.items())))
@@ -276,7 +271,7 @@ def census(n: int) -> CensusTable:
         table = kernels.relabel_table(perms, n, k)
         survivors = [
             kernels.distinct_rows(
-                kernels.census_fingerprints(table, [_id_order_bases(n, idx)], n, k)
+                kernels.census_fingerprints(table, _id_order_ranks(n, idx), n, k)
             )
             for idx in combinations(range(1, n + 1), k)
         ]

@@ -2,9 +2,10 @@
 
 Everything here scans permutations, subsets or chains directly from the
 definitions, with no shared code paths into the faster implementations, so
-these stay valid as oracles for them.  The chain tally reads the package's
-lattice of flats and its chain walk, which are the definitions it counts
-over.
+these stay valid as oracles for them.  The depth-first walk over the maximal
+chains of a lattice of flats lives here, not in the package: the chain tally
+runs it over the package's lattice and its cover labels, which are the
+definitions it counts over.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterator
 
-from chowpoly import UniPoly, chain_label_sequences
+from chowpoly import UniPoly
 
 
 def brute_descents(seq) -> tuple[int, ...]:
@@ -169,14 +170,27 @@ def brute_loops_and_cogirth(masks, n: int) -> tuple[int, int]:
     return loops, -1
 
 
+def labeled_chains(lattice) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every maximal chain of the lattice as (flats, cover labels), by a
+    depth-first walk that reads each label from ``lattice.covers``."""
+    stack = [((lattice.bottom,), ())]
+    while stack:
+        flats, labels = stack.pop()
+        if flats[-1] == lattice.top:
+            yield flats, labels
+            continue
+        for g, label in lattice.covers[flats[-1]]:
+            stack.append((flats + (g,), labels + (label,)))
+
+
 def brute_chain_descent_weights(lattice, augmented: bool) -> dict[tuple[int, ...], int]:
     """Descent set -> number of maximal chains of the lattice whose label
     sequence has that descent set, no two consecutive descents, and (when
     not augmented) no descent at position 1; one chain at a time.  It shares
-    the lattice and its depth-first chain walk with the package, and nothing
-    of the transfer count that the chain oracle runs."""
+    the lattice and its cover labels with the package, and nothing of the
+    transfer count that the chain oracle runs."""
     weights: dict[tuple[int, ...], int] = {}
-    for labels in chain_label_sequences(lattice):
+    for _, labels in labeled_chains(lattice):
         dset = brute_descents(labels)
         if any(b == a + 1 for a, b in zip(dset, dset[1:])):
             continue

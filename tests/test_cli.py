@@ -83,6 +83,10 @@ def test_compute_rank_zero_augmented(capsys):
     code, out, _ = run(capsys, "compute", "--k", "0", "--n", "5", "--augmented")
     assert code == 0
     assert out.count(": 1") == 4 and "AGREE" in out
+    code, out, _ = run(
+        capsys, "compute", "--k", "0", "--n", "5", "--augmented", "--multivariate"
+    )
+    assert code == 0 and out.count(": 1") == 2 and "AGREE" in out
 
 
 def test_compute_disagreement_reporting():

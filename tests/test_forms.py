@@ -6,6 +6,8 @@ import pytest
 from chowpoly import forms
 from chowpoly import (
     METHODS,
+    MULTIVARIATE_BASES,
+    SqfMultiPoly,
     UniPoly,
     closed_form,
     coefficient_formula,
@@ -140,8 +142,13 @@ def test_multivariate_variable_windows():
     assert p.var_range == (1, 3)
     q = multivariate_closed_form(4, 6, "monomial", augmented=True)
     assert q.var_range == (0, 3)
-    with pytest.raises(ValueError):
-        multivariate_closed_form(0, 6, "monomial", augmented=True)
+    # k = 0 is the constant 1, as in closed_form, and augmented only
+    for basis in MULTIVARIATE_BASES:
+        assert multivariate_closed_form(0, 6, basis, augmented=True) == SqfMultiPoly(
+            (0, -1), {(): 1}
+        )
+        with pytest.raises(ValueError, match="only defined for the augmented"):
+            multivariate_closed_form(0, 6, basis)
 
 
 def test_boundary_identities():

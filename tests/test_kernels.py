@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chowpoly import kernels
 from chowpoly.combinat import perm_descent_aggregates
-from chowpoly.schubert import _id_order_bases
+from chowpoly.schubert import _id_order_ranks
 from tests.oracles import (
     brute_loops_and_cogirth,
     brute_perm_descent_aggregates,
@@ -19,6 +19,13 @@ from tests.oracles import (
 
 def _k_subset_masks(n: int, k: int) -> list[int]:
     return [sum(1 << (e - 1) for e in c) for c in combinations(range(1, n + 1), k)]
+
+
+def _fingerprints(table, colls, n: int, k: int) -> np.ndarray:
+    # one kernel call per collection of k-subset masks, rows concatenated
+    masks = _k_subset_masks(n, k)
+    ranks = [[masks.index(m) for m in c] for c in colls]
+    return np.concatenate([kernels.census_fingerprints(table, r, n, k) for r in ranks])
 
 
 def test_relabel_table_roundtrip():
@@ -48,21 +55,17 @@ def test_fingerprints_batched_and_streamed_agree():
     per_set = perms.shape[0]
     for k in range(1, n + 1):
         table = kernels.relabel_table(perms, n, k)
-        bases_lists = [
-            _id_order_bases(n, idx) for idx in combinations(range(1, n + 1), k)
+        blocks = [
+            kernels.census_fingerprints(table, _id_order_ranks(n, idx), n, k)
+            for idx in combinations(range(1, n + 1), k)
         ]
-        batched = kernels.census_fingerprints(table, bases_lists, n, k)
+        batched = np.concatenate(blocks)
         assert np.array_equal(kernels.distinct_rows(batched), np.unique(batched, axis=0))
         streamed = kernels.distinct_rows(
-            np.concatenate(
-                [
-                    kernels.distinct_rows(kernels.census_fingerprints(table, [b], n, k))
-                    for b in bases_lists
-                ]
-            )
+            np.concatenate([kernels.distinct_rows(b) for b in blocks])
         )
         assert np.array_equal(streamed, np.unique(batched, axis=0))
-        assert batched.shape[0] == len(bases_lists) * per_set
+        assert batched.shape[0] == len(blocks) * per_set
 
 
 def test_fingerprint_words():
@@ -71,12 +74,6 @@ def test_fingerprint_words():
         assert [kernels.fingerprint_words(n, k) for k in range(n + 1)] == [1] * (n + 1)
     assert [kernels.fingerprint_words(8, k) for k in range(9)] == [1] * 4 + [2] + [1] * 4
     assert kernels.fingerprint_words(9, 4) == 2  # C(9, 4) = 126
-
-
-def test_fingerprints_reject_sets_of_another_size():
-    table = kernels.relabel_table(kernels.perm_table(3), 3, 2)
-    with pytest.raises(ValueError):
-        kernels.census_fingerprints(table, [[0b011, 0b111]], 3, 2)
 
 
 def test_rank0_fingerprint_classifies_as_no_hitting_set():
@@ -94,7 +91,7 @@ def test_second_word_fingerprints_at_rank_four_of_eight():
     colls = [low] + [low + [masks[r]] for r in range(64, 70)] + [low + masks[64:]]
     perms = [tuple(range(1, n + 1)), (8, 7, 6, 5, 4, 3, 2, 1), (2, 5, 8, 3, 6, 1, 4, 7)]
     table = kernels.relabel_table(np.array(perms, dtype=np.uint8), n, k)
-    rows = kernels.census_fingerprints(table, colls, n, k)
+    rows = _fingerprints(table, colls, n, k)
     assert rows.shape == (len(colls) * len(perms), 2)
     r = 0
     for coll in colls:
@@ -174,7 +171,7 @@ def basis_collections(draw):
 def test_census_fingerprints_match_brute_oracle(case):
     n, k, perms, colls = case
     table = kernels.relabel_table(np.array(perms, dtype=np.uint8), n, k)
-    rows = kernels.census_fingerprints(table, colls, n, k)
+    rows = _fingerprints(table, colls, n, k)
     assert rows.shape == (len(colls) * len(perms), kernels.fingerprint_words(n, k))
     r = 0
     for coll in colls:

@@ -11,22 +11,32 @@ from chowpoly import (
     SchubertSpec,
     chain_chow,
     chain_chow_multivariate,
-    chain_label_sequences,
     closed_form,
     descent_set,
     flats_lattice,
     matroid_from_bases,
     matroid_from_json,
-    matroid_invariants,
     matroid_to_json,
     multivariate_closed_form,
-    r_label,
     schubert_matroid,
     uniform,
 )
-from chowpoly.matroid import _chain_descent_weights
+from chowpoly.matroid import _chain_descent_weights, elements_of, mask_of
 from chowpoly.polynomial import UniPoly
-from tests.oracles import brute_chain_descent_weights, chain_label_permutations
+from tests.oracles import (
+    brute_chain_descent_weights,
+    chain_label_permutations,
+    labeled_chains,
+)
+
+
+def _label(lattice, n, lower, upper):
+    # label of the cover lower < upper; KeyError when it is not a cover
+    return dict(lattice.covers[mask_of(lower, n)])[mask_of(upper, n)]
+
+
+def _label_sequences(lattice):
+    return [labels for _, labels in labeled_chains(lattice)]
 
 
 def _graphic_k4():
@@ -59,7 +69,6 @@ def test_uniform_counts():
     assert u03.loops() == (1, 2, 3)
     u33 = uniform(3, 3)
     assert len(u33.bases) == 1
-    assert u33.circuits() == ()
     assert u33.girth() == INFINITY
     with pytest.raises(MatroidError):
         uniform(4, 3)
@@ -79,12 +88,11 @@ def test_girth_of_uniform():
 
 
 def test_invariants_record():
-    inv = matroid_invariants(uniform(2, 4))
-    assert inv.rank == 2
-    assert inv.loops == () and inv.coloops == ()
-    assert inv.girth == 3 and inv.cogirth == 3
-    assert inv.dual == uniform(2, 4)
-    assert all(len(c) == 3 for c in inv.circuits)
+    m = uniform(2, 4)
+    assert m.rank == 2
+    assert m.loops() == () and m.coloops() == ()
+    assert m.girth() == 3 and m.cogirth() == 3
+    assert m.dual() == uniform(2, 4)
 
 
 def test_duality_involution():
@@ -108,13 +116,32 @@ def test_flats_of_uniform():
 
 def test_r_label_values():
     lat45 = flats_lattice(uniform(4, 5))
-    assert r_label(lat45, (1, 3), (1, 2, 3)) == 2
+    assert _label(lat45, 5, (1, 3), (1, 2, 3)) == 2
     lat35 = flats_lattice(uniform(3, 5))
-    assert r_label(lat35, (4, 5), (1, 2, 3, 4, 5)) == 1
+    assert _label(lat35, 5, (4, 5), (1, 2, 3, 4, 5)) == 1
     for i in range(1, 6):
-        assert r_label(lat35, (), (i,)) == i
-    with pytest.raises(MatroidError):
-        r_label(lat35, (1,), (1, 2, 3, 4, 5))
+        assert _label(lat35, 5, (), (i,)) == i
+    with pytest.raises(KeyError):
+        _label(lat35, 5, (1,), (1, 2, 3, 4, 5))
+
+
+def test_cover_labels_are_first_new_atoms():
+    # uniform matroids: the atoms are the singletons, so a cover is labeled by
+    # the smallest element it adds
+    for n in range(1, 7):
+        for k in range(n + 1):
+            lat = flats_lattice(uniform(k, n))
+            for f in lat.flats:
+                for g, label in lat.covers[f]:
+                    assert label == elements_of(g & ~f)[0], (k, n, f, g)
+    # otherwise the bottom's covers are numbered 1, 2, ... in the order of
+    # each atom's smallest new element, which need not be the order of masks
+    loops = matroid_from_bases(4, [(1, 2), (1, 3), (2, 3)])  # element 4 a loop
+    assert flats_lattice(loops).covers[0b1000] == ((0b1001, 1), (0b1010, 2), (0b1100, 3))
+    parallel = matroid_from_bases(3, [(1, 2), (1, 3)])  # 2 and 3 parallel
+    assert flats_lattice(parallel).covers[0] == ((0b001, 1), (0b110, 2))
+    classes = matroid_from_bases(4, [(1, 2), (1, 3), (2, 4), (3, 4)])  # {1,4}, {2,3}
+    assert flats_lattice(classes).covers[0] == ((0b0110, 2), (0b1001, 1))
 
 
 def test_flats_lattice_with_loops_for_inspection():
@@ -123,7 +150,6 @@ def test_flats_lattice_with_loops_for_inspection():
     lat = flats_lattice(m)
     assert lat.bottom == 0b1000
     assert lat.top == 0b1111
-    assert lat.atoms == (0b1001, 0b1010, 0b1100)
     assert lat.maximal_chain_count() == 3
     with pytest.raises(MatroidError):
         chain_chow(m)
@@ -133,9 +159,8 @@ def test_r_label_parallel_elements():
     # elements 2 and 3 are parallel: atoms are {1} and {2,3}
     m = matroid_from_bases(3, [(1, 2), (1, 3)])
     lat = flats_lattice(m)
-    assert lat.atoms == (0b001, 0b110)
-    assert r_label(lat, (), (2, 3)) == 2
-    assert sorted(chain_label_sequences(lat)) == [(1, 2), (2, 1)]
+    assert _label(lat, 3, (), (2, 3)) == 2
+    assert sorted(_label_sequences(lat)) == [(1, 2), (2, 1)]
 
 
 def test_unique_increasing_chain_in_intervals():
@@ -158,9 +183,9 @@ def test_unique_increasing_chain_in_intervals():
                         if all(a < b for a, b in zip(labels, labels[1:])):
                             increasing += 1
                         continue
-                    for g in lat.covers[flat]:
+                    for g, label in lat.covers[flat]:
                         if g & high == g:
-                            stack.append((g, labels + (r_label(lat, flat, g),)))
+                            stack.append((g, labels + (label,)))
                 assert increasing == 1, (m, low, high)
 
 
@@ -237,7 +262,7 @@ def test_chain_labels_equal_admissible_subset_permutations():
     for n in range(1, 8):
         for k in range(1, n + 1):
             lat = flats_lattice(uniform(k, n))
-            labels = sorted(chain_label_sequences(lat))
+            labels = sorted(_label_sequences(lat))
             perms = sorted(sp.one_line for sp in chain_label_permutations(k, n))
             assert labels == perms, (k, n)
 
@@ -252,16 +277,14 @@ def test_chain_label_permutation_edge_cases():
 
 
 def test_labeled_chains_carry_cover_labels():
-    from chowpoly import labeled_chains
-
     lat = flats_lattice(uniform(3, 4))
     chains = list(labeled_chains(lat))
-    assert len(chains) == lat.maximal_chain_count()
-    for chain in chains:
-        assert chain.flats[0] == lat.bottom and chain.flats[-1] == lat.top
-        assert len(chain.labels) == len(chain.flats) - 1 == lat.rank
-        for low, high, label in zip(chain.flats, chain.flats[1:], chain.labels):
-            assert r_label(lat, low, high) == label
+    assert len(chains) == len(set(chains)) == lat.maximal_chain_count()
+    for flats, labels in chains:
+        assert flats[0] == lat.bottom and flats[-1] == lat.top
+        assert len(labels) == len(flats) - 1 == lat.rank
+        for low, high, label in zip(flats, flats[1:], labels):
+            assert (high, label) in lat.covers[low]
 
 
 def test_chain_chow_with_parallel_elements():
@@ -274,7 +297,7 @@ def test_chain_chow_with_parallel_elements():
 
 def test_descents_of_labels_well_defined():
     m = matroid_from_bases(3, [(1, 2), (1, 3)])
-    for labels in chain_label_sequences(flats_lattice(m)):
+    for labels in _label_sequences(flats_lattice(m)):
         assert len(set(labels)) == len(labels)
         descent_set(labels)
 
@@ -302,3 +325,21 @@ def small_matroids(draw):
 @given(small_matroids())
 def test_json_roundtrip_random(m):
     assert matroid_from_json(json.loads(json.dumps(matroid_to_json(m)))) == m
+
+
+def test_package_exports():
+    import chowpoly
+
+    assert len(set(chowpoly.__all__)) == len(chowpoly.__all__)
+    for name in chowpoly.__all__:
+        assert getattr(chowpoly, name) is not None, name
+    removed = {
+        "LabeledChain",
+        "MatroidInvariants",
+        "chain_label_sequences",
+        "labeled_chains",
+        "matroid_invariants",
+        "r_label",
+    }
+    assert not removed & set(chowpoly.__all__)
+    assert not any(hasattr(chowpoly, name) for name in removed)

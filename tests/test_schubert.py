@@ -23,7 +23,7 @@ from chowpoly import (
     uniform,
     verify_coefficient_counts,
 )
-from chowpoly.schubert import _id_order_bases
+from chowpoly.schubert import _id_order_ranks
 
 
 def spec(n, idx, perm=None):
@@ -72,6 +72,8 @@ def test_invariants_formula_matches_engine_exhaustively():
 
 def test_invariants_formula_matches_kernel_classification():
     # exhaustive at n = 6 via the batched census kernels
+    import numpy as np
+
     from chowpoly import kernels
 
     n = 6
@@ -80,8 +82,12 @@ def test_invariants_formula_matches_kernel_classification():
     for size in range(1, n + 1):
         table = kernels.relabel_table(perms, n, size)
         subsets = list(combinations(range(1, n + 1), size))
-        bases_lists = [_id_order_bases(n, idx) for idx in subsets]
-        rows = kernels.census_fingerprints(table, bases_lists, n, size)
+        rows = np.concatenate(
+            [
+                kernels.census_fingerprints(table, _id_order_ranks(n, idx), n, size)
+                for idx in subsets
+            ]
+        )
         loops, cogirths = kernels.classify_fingerprints(rows, n, size)
         r = 0
         for idx in subsets:
@@ -135,7 +141,7 @@ def test_orbit_sizes_are_gap_multinomials():
     for n in range(1, 7):
         for size in range(1, n + 1):
             for idx in combinations(range(1, n + 1), size):
-                bases = _id_order_bases(n, idx)
+                bases = schubert_matroid(spec(n, idx)).bases
                 seen = set()
                 for perm in permutations(range(1, n + 1)):
                     relabeled = tuple(
