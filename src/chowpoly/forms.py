@@ -24,7 +24,7 @@ results are exact.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb
 
 from .combinat import (
     delta_multinomial,
@@ -193,11 +193,8 @@ def multivariate_closed_form(
 
 
 def _trinomial(n: int, a: int, b: int) -> int:
-    """n! / (a! b! (n-a-b)!)."""
-    rest = n - a - b
-    if a < 0 or b < 0 or rest < 0:
-        return 0
-    return factorial(n) // (factorial(a) * factorial(b) * factorial(rest))
+    """n! / (a! b! (n-a-b)!) for 0 <= a <= n and b >= 0."""
+    return comb(n, a) * comb(n - a, b)
 
 
 def coefficient_formula(k: int, n: int, m: int, augmented: bool = False) -> int:
@@ -205,13 +202,15 @@ def coefficient_formula(k: int, n: int, m: int, augmented: bool = False) -> int:
 
     These evaluate closed sums of binomials and trinomials rather than
     expanding the whole polynomial; they agree with coefficient extraction
-    from ``closed_form`` for every 1 <= k <= n.
+    from ``closed_form`` for every 1 <= k <= n.  The coefficient of x sums
+    the gap multinomials of I = {i} (augmented) or I = {1, i}: C(n, i - 1),
+    except 1 for I = {1, 2}, a single run.
     """
     _check_domain(k, n, augmented)
     if m == 1:
         if augmented:
-            return sum(delta_multinomial(n, (i,)) for i in range(1, k + 1))
-        return sum(delta_multinomial(n, (1, i)) for i in range(2, k + 1))
+            return sum(comb(n, i - 1) for i in range(1, k + 1))
+        return (1 if k >= 2 else 0) + sum(comb(n, i - 1) for i in range(3, k + 1))
     if m == 2:
         if augmented:
             total = sum(comb(n, i - 1) for i in range(1, k))

@@ -2,7 +2,9 @@
 
 Ground sets are {1..n} with n capped at 16; subsets are stored as bit masks
 (element e is bit e-1).  A matroid is its canonically sorted tuple of basis
-masks; the basis-exchange axiom is verified on construction for n <= 12.
+masks and one table holding the rank of every subset, its largest
+intersection with a basis.  Construction checks the rank axioms on that
+table, for every n, so the given sets are the bases of a matroid.
 
 Besides the usual invariants (dual, loops, coloops, girth, cogirth), the
 module builds the lattice of flats and labels each cover relation by the
@@ -30,7 +32,6 @@ from .polynomial import gamma_reconstruct, gamma_reconstruct_multivariate
 INFINITY = float("inf")
 
 MAX_GROUND = 16
-_VALIDATE_EXCHANGE_MAX = 12
 
 
 class MatroidError(ValueError):
@@ -42,6 +43,8 @@ def mask_of(elements: Iterable[int], n: int) -> int:
     for e in elements:
         if not 1 <= e <= n:
             raise MatroidError(f"element {e} outside ground set 1..{n}")
+        if m >> (e - 1) & 1:
+            raise MatroidError(f"element {e} repeated in one basis")
         m |= 1 << (e - 1)
     return m
 
@@ -75,31 +78,55 @@ class Matroid:
                 f"{elements_of(ordered[-1])}"
             )
         self.rank: int = self.bases[0].bit_count()
-        if validate and n <= _VALIDATE_EXCHANGE_MAX:
-            self._check_exchange()
+        if validate:
+            self._check_rank()
 
-    def _check_exchange(self) -> None:
-        base_set = set(self.bases)
-        for b1 in self.bases:
-            for b2 in self.bases:
-                rem = b1 & ~b2
-                add = b2 & ~b1
-                while rem:
-                    x = rem & -rem
-                    rem ^= x
-                    stripped = b1 ^ x
-                    candidates = add
-                    ok = False
-                    while candidates:
-                        y = candidates & -candidates
-                        candidates ^= y
-                        if stripped | y in base_set:
-                            ok = True
-                            break
-                    if not ok:
+    @cached_property
+    def _rank(self) -> list[int]:
+        """Rank of every subset mask: its largest intersection with a basis.
+
+        The subsets of bases are independent and get their size, marked down
+        from the bases; every other set has the largest rank among its
+        one-smaller subsets.
+        """
+        n = self.n
+        rank = [-1] * (1 << n)
+        for b in self.bases:
+            rank[b] = self.rank
+        for s in range(len(rank) - 1, 0, -1):  # supersets come first
+            if rank[s] > 0:
+                for i in range(n):
+                    if s >> i & 1:
+                        rank[s ^ 1 << i] = rank[s] - 1
+        for s in range(1, len(rank)):
+            if rank[s] < 0:
+                rank[s] = max(rank[s ^ 1 << i] for i in range(n) if s >> i & 1)
+        return rank
+
+    def _check_rank(self) -> None:
+        """Raise unless the rank table is a matroid rank function.
+
+        It starts at 0 on the empty set and grows by at most 1 per added
+        element, so it is one exactly when it is locally submodular,
+        r(S+x) + r(S+y) >= r(S+x+y) + r(S).  That can fail only when neither
+        x nor y raises r(S) and the two together do.  The bases of the
+        matroid are then the sets of size and rank ``self.rank``: the given
+        bases.
+        """
+        rank = self._rank
+        for s, r in enumerate(rank):
+            if r == self.rank:
+                continue  # nothing raises a spanning set
+            same = [
+                1 << i for i in range(self.n) if not s >> i & 1 and rank[s | 1 << i] == r
+            ]
+            for j, x in enumerate(same):
+                for y in same[j + 1 :]:
+                    if rank[s | x | y] > r:
                         raise MatroidError(
-                            f"exchange axiom fails for bases {elements_of(b1)}, "
-                            f"{elements_of(b2)} removing element {x.bit_length()}"
+                            f"not a matroid: adding {x.bit_length()} or "
+                            f"{y.bit_length()} to {elements_of(s)} keeps its "
+                            f"rank {r}, adding both raises it"
                         )
 
     @classmethod
@@ -122,61 +149,41 @@ class Matroid:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @cached_property
-    def _union(self) -> int:
-        u = 0
-        for b in self.bases:
-            u |= b
-        return u
-
-    @cached_property
-    def _intersection(self) -> int:
-        i = self.full_mask
-        for b in self.bases:
-            i &= b
-        return i
-
     def loops(self) -> tuple[int, ...]:
-        """Elements contained in no basis."""
-        return elements_of(self.full_mask & ~self._union)
+        """Elements of rank 0: those in no basis."""
+        return tuple(e for e in range(1, self.n + 1) if not self._rank[1 << (e - 1)])
 
     def coloops(self) -> tuple[int, ...]:
-        """Elements contained in every basis."""
-        return elements_of(self._intersection)
+        """Elements whose removal lowers the rank: those in every basis."""
+        rank, full = self._rank, self.full_mask
+        return tuple(
+            e for e in range(1, self.n + 1) if rank[full ^ 1 << (e - 1)] < self.rank
+        )
 
     @property
     def is_loopless(self) -> bool:
-        return self._union == self.full_mask
+        return not self.loops()
 
     def dual(self) -> "Matroid":
         full = self.full_mask
         return Matroid(self.n, (full ^ b for b in self.bases), validate=False)
 
-    @cached_property
-    def _independent(self) -> bytearray:
-        table = bytearray(1 << self.n)
-        for b in self.bases:
-            sub = b
-            while True:
-                table[sub] = 1
-                if sub == 0:
-                    break
-                sub = (sub - 1) & b
-        return table
-
     def girth(self) -> int | float:
         """Size of the smallest dependent set; inf when everything is independent."""
-        indep = self._independent
-        best = None
-        for m in range(1, 1 << self.n):
-            if not indep[m]:
-                c = m.bit_count()
-                if best is None or c < best:
-                    best = c
-        return INFINITY if best is None else best
+        rank = self._rank
+        return min(
+            (s.bit_count() for s, r in enumerate(rank) if r < s.bit_count()),
+            default=INFINITY,
+        )
 
     def cogirth(self) -> int | float:
-        return self.dual().girth()
+        """Size of the smallest set whose complement does not span; the girth
+        of the dual, read off this matroid's rank table."""
+        rank, full = self._rank, self.full_mask
+        return min(
+            (s.bit_count() for s in range(full + 1) if rank[full ^ s] < self.rank),
+            default=INFINITY,
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matroid):
@@ -231,35 +238,16 @@ class FlatLattice:
 
 
 def flats_lattice(m: Matroid) -> FlatLattice:
-    n = m.n
-    nmasks = 1 << n
-    indep = m._independent
-    rank = [0] * nmasks
-    for s in range(1, nmasks):
-        if indep[s]:
-            rank[s] = s.bit_count()
-            continue
-        # a dependent set has the largest rank among its one-smaller subsets
-        rest = s
-        while rest:
-            x = rest & -rest
-            rest ^= x
-            rank[s] = max(rank[s], rank[s ^ x])
-
-    def closure(s: int) -> int:
-        r = rank[s]
-        out = s
-        rest = m.full_mask & ~s
-        while rest:
-            x = rest & -rest
-            rest ^= x
-            if rank[s | x] == r:
-                out |= x
-        return out
-
-    flats = sorted(
-        {s for s in range(nmasks) if closure(s) == s}, key=lambda s: (rank[s], s)
-    )
+    rank = m._rank
+    # a flat is a set that every added element raises in rank
+    flats = []
+    for s, r in enumerate(rank):
+        rest = m.full_mask ^ s
+        while rest and rank[s | rest & -rest] > r:
+            rest &= rest - 1
+        if not rest:
+            flats.append(s)
+    flats.sort(key=lambda s: (rank[s], s))
     flat_rank = {f: rank[f] for f in flats}
     by_rank: dict[int, list[int]] = {}
     for f in flats:

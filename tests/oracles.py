@@ -170,6 +170,24 @@ def brute_loops_and_cogirth(masks, n: int) -> tuple[int, int]:
     return loops, -1
 
 
+def brute_satisfies_exchange(bases) -> bool:
+    """Basis-exchange axiom on a collection of basis masks: for bases B1, B2
+    and x in B1 - B2 some y in B2 - B1 makes B1 - x + y a basis.  Every pair
+    of bases and every removed element is scanned."""
+    base_set = set(bases)
+    for b1 in base_set:
+        for b2 in base_set:
+            for x in (1 << i for i in range(b1.bit_length()) if (b1 & ~b2) >> i & 1):
+                add = b2 & ~b1
+                if not any(
+                    (b1 ^ x) | 1 << i in base_set
+                    for i in range(add.bit_length())
+                    if add >> i & 1
+                ):
+                    return False
+    return True
+
+
 def labeled_chains(lattice) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every maximal chain of the lattice as (flats, cover labels), by a
     depth-first walk that reads each label from ``lattice.covers``."""

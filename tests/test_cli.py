@@ -282,6 +282,9 @@ def test_matroid_export_import(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["bases"] == data["bases"]
     assert payload["girth"] == 3
+    # stdout is compact JSON on one line; the exported file stays indented
+    assert out.count("\n") == 1
+    assert out_file.read_text().startswith('{\n  "n": 4,')
 
 
 def test_matroid_import_rejects_invalid(tmp_path, capsys):
@@ -297,6 +300,8 @@ def test_matroid_import_rejects_invalid(tmp_path, capsys):
     [
         ({"rank": 1, "bases": [[1]]}, 'integer "n"'),
         ({"n": 2, "rank": 1, "bases": [["a"]]}, "lists of integers"),
+        ({"n": 3, "bases": [[1, 1]]}, "element 1 repeated"),
+        ({"n": 13, "bases": [[1, 2], [3, 4]]}, "not a matroid"),
     ],
 )
 def test_matroid_import_rejects_malformed_json(tmp_path, capsys, data, message):

@@ -186,6 +186,13 @@ def test_coefficient_formula_golden():
     assert closed_form(5, 6, "monomial")[2] == 161
 
 
+def test_coefficient_formula_at_large_ground_size():
+    for augmented in (False, True):
+        p = closed_form(3, 5000, augmented=augmented)
+        for m in (1, 2):
+            assert coefficient_formula(3, 5000, m, augmented) == p[m], (m, augmented)
+
+
 def test_coefficient_formula_matches_extraction():
     for n in range(1, 11):
         for k in range(1, n + 1):

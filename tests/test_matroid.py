@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chowpoly import (
     INFINITY,
+    Matroid,
     MatroidError,
     SchubertSpec,
     chain_chow,
@@ -25,6 +26,8 @@ from chowpoly.matroid import _chain_descent_weights, elements_of, mask_of
 from chowpoly.polynomial import UniPoly
 from tests.oracles import (
     brute_chain_descent_weights,
+    brute_loops_and_cogirth,
+    brute_satisfies_exchange,
     chain_label_permutations,
     labeled_chains,
 )
@@ -60,6 +63,43 @@ def test_construction_validates():
         matroid_from_bases(4, [(1, 2), (3, 4)])
     with pytest.raises(MatroidError):
         matroid_from_bases(2, [(1, 5)])
+    with pytest.raises(MatroidError, match="element 1 repeated"):
+        matroid_from_bases(3, [(1, 1)])
+    # the rank axioms are checked at every ground size
+    with pytest.raises(MatroidError, match="not a matroid"):
+        matroid_from_bases(13, [(1, 2), (3, 4)])
+    assert Matroid(16, uniform(2, 16).bases) == uniform(2, 16)
+
+
+@st.composite
+def equal_size_families(draw):
+    # a random family of k-subsets, or a Schubert matroid's bases with one
+    # k-subset added or taken away, which is seldom a matroid but close to one
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+    subsets = [mask_of(c, n) for c in combinations(range(1, n + 1), k)]
+    if draw(st.booleans()):
+        return n, draw(st.sets(st.sampled_from(subsets), min_size=1))
+    index_set = draw(st.sets(st.integers(1, n), min_size=k, max_size=k))
+    perm = draw(st.permutations(range(1, n + 1)))
+    spec = SchubertSpec(n, tuple(index_set), tuple(perm))
+    bases = schubert_matroid(spec, validate=False).bases
+    return n, set(bases) ^ {draw(st.sampled_from(subsets))} or set(bases)
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_size_families())
+@example((4, {0b0011, 0b1100}))
+@example((6, set(_graphic_k4().bases)))
+def test_rank_check_matches_exchange_scan(family):
+    n, bases = family
+    try:
+        Matroid(n, bases)
+    except MatroidError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == brute_satisfies_exchange(bases)
 
 
 def test_uniform_counts():
@@ -325,6 +365,19 @@ def small_matroids(draw):
 @given(small_matroids())
 def test_json_roundtrip_random(m):
     assert matroid_from_json(json.loads(json.dumps(matroid_to_json(m)))) == m
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matroids())
+def test_rank_table_invariants_match_brute_scans(m):
+    def brute(matroid):
+        loops, cogirth = brute_loops_and_cogirth(matroid.bases, matroid.n)
+        return loops, INFINITY if cogirth == -1 else cogirth
+
+    dual = m.dual()
+    assert (len(m.loops()), m.cogirth()) == brute(m)
+    assert (len(m.coloops()), m.girth()) == brute(dual)
+    assert m.cogirth() == dual.girth() and m.girth() == dual.cogirth()
 
 
 def test_package_exports():
