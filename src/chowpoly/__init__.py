@@ -10,7 +10,6 @@ from .combinat import (
     derangement_poly,
     descent_count,
     descent_set,
-    eulerian_fixed_descents,
     eulerian_poly,
     exact_descent_counts,
     nc_subsets,
@@ -54,7 +53,6 @@ from .schubert import (
     SchubertSpec,
     census,
     census_matches_formula,
-    grassmannian_avoiding_count,
     max_ground_size,
     schubert_invariants_formula,
     schubert_matroid,
@@ -91,14 +89,12 @@ __all__ = [
     "derangement_poly",
     "descent_count",
     "descent_set",
-    "eulerian_fixed_descents",
     "eulerian_poly",
     "exact_descent_counts",
     "flats_lattice",
     "gamma_reconstruct",
     "gamma_reconstruct_multivariate",
     "gamma_vector",
-    "grassmannian_avoiding_count",
     "matroid_from_bases",
     "matroid_from_json",
     "matroid_to_json",

@@ -5,8 +5,8 @@ sequence (a_1, ..., a_m) is a position i in 1..m-1 with a_i > a_{i+1}.
 
 The module provides the gap multinomial attached to an index set (via its
 partition into maximal consecutive runs), the no-consecutive subsets of
-{1..m}, descent-set counting over the symmetric group (one set at a time,
-or every no-consecutive set at once by a Moebius transform), the weighted sums
+{1..m}, descent-set counting over the symmetric group (every
+no-consecutive set at once by a Moebius transform), the weighted sums
 over permutations with no two adjacent descents that ``gamma_perm`` needs
 (an exact insertion DP, polynomial in k; ``tests/oracles.py`` holds the k!
 scan it replaces), and the Eulerian and derangement polynomials.
@@ -117,32 +117,14 @@ def descent_superset_count(n: int, dset: Sequence[int]) -> int:
     return result
 
 
-def eulerian_fixed_descents(n: int, dset: Iterable[int]) -> int:
-    """Number of permutations of {1..n} with descent set exactly dset.
-
-    Inclusion-exclusion over subsets of dset against the closed superset
-    count (2^|dset| terms).  ``exact_descent_counts`` gives the same counts
-    for a whole family of descent sets at once.
-    """
-    ds = _as_index_set(dset)
-    if ds and ds[-1] > n - 1:
-        raise ValueError(f"descent position {ds[-1]} out of range for n={n}")
-    total = 0
-    for r in range(len(ds) + 1):
-        sign = (-1) ** (len(ds) - r)
-        for sub in combinations(ds, r):
-            total += sign * descent_superset_count(n, sub)
-    return total
-
-
 def exact_descent_counts(
     n: int, m: int, exclude_one: bool = False
 ) -> dict[tuple[int, ...], int]:
     """Number of permutations of {1..n} with descent set exactly D, for every
     D that ``nc_subsets(m, exclude_one)`` yields, keyed in that order.
 
-    The same inclusion-exclusion as ``eulerian_fixed_descents``, with the
-    terms that the sets share computed once: the family is closed under
+    Inclusion-exclusion against the closed superset count, with the terms
+    that the sets share computed once: the family is closed under
     taking subsets, so one in-place Moebius transform over its bitmasks
     (bit i for position i) turns every superset count into the exact count.
     """

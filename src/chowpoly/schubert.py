@@ -10,13 +10,14 @@ of gap multinomials.
 ``census`` cross-checks all of this exhaustively: it constructs the basis
 collection of every (index set, permutation) pair, deduplicates by exact
 basis-set equality, classifies each distinct matroid from its own bases, and
-tabulates counts by (rank, loops, cogirth).  The sweep streams over index
-sets on the numpy kernels in ``chowpoly.kernels``: a rank-k collection is
-fingerprinted over the C(n, k) k-subsets (one or two uint64 words up to
-n = 8), and each index set's n! fingerprints are deduplicated on their own
-before the survivors of one rank are merged, so no rank's full block of
-fingerprints is held at once.  ``census`` is the only function that imports
-numpy, so ``import chowpoly`` and every other command run without it.
+tabulates counts by (rank, loops, cogirth).  The sweep runs on the numpy
+kernels in ``chowpoly.kernels``, one fixed block of permutations at a time:
+a rank-k collection is fingerprinted over the C(n, k) k-subsets (one or two
+uint64 words up to n = 8) by a recurrence over the upper covers of its index
+set, rows that repeat within an index set's run are dropped by an exact
+prefilter, and each block's survivors are deduplicated before the blocks of
+one rank are merged.  ``census`` is the only function that imports numpy,
+so ``import chowpoly`` and every other command run without it.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
 
-from .combinat import delta_multinomial, descent_count
+from .combinat import delta_multinomial
 from .forms import closed_form
 from .matroid import INFINITY, Matroid, mask_of
 
@@ -83,16 +83,6 @@ class SchubertSpec:
                 raise ValueError(f"index {e} outside ground set 1..{self.n}")
         if len(set(self.index_set)) != len(self.index_set):
             raise ValueError(f"repeated index in {self.index_set}")
-
-
-def _id_order_ranks(n: int, index_set: tuple[int, ...]) -> list[int]:
-    """Bases of the identity-order Schubert matroid of ``index_set``, as the
-    ranks of the k-subsets in ``combinations`` order."""
-    return [
-        i
-        for i, j in enumerate(combinations(range(1, n + 1), len(index_set)))
-        if all(a <= b for a, b in zip(index_set, j))
-    ]
 
 
 def schubert_matroid(spec: SchubertSpec, validate: bool = True) -> Matroid:
@@ -253,10 +243,11 @@ def census(n: int) -> CensusTable:
     """Exhaustive deduplicated census of Schubert matroids on {1..n}.
 
     Every (index set, permutation) pair is expanded to its basis collection
-    and fingerprinted.  The fingerprints of one index set are deduplicated
-    exactly, and the survivors of all index sets of one rank are merged and
-    deduplicated again; each distinct matroid is then classified by (rank,
-    loops, cogirth) from its own bases.
+    and fingerprinted, one block of permutations at a time.  Inside each
+    index set's run of a block, rows that repeat a row j! places earlier are
+    dropped; the rest of one rank are deduplicated exactly, and each
+    distinct matroid is classified by (rank, loops, cogirth) from its own
+    bases.
     """
     import numpy as np
 
@@ -266,20 +257,22 @@ def census(n: int) -> CensusTable:
         raise ValueError(f"census needs n >= 1, got {n}")
     check_ground_size("census", n)
     perms = kernels.perm_table(n)
+    block = kernels.PERM_BLOCK
     entries: dict[tuple[int, int, int | float], int] = {(0, n, INFINITY): 1}
     for k in range(1, n + 1):
-        table = kernels.relabel_table(perms, n, k)
-        survivors = [
-            kernels.distinct_rows(
-                kernels.census_fingerprints(table, _id_order_ranks(n, idx), n, k)
-            )
-            for idx in combinations(range(1, n + 1), k)
+        kept = [
+            kernels.block_distinct_rows(perms[start : start + block], n, k)
+            for start in range(0, perms.shape[0], block)
         ]
-        distinct = kernels.distinct_rows(np.concatenate(survivors))
+        distinct = kernels.distinct_rows(np.concatenate(kept))
         loop_counts, cogirths = kernels.classify_fingerprints(distinct, n, k)
-        for ell, cg in zip(loop_counts.tolist(), cogirths.tolist()):
-            key = (k, ell, INFINITY if cg < 0 else cg)
-            entries[key] = entries.get(key, 0) + 1
+        # cogirth + 1 lies in 0..n + 1, so the pair is one integer base n + 2
+        keys, counts = np.unique(
+            loop_counts * (n + 2) + cogirths + 1, return_counts=True
+        )
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            ell, cg = divmod(key, n + 2)
+            entries[(k, ell, cg - 1 if cg else INFINITY)] = count
     return CensusTable(n, entries)
 
 
@@ -367,47 +360,3 @@ def census_matches_formula(table: CensusTable) -> bool:
         if g == INFINITY or not 1 <= g <= n:
             return False
     return True
-
-
-# -- pattern-avoiding count -----------------------------------------------------
-
-
-_GRASSMANNIAN_MAX_N = 9
-
-
-def _grassmannian_perms(n: int) -> Iterator[tuple[int, ...]]:
-    """All permutations of {1..n} with at most one descent."""
-    identity = tuple(range(1, n + 1))
-    yield identity
-    for size in range(1, n):
-        for chosen in combinations(range(1, n + 1), size):
-            if chosen == identity[:size]:
-                continue  # sorted(S) + sorted(rest) would be the identity again
-            rest = tuple(e for e in identity if e not in set(chosen))
-            yield chosen + rest
-
-
-def _contains_pattern(word: tuple[int, ...], pattern: tuple[int, ...]) -> bool:
-    k = len(pattern)
-    for sub in combinations(word, k):
-        order = sorted(sub)
-        if tuple(order.index(v) + 1 for v in sub) == pattern:
-            return True
-    return False
-
-
-def grassmannian_avoiding_count(n: int, sigma: Iterable[int]) -> int:
-    """Number of permutations of {1..n} with at most one descent avoiding the
-    classical pattern ``sigma`` (which must have exactly one descent)."""
-    pattern = tuple(sigma)
-    if tuple(sorted(pattern)) != tuple(range(1, len(pattern) + 1)):
-        raise ValueError(f"{pattern} is not a permutation in one-line notation")
-    if descent_count(pattern) != 1:
-        raise ValueError(f"pattern {pattern} must have exactly one descent")
-    if n > _GRASSMANNIAN_MAX_N:
-        raise ResourceLimitError(
-            f"pattern scan capped at n <= {_GRASSMANNIAN_MAX_N}, got {n}"
-        )
-    return sum(
-        1 for w in _grassmannian_perms(n) if not _contains_pattern(w, pattern)
-    )

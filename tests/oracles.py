@@ -5,16 +5,20 @@ definitions, with no shared code paths into the faster implementations, so
 these stay valid as oracles for them.  The depth-first walk over the maximal
 chains of a lattice of flats lives here, not in the package: the chain tally
 runs it over the package's lattice and its cover labels, which are the
-definitions it counts over.
+definitions it counts over.  So do the per-set descent count
+``eulerian_fixed_descents``, an inclusion-exclusion over the package's closed
+superset count, and the pattern scan behind ``grassmannian_avoiding_count``,
+which checks a coefficient formula of the paper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from chowpoly import UniPoly
+from chowpoly import ResourceLimitError, UniPoly, descent_count
+from chowpoly.combinat import descent_superset_count
 
 
 def brute_descents(seq) -> tuple[int, ...]:
@@ -28,6 +32,23 @@ def brute_descent_census(n: int) -> dict[tuple[int, ...], int]:
         d = brute_descents(w)
         counts[d] = counts.get(d, 0) + 1
     return counts
+
+
+def eulerian_fixed_descents(n: int, dset: Iterable[int]) -> int:
+    """Number of permutations of {1..n} with descent set exactly dset, by
+    inclusion-exclusion over the subsets of dset against the closed superset
+    count (2^|dset| terms)."""
+    ds = tuple(sorted(set(dset)))
+    if ds and ds[0] < 1:
+        raise ValueError(f"index sets contain positive integers only, got {ds[0]}")
+    if ds and ds[-1] > n - 1:
+        raise ValueError(f"descent position {ds[-1]} out of range for n={n}")
+    total = 0
+    for r in range(len(ds) + 1):
+        sign = (-1) ** (len(ds) - r)
+        for sub in combinations(ds, r):
+            total += sign * descent_superset_count(n, sub)
+    return total
 
 
 def brute_eulerian_poly(n: int) -> UniPoly:
@@ -168,6 +189,58 @@ def brute_loops_and_cogirth(masks, n: int) -> tuple[int, int]:
             if all(hitter & m for m in members):
                 return loops, size
     return loops, -1
+
+
+def _id_order_ranks(n: int, index_set: tuple[int, ...]) -> list[int]:
+    """Bases of the identity-order Schubert matroid of ``index_set``, as the
+    ranks of the k-subsets in ``combinations`` order: the k-subsets that
+    dominate it componentwise."""
+    return [
+        i
+        for i, j in enumerate(combinations(range(1, n + 1), len(index_set)))
+        if all(a <= b for a, b in zip(index_set, j))
+    ]
+
+
+_GRASSMANNIAN_MAX_N = 9
+
+
+def _grassmannian_perms(n: int) -> Iterator[tuple[int, ...]]:
+    """All permutations of {1..n} with at most one descent."""
+    identity = tuple(range(1, n + 1))
+    yield identity
+    for size in range(1, n):
+        for chosen in combinations(range(1, n + 1), size):
+            if chosen == identity[:size]:
+                continue  # sorted(S) + sorted(rest) would be the identity again
+            rest = tuple(e for e in identity if e not in set(chosen))
+            yield chosen + rest
+
+
+def _contains_pattern(word: tuple[int, ...], pattern: tuple[int, ...]) -> bool:
+    k = len(pattern)
+    for sub in combinations(word, k):
+        order = sorted(sub)
+        if tuple(order.index(v) + 1 for v in sub) == pattern:
+            return True
+    return False
+
+
+def grassmannian_avoiding_count(n: int, sigma: Iterable[int]) -> int:
+    """Number of permutations of {1..n} with at most one descent avoiding the
+    classical pattern ``sigma`` (which must have exactly one descent)."""
+    pattern = tuple(sigma)
+    if tuple(sorted(pattern)) != tuple(range(1, len(pattern) + 1)):
+        raise ValueError(f"{pattern} is not a permutation in one-line notation")
+    if descent_count(pattern) != 1:
+        raise ValueError(f"pattern {pattern} must have exactly one descent")
+    if n > _GRASSMANNIAN_MAX_N:
+        raise ResourceLimitError(
+            f"pattern scan capped at n <= {_GRASSMANNIAN_MAX_N}, got {n}"
+        )
+    return sum(
+        1 for w in _grassmannian_perms(n) if not _contains_pattern(w, pattern)
+    )
 
 
 def brute_satisfies_exchange(bases) -> bool:

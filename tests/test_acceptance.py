@@ -26,13 +26,13 @@ from chowpoly import (
     descent_count,
     eulerian_poly,
     gamma_vector,
-    grassmannian_avoiding_count,
     multivariate_closed_form,
     schubert_matroid,
     uniform,
     verify_coefficient_counts,
 )
 from chowpoly.schubert import SchubertSpec
+from tests.oracles import grassmannian_avoiding_count
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -7,7 +7,6 @@ from chowpoly import (
     delta_multinomial,
     derangement_poly,
     descent_set,
-    eulerian_fixed_descents,
     eulerian_poly,
     exact_descent_counts,
     nc_subsets,
@@ -21,6 +20,7 @@ from tests.oracles import (
     brute_descent_census,
     brute_eulerian_poly,
     brute_nc_subsets,
+    eulerian_fixed_descents,
 )
 
 

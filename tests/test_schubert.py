@@ -16,14 +16,13 @@ from chowpoly import (
     delta_multinomial,
     descent_count,
     eulerian_poly,
-    grassmannian_avoiding_count,
     schubert_invariants_formula,
     schubert_matroid,
     sm_count,
     uniform,
     verify_coefficient_counts,
 )
-from chowpoly.schubert import _id_order_ranks
+from tests.oracles import _grassmannian_perms, grassmannian_avoiding_count
 
 
 def spec(n, idx, perm=None):
@@ -71,9 +70,7 @@ def test_invariants_formula_matches_engine_exhaustively():
 
 
 def test_invariants_formula_matches_kernel_classification():
-    # exhaustive at n = 6 via the batched census kernels
-    import numpy as np
-
+    # exhaustive at n = 6 via the census block kernel
     from chowpoly import kernels
 
     n = 6
@@ -81,22 +78,17 @@ def test_invariants_formula_matches_kernel_classification():
     perm_rows = [tuple(int(v) for v in row) for row in perms]
     for size in range(1, n + 1):
         table = kernels.relabel_table(perms, n, size)
-        subsets = list(combinations(range(1, n + 1), size))
-        rows = np.concatenate(
-            [
-                kernels.census_fingerprints(table, _id_order_ranks(n, idx), n, size)
-                for idx in subsets
-            ]
-        )
+        rows = kernels.census_fingerprints(table, n, size)
         loops, cogirths = kernels.classify_fingerprints(rows, n, size)
         r = 0
-        for idx in subsets:
+        for idx in combinations(range(1, n + 1), size):
             for perm in perm_rows:
                 image = tuple(sorted(perm[e - 1] for e in idx))
                 inv = schubert_invariants_formula(SchubertSpec(n, image, perm))
                 assert len(inv.loops) == loops[r], (idx, perm)
                 assert inv.cogirth == cogirths[r], (idx, perm)
                 r += 1
+        assert r == rows.shape[0]
 
 
 def test_relabeled_bases_versus_identity_order_form():
@@ -362,8 +354,6 @@ def test_grassmannian_avoiding_matches_first_coefficient():
 
 
 def test_grassmannian_total_count():
-    from chowpoly.schubert import _grassmannian_perms
-
     for n in range(1, 8):
         perms = list(_grassmannian_perms(n))
         assert len(perms) == 2**n - n
