@@ -3,10 +3,12 @@
 Positions and ground-set elements are 1-based throughout: a descent of the
 sequence (a_1, ..., a_m) is a position i in 1..m-1 with a_i > a_{i+1}.
 
-The module provides the gap multinomial attached to an index set (via its
-partition into maximal consecutive runs), the no-consecutive subsets of
-{1..m}, descent-set counting over the symmetric group (every
-no-consecutive set at once by a Moebius transform), the weighted sums
+The module provides the one multinomial of the package, a running product
+of binomials that never forms a factorial of the total; the gap
+multinomial attached to an index set (via its partition into maximal
+consecutive runs); the no-consecutive subsets of {1..m}; descent-set
+counting over the symmetric group (every no-consecutive set at once by a
+Moebius transform over the multinomials of its blocks); the weighted sums
 over permutations with no two adjacent descents that ``gamma_perm`` needs
 (an exact insertion DP, polynomial in k; ``tests/oracles.py`` holds the k!
 scan it replaces), and the Eulerian and derangement polynomials.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .polynomial import UniPoly
@@ -28,6 +30,19 @@ def _as_index_set(elements: Iterable[int]) -> tuple[int, ...]:
     if elems and elems[0] < 1:
         raise ValueError(f"index sets contain positive integers only, got {elems[0]}")
     return elems
+
+
+def multinomial(parts: Iterable[int]) -> int:
+    """(p_1 + ... + p_s)! / (p_1! ... p_s!) for nonnegative parts p_j.
+
+    Computed as C(p_1, p_1) C(p_1 + p_2, p_2) ... C(p_1 + ... + p_s, p_s),
+    one binomial per part; no parts give 1.  A negative part is a ValueError.
+    """
+    result, total = 1, 0
+    for p in parts:
+        total += p
+        result *= comb(total, p)
+    return result
 
 
 def runs_partition(index_set: Iterable[int]) -> list[tuple[int, ...]]:
@@ -67,10 +82,7 @@ def delta_multinomial(n: int, index_set: Iterable[int]) -> int:
     parts = [minima[0] - 1]
     parts += [b - a for a, b in zip(minima, minima[1:])]
     parts.append(n - minima[-1] + 1)
-    result = factorial(n)
-    for p in parts:
-        result //= factorial(p)
-    return result
+    return multinomial(parts)
 
 
 def nc_subsets(m: int, exclude_one: bool = False) -> Iterator[tuple[int, ...]]:
@@ -101,38 +113,26 @@ def descent_count(seq: Sequence[int]) -> int:
     return len(descent_set(seq))
 
 
-def descent_superset_count(n: int, dset: Sequence[int]) -> int:
-    """Number of permutations of {1..n} whose descent set is contained in dset.
-
-    Splitting positions at d_1 < ... < d_m leaves increasing blocks, so the
-    count is the multinomial of the block sizes.
-    """
-    ds = list(dset)
-    result = factorial(n)
-    prev = 0
-    for d in ds:
-        result //= factorial(d - prev)
-        prev = d
-    result //= factorial(n - prev)
-    return result
-
-
 def exact_descent_counts(
     n: int, m: int, exclude_one: bool = False
 ) -> dict[tuple[int, ...], int]:
     """Number of permutations of {1..n} with descent set exactly D, for every
     D that ``nc_subsets(m, exclude_one)`` yields, keyed in that order.
 
-    Inclusion-exclusion against the closed superset count, with the terms
-    that the sets share computed once: the family is closed under
-    taking subsets, so one in-place Moebius transform over its bitmasks
-    (bit i for position i) turns every superset count into the exact count.
+    A permutation has its descents inside D exactly when it increases on
+    each block between the cuts of D, so that count is the multinomial of
+    the block sizes.  The family is closed under taking subsets, so one
+    in-place Moebius transform over its bitmasks (bit i for position i)
+    turns every such count into the exact count.
     """
     if m > max(n - 1, 0):
         raise ValueError(f"descent position {m} out of range for n={n}")
     dsets = list(nc_subsets(m, exclude_one))
     masks = [sum(1 << i for i in dset) for dset in dsets]
-    counts = {mask: descent_superset_count(n, dset) for mask, dset in zip(masks, dsets)}
+    counts = {
+        mask: multinomial(b - a for a, b in zip((0, *dset), (*dset, n)))
+        for mask, dset in zip(masks, dsets)
+    }
     for i in range(1, m + 1):
         bit = 1 << i
         for mask in masks:

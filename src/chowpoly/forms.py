@@ -31,6 +31,7 @@ from .combinat import (
     derangement_poly,
     eulerian_poly,
     exact_descent_counts,
+    multinomial,
     perm_descent_aggregates,
 )
 from .polynomial import SqfMultiPoly, UniPoly
@@ -192,11 +193,6 @@ def multivariate_closed_form(
     return SqfMultiPoly.from_dense(var_range, coeffs)
 
 
-def _trinomial(n: int, a: int, b: int) -> int:
-    """n! / (a! b! (n-a-b)!) for 0 <= a <= n and b >= 0."""
-    return comb(n, a) * comb(n - a, b)
-
-
 def coefficient_formula(k: int, n: int, m: int, augmented: bool = False) -> int:
     """Direct formulas for the coefficient of x^m, m in {1, 2}.
 
@@ -215,7 +211,7 @@ def coefficient_formula(k: int, n: int, m: int, augmented: bool = False) -> int:
         if augmented:
             total = sum(comb(n, i - 1) for i in range(1, k))
             total += sum(
-                _trinomial(n, i - 1, j)
+                multinomial((i - 1, j, n - i + 1 - j))
                 for i in range(1, k - 1)
                 for j in range(2, k - i + 1)
             )
@@ -224,7 +220,7 @@ def coefficient_formula(k: int, n: int, m: int, augmented: bool = False) -> int:
         total += sum(comb(n, i) for i in range(3, k))
         total += sum(comb(n, i) for i in range(2, k - 1))
         total += sum(
-            _trinomial(n, i, j)
+            multinomial((i, j, n - i - j))
             for i in range(2, k - 2)
             for j in range(2, k - i)
         )

@@ -129,20 +129,6 @@ class Matroid:
                             f"rank {r}, adding both raises it"
                         )
 
-    @classmethod
-    def from_bases(
-        cls, n: int, bases: Iterable[Iterable[int]], validate: bool = True
-    ) -> "Matroid":
-        return cls(n, (mask_of(b, n) for b in bases), validate=validate)
-
-    @classmethod
-    def uniform(cls, k: int, n: int) -> "Matroid":
-        """All k-subsets of {1..n} as bases."""
-        if not 0 <= k <= n:
-            raise MatroidError(f"uniform matroid needs 0 <= k <= n, got k={k}, n={n}")
-        masks = [mask_of(c, n) for c in combinations(range(1, n + 1), k)]
-        return cls(n, masks, validate=False)
-
     # -- basic invariants ---------------------------------------------------
 
     @property
@@ -201,11 +187,18 @@ class Matroid:
 
 
 def matroid_from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
-    return Matroid.from_bases(n, bases)
+    return Matroid(n, (mask_of(b, n) for b in bases))
 
 
 def uniform(k: int, n: int) -> Matroid:
-    return Matroid.uniform(k, n)
+    """All k-subsets of {1..n} as bases; n is checked before C(n, k) sets are
+    listed."""
+    if not 0 <= k <= n <= MAX_GROUND:
+        raise MatroidError(
+            f"uniform matroid needs 0 <= k <= n <= {MAX_GROUND}, got k={k}, n={n}"
+        )
+    masks = [mask_of(c, n) for c in combinations(range(1, n + 1), k)]
+    return Matroid(n, masks, validate=False)
 
 
 # -- lattice of flats --------------------------------------------------------
@@ -374,7 +367,7 @@ def matroid_from_json(data: dict) -> Matroid:
         raise MatroidError('matroid JSON needs "bases" as a list of lists of integers')
     if "rank" in data and not _is_int(data["rank"]):
         raise MatroidError('matroid JSON "rank" must be an integer')
-    m = Matroid.from_bases(data["n"], bases)
+    m = matroid_from_bases(data["n"], bases)
     if "rank" in data and data["rank"] != m.rank:
         raise MatroidError(
             f"declared rank {data['rank']} does not match basis size {m.rank}"

@@ -309,16 +309,15 @@ class CoefficientCountReport:
 
 
 def verify_coefficient_counts(
-    k: int, n: int, table: CensusTable | None = None
+    k: int, n: int, table: CensusTable
 ) -> CoefficientCountReport:
     """Check that each coefficient of the (augmented) Chow polynomial of the
     rank-k uniform matroid counts Schubert matroids with cogirth above n - k:
     coefficient m of the plain polynomial against loopless matroids of rank
     m + 1, coefficient m of the augmented one against all matroids of rank m.
+    ``table`` is ``census(n)``; a table for another n is a ValueError.
     """
-    if table is None:
-        table = census(n)
-    elif table.n != n:
+    if table.n != n:
         raise ValueError(f"census table is for n={table.n}, not n={n}")
     chow = closed_form(k, n, "monomial", augmented=False)
     aug = closed_form(k, n, "monomial", augmented=True)

@@ -6,19 +6,20 @@ these stay valid as oracles for them.  The depth-first walk over the maximal
 chains of a lattice of flats lives here, not in the package: the chain tally
 runs it over the package's lattice and its cover labels, which are the
 definitions it counts over.  So do the per-set descent count
-``eulerian_fixed_descents``, an inclusion-exclusion over the package's closed
-superset count, and the pattern scan behind ``grassmannian_avoiding_count``,
-which checks a coefficient formula of the paper.
+``eulerian_fixed_descents``, an inclusion-exclusion over a superset count
+taken from factorials, and the pattern scan behind
+``grassmannian_avoiding_count``, which checks a coefficient formula of the
+paper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import factorial
 from typing import Iterable, Iterator
 
 from chowpoly import ResourceLimitError, UniPoly, descent_count
-from chowpoly.combinat import descent_superset_count
 
 
 def brute_descents(seq) -> tuple[int, ...]:
@@ -36,8 +37,8 @@ def brute_descent_census(n: int) -> dict[tuple[int, ...], int]:
 
 def eulerian_fixed_descents(n: int, dset: Iterable[int]) -> int:
     """Number of permutations of {1..n} with descent set exactly dset, by
-    inclusion-exclusion over the subsets of dset against the closed superset
-    count (2^|dset| terms)."""
+    inclusion-exclusion over the subsets of dset against the superset count
+    (2^|dset| terms)."""
     ds = tuple(sorted(set(dset)))
     if ds and ds[0] < 1:
         raise ValueError(f"index sets contain positive integers only, got {ds[0]}")
@@ -47,7 +48,7 @@ def eulerian_fixed_descents(n: int, dset: Iterable[int]) -> int:
     for r in range(len(ds) + 1):
         sign = (-1) ** (len(ds) - r)
         for sub in combinations(ds, r):
-            total += sign * descent_superset_count(n, sub)
+            total += sign * factorial_superset_count(n, sub)
     return total
 
 
@@ -100,10 +101,20 @@ def brute_nc_subsets(m: int, exclude_one: bool = False) -> set[tuple[int, ...]]:
     return out
 
 
+def factorial_superset_count(n: int, dset: tuple[int, ...]) -> int:
+    """Number of permutations of {1..n} whose descents all lie in dset: cut
+    at d_1 < ... < d_m, each block increases, so n! over the factorials of
+    the block sizes."""
+    value = factorial(n)
+    prev = 0
+    for d in dset:
+        value //= factorial(d - prev)
+        prev = d
+    return value // factorial(n - prev)
+
+
 def brute_delta_multinomial(n: int, index_set: tuple[int, ...]) -> int:
     """Gap multinomial recomputed directly from factorials of the gap sequence."""
-    from math import factorial
-
     if not index_set:
         return 1
     elems = sorted(index_set)

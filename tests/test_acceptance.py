@@ -26,6 +26,7 @@ from chowpoly import (
     descent_count,
     eulerian_poly,
     gamma_vector,
+    matroid_from_bases,
     multivariate_closed_form,
     schubert_matroid,
     uniform,
@@ -166,13 +167,13 @@ def _fano() -> Matroid:
         (1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6),
     }
     bases = [c for c in combinations(range(1, 8), 3) if c not in lines]
-    return Matroid.from_bases(7, bases)
+    return matroid_from_bases(7, bases)
 
 
 def _k4_graphic() -> Matroid:
     triangles = {(1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6)}
     bases = [c for c in combinations(range(1, 7), 3) if c not in triangles]
-    return Matroid.from_bases(6, bases)
+    return matroid_from_bases(6, bases)
 
 
 def _loopless_corpus() -> list[Matroid]:

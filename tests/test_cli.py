@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -131,6 +132,11 @@ def test_compute_multivariate(capsys):
     )
     assert code == 2
     assert "multivariate" in err
+    # and the other way round: 'gamma' is a basis, not a univariate method
+    code, out, err = run(capsys, "compute", "--k", "3", "--n", "5", "--method", "gamma")
+    assert code == 2
+    assert out == ""
+    assert "gamma-eulerian and gamma-perm" in err
 
 
 def test_compute_csv(capsys):
@@ -143,6 +149,14 @@ def test_compute_csv(capsys):
     assert lines[0] == "method,power,coefficient"
     parsed = [ln.split(",") for ln in lines[1:]]
     assert [int(row[2]) for row in parsed] == [1, 11, 1]
+    code, out, _ = run(
+        capsys, "compute", "--k", "3", "--n", "4", "--multivariate", "--format", "csv"
+    )
+    assert code == 0
+    terms = ["-,1", "1,1", "2,6", "1 2,1"]  # 1 + x1 + 6*x2 + x1*x2
+    assert out.splitlines() == ["method,variables,coefficient"] + [
+        f"{basis},{term}" for basis in ("monomial", "gamma") for term in terms
+    ]
 
 
 def test_oracle_equal(capsys):
@@ -175,6 +189,18 @@ def test_census_text_with_verify(capsys):
     assert code == 0
     assert "counting formula cells: PASS" in out
     assert "coefficient counts k=4: PASS" in out
+
+
+def test_census_verify_fails_on_a_doctored_table(capsys, monkeypatch):
+    table = census(4)
+    entries = dict(table.entries)
+    entries[(2, 0, 3)] += 1
+    monkeypatch.setattr("chowpoly.cli.census", lambda n: CensusTable(n, entries))
+    code, out, _ = run(capsys, "census", "--n", "4", "--verify")
+    assert code == 1
+    assert "counting formula cells: FAIL" in out
+    assert "coefficient counts k=1: PASS" in out
+    assert "coefficient counts k=2: FAIL at x^1: coefficient 1 vs census 2" in out
 
 
 def test_census_csv_roundtrip(capsys):
@@ -262,6 +288,11 @@ def test_sequences_validates_range(capsys):
     )
     assert code == 2
     assert "k <= n-from" in err
+    code, _, err = run(
+        capsys, "sequences", "--coeff", "1", "--k", "3", "--n-from", "6", "--n-to", "5"
+    )
+    assert code == 2
+    assert "n-from <= n-to" in err
 
 
 def test_matroid_export_import(tmp_path, capsys):
@@ -287,6 +318,21 @@ def test_matroid_export_import(tmp_path, capsys):
     assert out_file.read_text().startswith('{\n  "n": 4,')
 
 
+def test_matroid_reads_stdin(capsys, monkeypatch):
+    text = json.dumps(matroid_to_json(uniform(2, 3)))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "matroid", "--input", "-", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["n,rank,bases,loops,coloops,girth,cogirth", "3,2,3,0,0,3,2"]
+
+
+def test_matroid_uniform_needs_k_and_n(capsys):
+    code, out, err = run(capsys, "matroid", "--uniform", "--n", "4")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: --uniform requires --k and --n"
+
+
 def test_matroid_import_rejects_invalid(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 3, "bases": [[1, 2], [3]]}))
@@ -302,6 +348,8 @@ def test_matroid_import_rejects_invalid(tmp_path, capsys):
         ({"n": 2, "rank": 1, "bases": [["a"]]}, "lists of integers"),
         ({"n": 3, "bases": [[1, 1]]}, "element 1 repeated"),
         ({"n": 13, "bases": [[1, 2], [3, 4]]}, "not a matroid"),
+        ([[1, 2]], "must be an object"),
+        ({"n": 2, "rank": "1", "bases": [[1]]}, '"rank" must be an integer'),
     ],
 )
 def test_matroid_import_rejects_malformed_json(tmp_path, capsys, data, message):

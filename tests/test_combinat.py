@@ -1,7 +1,9 @@
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chowpoly import (
     delta_multinomial,
@@ -12,7 +14,7 @@ from chowpoly import (
     nc_subsets,
     runs_partition,
 )
-from chowpoly.combinat import descent_superset_count
+from chowpoly.combinat import multinomial, perm_descent_aggregates
 from tests.oracles import (
     SubsetPermutation,
     brute_delta_multinomial,
@@ -20,6 +22,7 @@ from tests.oracles import (
     brute_descent_census,
     brute_eulerian_poly,
     brute_nc_subsets,
+    brute_perm_descent_aggregates,
     eulerian_fixed_descents,
 )
 
@@ -126,11 +129,74 @@ def test_exact_descent_counts_rejects_positions_past_n():
         exact_descent_counts(3, 3)
 
 
-def test_descent_superset_count():
-    # splitting {1..4} at position 2 leaves two increasing blocks
-    assert descent_superset_count(4, (2,)) == 6
-    assert descent_superset_count(4, ()) == 1
-    assert descent_superset_count(4, (1, 2, 3)) == factorial(4)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=8))
+@example([])
+@example([0])
+@example([7])
+@example([0, 0, 0])
+@example([3, 0, 2, 0])
+def test_multinomial_matches_factorial_quotients(parts):
+    expected = factorial(sum(parts)) // prod(factorial(p) for p in parts)
+    assert multinomial(parts) == expected
+    assert multinomial(iter(parts)) == expected
+
+
+def test_multinomial_rejects_negative_parts():
+    for parts in ([-1], [3, -1], [-2, 5]):
+        with pytest.raises(ValueError):
+            multinomial(parts)
+
+
+def test_perm_descent_aggregates_smallest_ranks():
+    assert perm_descent_aggregates(1, [0, 7], False) == [7, 0]
+    assert perm_descent_aggregates(2, [0, 3, 5], True) == [5, 0, 0]
+    assert perm_descent_aggregates(2, [0, 3, 5], False) == [5, 3, 0]
+    with pytest.raises(ValueError):
+        perm_descent_aggregates(0, [0], False)
+
+
+@pytest.mark.parametrize("first_ascent_required", [False, True])
+def test_perm_dp_matches_brute_force_oracle(first_ascent_required):
+    # the insertion DP against the definition, with the binomial weights of
+    # gamma_perm (n = k + 3) and with weights above 2^63
+    for k in range(1, 9):
+        weight_sets = [
+            [0] + [comb(k + 3 - t, k - t) for t in range(1, k + 1)],
+            [0] + [2**64 + 7**t for t in range(1, k + 1)],
+        ]
+        for binoms in weight_sets:
+            expected = brute_perm_descent_aggregates(k, binoms, first_ascent_required)
+            assert (
+                perm_descent_aggregates(k, binoms, first_ascent_required)
+                == expected
+            )
+
+
+@st.composite
+def perm_weight_cases(draw):
+    k = draw(st.integers(1, 7))
+    small_or_wide = st.one_of(st.integers(0, 1000), st.integers(2**64, 2**80))
+    weights = draw(st.lists(small_or_wide, min_size=k + 1, max_size=k + 1))
+    return k, weights, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(perm_weight_cases())
+def test_perm_dp_matches_brute_force_oracle_random(case):
+    k, weights, first_ascent_required = case
+    assert perm_descent_aggregates(
+        k, weights, first_ascent_required
+    ) == brute_perm_descent_aggregates(k, weights, first_ascent_required)
+
+
+def test_perm_descent_aggregates_stay_exact_past_int64():
+    # sums of weights near 2^61 pass 2^63 and stay exact in Python ints;
+    # of the 5 admissible permutations of {1,2,3}, one has no descent
+    big = 2**61
+    agg = perm_descent_aggregates(3, [0, big, big, big], False)
+    assert agg == [big, 4 * big, 0, 0]
+    assert agg[1] > 2**63 - 1  # past the int64 maximum
 
 
 def test_eulerian_poly_values():
@@ -159,8 +225,6 @@ def test_derangement_poly_against_scan():
 
 def test_derangement_identity_with_eulerian():
     # summing over fixed-point sets: A_n = sum C(n, j) d_j
-    from math import comb
-
     from chowpoly import UniPoly
 
     for n in range(0, 14):

@@ -7,11 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chowpoly import SchubertSpec, census, kernels, schubert_matroid
-from chowpoly.combinat import perm_descent_aggregates
 from tests.oracles import (
     _id_order_ranks,
     brute_loops_and_cogirth,
-    brute_perm_descent_aggregates,
     brute_rank_fingerprint,
     brute_relabel,
 )
@@ -119,48 +117,6 @@ def test_second_word_fingerprints_at_rank_four_of_eight():
     for j, idx in enumerate(subsets[64:]):
         bases = schubert_matroid(SchubertSpec(n, idx, perms[0])).bases
         assert (loops[j], cogirths[j]) == brute_loops_and_cogirth(bases, n), idx
-
-
-def test_perm_scan_empty_and_tiny():
-    assert perm_descent_aggregates(1, [0, 7], False) == [7, 0]
-    assert perm_descent_aggregates(2, [0, 3, 5], True) == [5, 0, 0]
-    assert perm_descent_aggregates(2, [0, 3, 5], False) == [5, 3, 0]
-    with pytest.raises(ValueError):
-        perm_descent_aggregates(0, [0], False)
-
-
-@pytest.mark.parametrize("first_ascent_required", [False, True])
-def test_perm_dp_matches_brute_force_oracle(first_ascent_required):
-    # the insertion DP against the definition, with the binomial weights of
-    # gamma_perm (n = k + 3) and with weights above 2^63
-    for k in range(1, 9):
-        weight_sets = [
-            [0] + [comb(k + 3 - t, k - t) for t in range(1, k + 1)],
-            [0] + [2**64 + 7**t for t in range(1, k + 1)],
-        ]
-        for binoms in weight_sets:
-            expected = brute_perm_descent_aggregates(k, binoms, first_ascent_required)
-            assert (
-                perm_descent_aggregates(k, binoms, first_ascent_required)
-                == expected
-            )
-
-
-@st.composite
-def perm_weight_cases(draw):
-    k = draw(st.integers(1, 7))
-    small_or_wide = st.one_of(st.integers(0, 1000), st.integers(2**64, 2**80))
-    weights = draw(st.lists(small_or_wide, min_size=k + 1, max_size=k + 1))
-    return k, weights, draw(st.booleans())
-
-
-@settings(max_examples=60, deadline=None)
-@given(perm_weight_cases())
-def test_perm_dp_matches_brute_force_oracle_random(case):
-    k, weights, first_ascent_required = case
-    assert perm_descent_aggregates(
-        k, weights, first_ascent_required
-    ) == brute_perm_descent_aggregates(k, weights, first_ascent_required)
 
 
 @st.composite

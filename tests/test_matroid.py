@@ -69,6 +69,19 @@ def test_construction_validates():
     with pytest.raises(MatroidError, match="not a matroid"):
         matroid_from_bases(13, [(1, 2), (3, 4)])
     assert Matroid(16, uniform(2, 16).bases) == uniform(2, 16)
+    with pytest.raises(MatroidError, match="ground size 17 not in 0..16"):
+        Matroid(17, [0b11])
+
+
+def test_uniform_refuses_large_ground_sets_before_listing_bases(monkeypatch):
+    # uniform(20, 40) would list C(40, 20) bases before Matroid saw n
+    def no_listing(*args):
+        raise AssertionError("bases listed before the ground size was checked")
+
+    monkeypatch.setattr("chowpoly.matroid.combinations", no_listing)
+    for k, n in ((20, 40), (2, 17), (3, 2), (-1, 4)):
+        with pytest.raises(MatroidError, match="uniform matroid needs"):
+            uniform(k, n)
 
 
 @st.composite
@@ -154,7 +167,7 @@ def test_flats_of_uniform():
     assert chains == sum(1 for _ in chain_label_permutations(3, 5)) == 20
 
 
-def test_r_label_values():
+def test_cover_label_lookups():
     lat45 = flats_lattice(uniform(4, 5))
     assert _label(lat45, 5, (1, 3), (1, 2, 3)) == 2
     lat35 = flats_lattice(uniform(3, 5))
@@ -195,7 +208,7 @@ def test_flats_lattice_with_loops_for_inspection():
         chain_chow(m)
 
 
-def test_r_label_parallel_elements():
+def test_cover_labels_with_parallel_elements():
     # elements 2 and 3 are parallel: atoms are {1} and {2,3}
     m = matroid_from_bases(3, [(1, 2), (1, 3)])
     lat = flats_lattice(m)
@@ -240,6 +253,8 @@ def test_chain_chow_rejects_loops_and_rank_zero():
         chain_chow(matroid_from_bases(3, [(1, 2)]))  # 3 is a loop
     with pytest.raises(MatroidError):
         chain_chow(uniform(0, 2))
+    with pytest.raises(MatroidError, match="rank at least 1"):
+        chain_chow(uniform(0, 0))
 
 
 def test_chain_chow_matches_closed_forms():

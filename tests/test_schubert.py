@@ -47,6 +47,21 @@ def test_schubert_respects_permutation_order():
     assert m.loops() == (4,)
 
 
+@pytest.mark.parametrize(
+    "idx, perm, message",
+    [
+        ((1, 2), (1, 1, 3, 4), "not a permutation"),
+        ((1, 2), (1, 2, 3), "not a permutation"),
+        ((0, 2), None, "index 0 outside"),
+        ((2, 5), None, "index 5 outside"),
+        ((2, 2), None, "repeated index"),
+    ],
+)
+def test_schubert_spec_rejects_bad_data(idx, perm, message):
+    with pytest.raises(ValueError, match=message):
+        spec(4, idx, perm)
+
+
 def test_invariants_formula_examples():
     inv = schubert_invariants_formula(spec(4, (2, 3)))
     assert inv.loops == (1,)
@@ -198,6 +213,16 @@ def test_census_at_eight_matches_formula():
     assert sum(c for (r, _, _), c in table.entries.items() if r == 4) == 44_929
 
 
+def test_census_matches_formula_fails_on_doctored_tables():
+    table = census(5)
+    changed = dict(table.entries)
+    changed[(2, 0, 4)] += 1
+    assert not census_matches_formula(CensusTable(5, changed))
+    # a rank >= 1 cell outside the formula's key grid
+    phantom = {**table.entries, (1, 0, INFINITY): 1}
+    assert not census_matches_formula(CensusTable(5, phantom))
+
+
 def test_census_is_deterministic():
     # repeated runs give equal tables with the same CSV bytes
     base = census(6)
@@ -222,10 +247,23 @@ def test_census_guard_rejects_bad_env(monkeypatch, raw):
         census(3)
 
 
+def test_census_needs_a_nonempty_ground_set():
+    with pytest.raises(ValueError, match="n >= 1"):
+        census(0)
+
+
 def test_census_from_csv_rejects_empty_text():
     for text in ("", "\n\n"):
         with pytest.raises(ValueError, match="empty"):
             CensusTable.from_csv(3, text)
+
+
+@pytest.mark.parametrize(
+    "header", ["rank,loops,count", "count,rank,loops,cogirth", "n,rank,loops,cogirth,count"]
+)
+def test_census_from_csv_rejects_wrong_header(header):
+    with pytest.raises(ValueError, match="unexpected header"):
+        CensusTable.from_csv(3, f"{header}\n1,0,1,3\n")
 
 
 def test_verify_coefficient_counts_golden():
@@ -237,6 +275,23 @@ def test_verify_coefficient_counts_golden():
     assert [c.census_count for c in plain] == [1, 11, 1]
     assert verify_coefficient_counts(1, 5, table).passed
     assert verify_coefficient_counts(5, 5, table).passed
+
+
+def test_verify_coefficient_counts_reports_a_doctored_cell():
+    table = census(5)
+    # loopless rank-2 matroids with cogirth above 2: the x^1 coefficient
+    entries = dict(table.entries)
+    entries[(2, 0, 4)] += 1
+    report = verify_coefficient_counts(3, 5, CensusTable(5, entries))
+    assert not report.passed
+    bad = report.first_mismatch()
+    assert (bad.augmented, bad.power) == (False, 1)
+    assert (bad.coefficient, bad.census_count) == (11, 12)
+
+
+def test_verify_coefficient_counts_rejects_a_table_for_another_n():
+    with pytest.raises(ValueError, match="census table is for n=4, not n=5"):
+        verify_coefficient_counts(3, 5, census(4))
 
 
 def test_loopless_census_matches_descent_counts():
@@ -323,7 +378,12 @@ def test_census_table_roundtrip_random(n, entries):
 
 @pytest.mark.parametrize(
     "data, field",
-    [({}, "entries"), ({"n": 3, "entries": [{"rank": 1}]}, "cogirth")],
+    [
+        ({}, "entries"),
+        ({"n": 3, "entries": [{"rank": 1}]}, "cogirth"),
+        ({"n": 3, "entries": [[1, 0, 3, 4]]}, "malformed"),
+        ({"n": 3, "entries": ["1,0,3,4"]}, "malformed"),
+    ],
 )
 def test_census_from_json_rejects_missing_fields(data, field):
     with pytest.raises(ValueError, match=field):
