@@ -53,7 +53,6 @@ from .schubert import (
     SchubertSpec,
     census,
     census_matches_formula,
-    max_ground_size,
     schubert_invariants_formula,
     schubert_matroid,
     sm_count,
@@ -98,7 +97,6 @@ __all__ = [
     "matroid_from_bases",
     "matroid_from_json",
     "matroid_to_json",
-    "max_ground_size",
     "multivariate_closed_form",
     "nc_subsets",
     "runs_partition",

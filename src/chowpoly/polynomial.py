@@ -158,7 +158,7 @@ class UniPoly:
         padded = list(self.coeffs) + [0] * (d + 1 - len(self.coeffs))
         return padded == padded[::-1]
 
-    def render(self, var: str = "x") -> str:
+    def render(self) -> str:
         """Human-readable form like ``1 + 11*x + x^2``; unit coefficients are elided."""
         if not self.coeffs:
             return "0"
@@ -169,7 +169,7 @@ class UniPoly:
             if i == 0:
                 parts.append(str(c))
                 continue
-            power = var if i == 1 else f"{var}^{i}"
+            power = "x" if i == 1 else f"x^{i}"
             if c == 1:
                 parts.append(power)
             elif c == -1:
@@ -262,7 +262,7 @@ class SqfMultiPoly:
             out[len(k)] += c
         return UniPoly(out)
 
-    def render(self, var: str = "x") -> str:
+    def render(self) -> str:
         if not self.terms:
             return "0"
         parts: list[str] = []
@@ -270,7 +270,7 @@ class SqfMultiPoly:
             if not k:
                 parts.append(str(c))
                 continue
-            mono = "*".join(f"{var}{i}" for i in k)
+            mono = "*".join(f"x{i}" for i in k)
             if c == 1:
                 parts.append(mono)
             elif c == -1:

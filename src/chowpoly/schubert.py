@@ -18,11 +18,13 @@ set, rows that repeat within an index set's run are dropped by an exact
 prefilter, and each block's survivors are deduplicated before the blocks of
 one rank are merged.  ``census`` is the only function that imports numpy,
 so ``import chowpoly`` and every other command run without it.
+
+The sweep is exponential in n, so ``census`` refuses n > MAX_EXHAUSTIVE_N = 8
+with a ResourceLimitError before it lists a permutation.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -30,38 +32,22 @@ from .combinat import delta_multinomial
 from .forms import closed_form
 from .matroid import INFINITY, Matroid, mask_of
 
-DEFAULT_MAX_CENSUS_N = 8
+# Largest ground size for ``census`` and the CLI ``oracle``: census(8) takes
+# under 1 s, census(9) about 13.5 s and 154 MB (986,410 matroids), and each
+# further n multiplies the n! sweep.
+MAX_EXHAUSTIVE_N = 8
 
 
 class ResourceLimitError(ValueError):
-    """Raised when an exhaustive operation exceeds the configured bound."""
-
-
-def max_ground_size() -> int:
-    """Bound for exhaustive operations; CHOW_MAX_N raises it (at your own risk).
-
-    CHOW_MAX_N must be a positive integer; anything else is a ValueError.
-    """
-    raw = os.environ.get("CHOW_MAX_N", "").strip()
-    if not raw:
-        return DEFAULT_MAX_CENSUS_N
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ValueError(f"CHOW_MAX_N must be a positive integer, got {raw!r}")
-    return limit
+    """Raised when an exhaustive operation exceeds its fixed bound."""
 
 
 def check_ground_size(operation: str, n: int) -> None:
     """Raise ResourceLimitError when an exhaustive operation on ground size n
-    exceeds the resource guard."""
-    limit = max_ground_size()
-    if n > limit:
+    exceeds MAX_EXHAUSTIVE_N."""
+    if n > MAX_EXHAUSTIVE_N:
         raise ResourceLimitError(
-            f"{operation}(n={n}) exceeds the resource guard n <= {limit}; "
-            "set CHOW_MAX_N to raise it (unsupported territory)"
+            f"{operation}(n={n}) exceeds the resource guard n <= {MAX_EXHAUSTIVE_N}"
         )
 
 
@@ -249,13 +235,13 @@ def census(n: int) -> CensusTable:
     distinct matroid is classified by (rank, loops, cogirth) from its own
     bases.
     """
+    if n < 1:
+        raise ValueError(f"census needs n >= 1, got {n}")
+    check_ground_size("census", n)
     import numpy as np
 
     from . import kernels
 
-    if n < 1:
-        raise ValueError(f"census needs n >= 1, got {n}")
-    check_ground_size("census", n)
     perms = kernels.perm_table(n)
     block = kernels.PERM_BLOCK
     entries: dict[tuple[int, int, int | float], int] = {(0, n, INFINITY): 1}

@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Iterable, Iterator
 
-from chowpoly import ResourceLimitError, UniPoly, descent_count
+from chowpoly import ResourceLimitError, UniPoly
 
 
 def brute_descents(seq) -> tuple[int, ...]:
@@ -243,7 +243,7 @@ def grassmannian_avoiding_count(n: int, sigma: Iterable[int]) -> int:
     pattern = tuple(sigma)
     if tuple(sorted(pattern)) != tuple(range(1, len(pattern) + 1)):
         raise ValueError(f"{pattern} is not a permutation in one-line notation")
-    if descent_count(pattern) != 1:
+    if len(brute_descents(pattern)) != 1:
         raise ValueError(f"pattern {pattern} must have exactly one descent")
     if n > _GRASSMANNIAN_MAX_N:
         raise ResourceLimitError(

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import chowpoly
-from chowpoly import CensusTable, UniPoly, census, matroid_to_json, uniform
+from chowpoly import CensusTable, UniPoly, census, forms, matroid_to_json, uniform
 from chowpoly.cli import main
 
 
@@ -225,22 +225,14 @@ def test_census_guard(capsys):
     assert "resource guard" in err
 
 
-def test_census_guard_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("CHOW_MAX_N", "2")
-    code, _, err = run(capsys, "census", "--n", "3")
+def test_guards_ignore_the_removed_env_override(capsys, monkeypatch):
+    # the n <= 8 bound used to be raised by this environment variable
+    monkeypatch.setenv("_".join(("CHOW", "MAX", "N")), "100")
+    code, out, err = run(capsys, "oracle", "--k", "2", "--n", "9")
     assert code == 2
-    monkeypatch.delenv("CHOW_MAX_N")
-
-
-@pytest.mark.parametrize("command", ["census", "oracle"])
-@pytest.mark.parametrize("raw", ["abc", "-3"])
-def test_guard_env_must_be_positive_integer(capsys, monkeypatch, command, raw):
-    monkeypatch.setenv("CHOW_MAX_N", raw)
-    argv = [command, "--n", "3"] + (["--k", "2"] if command == "oracle" else [])
-    code, _, err = run(capsys, *argv)
-    assert code == 2
-    assert err.strip().splitlines() == [
-        f"error: CHOW_MAX_N must be a positive integer, got {raw!r}"
+    assert out == ""
+    assert err.splitlines() == [
+        "error: oracle(n=9) exceeds the resource guard n <= 8"
     ]
 
 
@@ -390,3 +382,27 @@ def test_compute_polynomial_forms_reach_large_rank(capsys, method):
     code, out, _ = run(capsys, "compute", "--k", "40", "--n", "40", "--method", method)
     assert code == 0
     assert out.startswith(f"{method.replace('-', '_')}: 1 + ")
+
+
+@pytest.mark.parametrize(
+    "argv, form",
+    [
+        ("compute --k 257 --n 257 --method monomial", "monomial"),
+        ("compute --k 257 --n 257 --method gamma-perm", "gamma_perm"),
+        ("compute --k 257 --n 257 --method convolution", "convolution"),
+        ("sequences --coeff 2 --k 257 --n-from 257 --n-to 257", "coefficient_formula"),
+    ],
+    ids=["monomial", "gamma-perm", "convolution", "sequences"],
+)
+def test_polynomial_forms_refuse_rank_above_bound(capsys, monkeypatch, argv, form):
+    def no_work(*args):
+        raise AssertionError("work started before the rank was checked")
+
+    for name in forms.METHODS:
+        monkeypatch.setitem(forms._FORMS, name, no_work)
+    monkeypatch.setattr(forms, "comb", no_work)
+    monkeypatch.setattr(forms, "multinomial", no_work)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {form} is capped at rank k <= 256, got k=257"]

@@ -250,3 +250,20 @@ def test_exponential_forms_guard_rank(monkeypatch):
         assert multivariate_closed_form(3, 5, basis).specialize() == GOLDEN_35
         with pytest.raises(ValueError, match="gamma_perm or convolution"):
             multivariate_closed_form(4, 5, basis)
+
+
+def test_rank_bound_is_checked_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the rank was checked")
+
+    for name in METHODS:
+        monkeypatch.setitem(forms._FORMS, name, no_work)
+    monkeypatch.setattr(forms, "comb", no_work)
+    monkeypatch.setattr(forms, "multinomial", no_work)
+    for augmented in (False, True):
+        for method in METHODS:
+            with pytest.raises(ValueError, match="capped at"):
+                closed_form(257, 257, method, augmented)
+        for m in (1, 2):
+            with pytest.raises(ValueError, match=r"k <= 256, got k=257"):
+                coefficient_formula(257, 257, m, augmented)

