@@ -16,7 +16,11 @@ closed forms for uniform matroids.  The oracle counts those chains by their
 descent sets with a transfer count over the flats in rank order, so its cost
 grows with the lattice (at most 2^n flats), not with the number of maximal
 chains; ``tests/oracles.py`` holds the chain-by-chain walk and tally it
-replaces.
+replaces.  Each matroid builds its lattice once, on first use, and the
+lattice counts its chains once, under the augmented rules; the plain
+polynomial keeps the descent sets without position 1.  Both are shared by
+every later call on the same matroid, so the lattice exposes read-only
+mappings.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .polynomial import SqfMultiPoly, UniPoly
 from .polynomial import gamma_reconstruct, gamma_reconstruct_multivariate
@@ -102,6 +107,15 @@ class Matroid:
             if rank[s] < 0:
                 rank[s] = max(rank[s ^ 1 << i] for i in range(n) if s >> i & 1)
         return rank
+
+    @cached_property
+    def _lattice(self) -> "FlatLattice":
+        """The lattice of flats, built on first use; ``flats_lattice`` reads it."""
+        return _build_lattice(self)
+
+    def __getstate__(self) -> dict:
+        # the lattice's read-only mappings do not pickle; a copy builds its own
+        return {k: v for k, v in self.__dict__.items() if k != "_lattice"}
 
     def _check_rank(self) -> None:
         """Raise unless the rank table is a matroid rank function.
@@ -212,13 +226,14 @@ class FlatLattice:
     atoms (rank-1 flats) are numbered 1, 2, ... in the order of their
     smallest element outside the bottom flat, and the label of a cover F < G
     is the number of the first atom below G but not below F: the atom that
-    holds the smallest element of G - F.
+    holds the smallest element of G - F.  ``flat_rank`` and ``covers`` are
+    read-only: one lattice serves every oracle call on its matroid.
     """
 
     rank: int
     flats: tuple[int, ...]
-    flat_rank: dict
-    covers: dict
+    flat_rank: Mapping[int, int]
+    covers: Mapping[int, tuple[tuple[int, int], ...]]
     bottom: int
     top: int
 
@@ -229,8 +244,47 @@ class FlatLattice:
                 counts[g] = counts.get(g, 0) + counts[f]
         return counts[self.top]
 
+    @cached_property
+    def admissible_chains(self) -> Mapping[tuple[int, ...], int]:
+        """Number of maximal chains with each descent set, among the chains
+        whose label sequence has no two consecutive descents.
+
+        A transfer count over the flats in rank order: ``states[f]`` maps
+        (label of the last cover, bitmask of descent positions) to the number
+        of chains from the bottom to f.  A step whose descent would follow
+        another descent is dropped where it happens, so no extension of it is
+        ever visited.
+        """
+        states: dict[int, dict[tuple[int, int], int]] = {self.bottom: {(0, 0): 1}}
+        for f in self.flats:  # sorted by rank, so predecessors come first
+            if f == self.top:
+                break
+            here = states.pop(f, None)
+            if not here:
+                continue
+            pos = self.flat_rank[f]  # position of a descent from f's label to g's
+            for g, label in self.covers[f]:
+                there = states.setdefault(g, {})
+                for (last, mask), count in here.items():
+                    if last > label:
+                        if mask >> (pos - 1) & 1:
+                            continue
+                        mask |= 1 << pos
+                    key = (label, mask)
+                    there[key] = there.get(key, 0) + count
+        counts: dict[tuple[int, ...], int] = {}
+        for (_, mask), count in states.get(self.top, {}).items():
+            dset = tuple(i for i in range(1, self.rank) if mask >> i & 1)
+            counts[dset] = counts.get(dset, 0) + count
+        return MappingProxyType(counts)
+
 
 def flats_lattice(m: Matroid) -> FlatLattice:
+    """The labeled lattice of flats of m, built once per matroid."""
+    return m._lattice
+
+
+def _build_lattice(m: Matroid) -> FlatLattice:
     rank = m._rank
     # a flat is a set that every added element raises in rank
     flats = []
@@ -266,8 +320,8 @@ def flats_lattice(m: Matroid) -> FlatLattice:
     return FlatLattice(
         rank=m.rank,
         flats=tuple(flats),
-        flat_rank=flat_rank,
-        covers=covers,
+        flat_rank=MappingProxyType(flat_rank),
+        covers=MappingProxyType(covers),
         bottom=bottom,
         top=m.full_mask,
     )
@@ -276,42 +330,22 @@ def flats_lattice(m: Matroid) -> FlatLattice:
 def _chain_descent_weights(
     m: Matroid, augmented: bool
 ) -> dict[tuple[int, ...], int]:
-    """Number of maximal chains with each admissible descent set.
+    """Number of maximal chains with each admissible descent set, as a fresh
+    dict.
 
-    A transfer count over the flats in rank order: ``states[f]`` maps
-    (label of the last cover, bitmask of descent positions) to the number of
-    chains from the bottom to f.  A step whose descent would follow another
-    descent, or sit at position 1 when not augmented, is dropped where it
-    happens, so no extension of it is ever visited.
+    The lattice counts its chains once under the augmented rules.  A chain is
+    admissible for the plain polynomial exactly when it is admissible for the
+    augmented one and has no descent at position 1, so the plain weights are
+    the descent sets without 1.
     """
     if not m.is_loopless:
         raise MatroidError("oracle requires loopless input")
     if m.rank < 1:
         raise MatroidError("oracle requires rank at least 1")
-    lattice = flats_lattice(m)
-    first_allowed = 1 if augmented else 2
-    states: dict[int, dict[tuple[int, int], int]] = {lattice.bottom: {(0, 0): 1}}
-    for f in lattice.flats:  # sorted by rank, so predecessors come first
-        if f == lattice.top:
-            break
-        here = states.pop(f, None)
-        if not here:
-            continue
-        pos = lattice.flat_rank[f]  # position of a descent from f's label to g's
-        for g, label in lattice.covers[f]:
-            there = states.setdefault(g, {})
-            for (last, mask), count in here.items():
-                if last > label:
-                    if pos < first_allowed or mask >> (pos - 1) & 1:
-                        continue
-                    mask |= 1 << pos
-                key = (label, mask)
-                there[key] = there.get(key, 0) + count
-    weights: dict[tuple[int, ...], int] = {}
-    for (_, mask), count in states.get(lattice.top, {}).items():
-        dset = tuple(i for i in range(1, m.rank) if mask >> i & 1)
-        weights[dset] = weights.get(dset, 0) + count
-    return weights
+    counts = flats_lattice(m).admissible_chains
+    if augmented:
+        return dict(counts)
+    return {dset: count for dset, count in counts.items() if dset[:1] != (1,)}
 
 
 def chain_chow(m: Matroid, augmented: bool = False) -> UniPoly:

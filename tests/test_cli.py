@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import chowpoly
-from chowpoly import CensusTable, UniPoly, census, forms, matroid_to_json, uniform
+from chowpoly import CensusTable, UniPoly, census, cli, forms, matroid_to_json, uniform
 from chowpoly.cli import main
 
 
@@ -287,6 +287,35 @@ def test_sequences_validates_range(capsys):
     assert "n-from <= n-to" in err
 
 
+def test_sequences_refuse_long_range_before_any_value(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a value was computed before the range was checked")
+
+    monkeypatch.setattr(cli, "coefficient_formula", no_work)
+    code, out, err = run(
+        capsys,
+        "sequences", "--coeff", "2", "--k", "3", "--n-from", "3", "--n-to", "1000000000",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: sequences is capped at 1000 values of n, got 999999998"
+    ]
+
+
+def test_sequences_reach_their_bound(capsys):
+    last = 2 + cli.SEQUENCES_MAX_ROWS
+    code, out, _ = run(
+        capsys,
+        "sequences", "--coeff", "1", "--k", "3", "--n-from", "3", "--n-to", str(last),
+        "--format", "csv",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 + cli.SEQUENCES_MAX_ROWS
+    assert lines[-1].startswith(f"{last},")
+
+
 def test_matroid_export_import(tmp_path, capsys):
     out_file = tmp_path / "m.json"
     code, out, _ = run(
@@ -384,6 +413,17 @@ def test_compute_polynomial_forms_reach_large_rank(capsys, method):
     assert out.startswith(f"{method.replace('-', '_')}: 1 + ")
 
 
+@pytest.fixture
+def no_form_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the rank was checked")
+
+    for name in forms.METHODS:
+        monkeypatch.setitem(forms._FORMS, name, no_work)
+    monkeypatch.setattr(forms, "comb", no_work)
+    monkeypatch.setattr(forms, "multinomial", no_work)
+
+
 @pytest.mark.parametrize(
     "argv, form",
     [
@@ -394,15 +434,19 @@ def test_compute_polynomial_forms_reach_large_rank(capsys, method):
     ],
     ids=["monomial", "gamma-perm", "convolution", "sequences"],
 )
-def test_polynomial_forms_refuse_rank_above_bound(capsys, monkeypatch, argv, form):
-    def no_work(*args):
-        raise AssertionError("work started before the rank was checked")
-
-    for name in forms.METHODS:
-        monkeypatch.setitem(forms._FORMS, name, no_work)
-    monkeypatch.setattr(forms, "comb", no_work)
-    monkeypatch.setattr(forms, "multinomial", no_work)
+def test_polynomial_forms_refuse_rank_above_bound(capsys, no_form_work, argv, form):
     code, out, err = run(capsys, *argv.split())
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: {form} is capped at rank k <= 256, got k=257"]
+
+
+def test_compute_all_checks_every_rank_bound_first(capsys, no_form_work):
+    # monomial admits k = 200; gamma_eulerian, second in METHODS, does not
+    code, out, err = run(capsys, "compute", "--k", "200", "--n", "200")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: the gamma_eulerian form is exponential in k and capped at k <= 18, "
+        "got k=200; use monomial, gamma_perm or convolution"
+    ]

@@ -1,4 +1,7 @@
 import json
+import pickle
+from copy import deepcopy
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from chowpoly import (
     INFINITY,
+    FlatLattice,
     Matroid,
     MatroidError,
     SchubertSpec,
@@ -22,7 +26,8 @@ from chowpoly import (
     schubert_matroid,
     uniform,
 )
-from chowpoly.matroid import _chain_descent_weights, elements_of, mask_of
+from chowpoly import matroid as matroid_module
+from chowpoly.matroid import _build_lattice, _chain_descent_weights, elements_of, mask_of
 from chowpoly.polynomial import UniPoly
 from tests.oracles import (
     brute_chain_descent_weights,
@@ -311,6 +316,79 @@ def loopless_schubert_matroids(draw):
 def test_transfer_count_matches_brute_chain_tally(m, augmented):
     want = brute_chain_descent_weights(flats_lattice(m), augmented)
     assert _chain_descent_weights(m, augmented) == want
+
+
+def test_lattice_and_chain_count_built_once_per_matroid(monkeypatch):
+    builds, counts = [], []
+    build = matroid_module._build_lattice
+    monkeypatch.setattr(
+        matroid_module, "_build_lattice", lambda m: builds.append(m) or build(m)
+    )
+    count = FlatLattice.admissible_chains.func
+    counted = cached_property(lambda lattice: counts.append(lattice) or count(lattice))
+    counted.__set_name__(FlatLattice, "admissible_chains")
+    monkeypatch.setattr(FlatLattice, "admissible_chains", counted)
+    m = uniform(4, 7)
+    lattice = flats_lattice(m)
+    for augmented in (False, True):
+        assert chain_chow(m, augmented) == closed_form(4, 7, augmented=augmented)
+        assert chain_chow_multivariate(m, augmented) == multivariate_closed_form(
+            4, 7, augmented=augmented
+        )
+    assert len(builds) == 1 and flats_lattice(m) is lattice
+    assert len(counts) == 1 and counts[0] is lattice
+
+
+def test_matroids_of_equal_size_and_rank_keep_their_own_lattices():
+    # two loopless rank-3 Schubert matroids on 1..5, evaluated one after the
+    # other; each must match a tally over a lattice built for it alone
+    first, second = (
+        schubert_matroid(SchubertSpec(5, index_set, (1, 2, 3, 4, 5)))
+        for index_set in ((1, 2, 4), (1, 3, 5))
+    )
+    assert first != second and first.rank == second.rank == 3
+    assert chain_chow(first) != chain_chow(second)
+    for m in (first, second):
+        for augmented in (False, True):
+            want = brute_chain_descent_weights(_build_lattice(m), augmented)
+            assert _chain_descent_weights(m, augmented) == want
+
+
+def test_equal_matroids_give_equal_results():
+    m = uniform(3, 6)
+    copy = matroid_from_bases(6, m.bases_sets())
+    assert copy == m and copy is not m
+    for augmented in (False, True):
+        assert chain_chow(copy, augmented) == chain_chow(m, augmented)
+        assert chain_chow_multivariate(copy, augmented) == chain_chow_multivariate(
+            m, augmented
+        )
+    assert flats_lattice(copy) is not flats_lattice(m)
+
+
+def test_matroid_pickles_after_the_oracle_ran():
+    m = _graphic_k4()
+    want = chain_chow(m, augmented=True)
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m and chain_chow(copy, augmented=True) == want
+    assert deepcopy(m) == m
+
+
+def test_shared_lattice_cannot_be_corrupted():
+    m = _graphic_k4()
+    lattice = flats_lattice(m)
+    with pytest.raises(TypeError):
+        lattice.covers[lattice.bottom] = ()
+    with pytest.raises(TypeError):
+        lattice.flat_rank[lattice.top] = 0
+    with pytest.raises(TypeError):
+        lattice.admissible_chains[()] = 0
+    for augmented in (False, True):
+        want = chain_chow(m, augmented)
+        weights = _chain_descent_weights(m, augmented)
+        weights[()] += 100
+        weights[(1, 2)] = 7
+        assert chain_chow(m, augmented) == want
 
 
 def test_chain_labels_equal_admissible_subset_permutations():
