@@ -46,9 +46,9 @@ from .schubert import (
 FORMATS = ("text", "json", "csv")
 
 # Longest range of n that ``sequences`` evaluates, checked before the first
-# row.  A row costs well under 1 ms at small k, up to about 0.9 s for the
-# coefficient of x^2 at k = 256 (2 CPUs, Python 3.11.7), so the longest
-# admitted range at k = 256 takes several minutes.
+# row.  A row costs well under 1 ms at small k and 7-30 ms for the
+# coefficient of x^2 at k = 256 (n = 256 to 100000; 2 CPUs, Python 3.11.7),
+# so the longest admitted range at k = 256 takes 12-14 s.
 SEQUENCES_MAX_ROWS = 1000
 
 _METHOD_FLAGS = {m.replace("_", "-"): m for m in METHODS}

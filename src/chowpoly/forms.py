@@ -31,7 +31,6 @@ from .combinat import (
     derangement_poly,
     eulerian_poly,
     exact_descent_counts,
-    multinomial,
     perm_descent_aggregates,
 )
 from .polynomial import SqfMultiPoly, UniPoly
@@ -49,8 +48,7 @@ EXPONENTIAL_RANK_MAX = 18
 
 # Largest rank for every form and for ``coefficient_formula``.  The
 # polynomial forms still grow like k^3 to k^4 big-integer operations: the
-# slowest takes about 1.3 s at k = n = 200, 3 s at 256 and 6 s at 320, and
-# coefficient_formula(1000, 1000, 2) takes about 19 s.
+# slowest takes about 1.3 s at k = n = 200, 3 s at 256 and 6 s at 320.
 RANK_MAX = 256
 
 _POLYNOMIAL_FORMS = ("monomial", "gamma_perm", "convolution", "coefficient_formula")
@@ -203,6 +201,16 @@ def multivariate_closed_form(
     return SqfMultiPoly.from_dense(var_range, coeffs)
 
 
+def _binomial_sum(n: int, lo: int, hi: int) -> int:
+    """Sum of C(n, j) for lo <= j < hi, each term from the one before."""
+    total = 0
+    c = comb(n, lo)
+    for j in range(lo, hi):
+        total += c
+        c = c * (n - j) // (j + 1)
+    return total
+
+
 def coefficient_formula(k: int, n: int, m: int, augmented: bool = False) -> int:
     """Direct formulas for the coefficient of x^m, m in {1, 2}.
 
@@ -211,7 +219,9 @@ def coefficient_formula(k: int, n: int, m: int, augmented: bool = False) -> int:
     from ``closed_form`` for every 1 <= k <= n, and like it they require
     k <= RANK_MAX.  The coefficient of x sums the gap multinomials of I = {i}
     (augmented) or I = {1, i}: C(n, i - 1), except 1 for I = {1, 2}, a
-    single run.
+    single run.  In the coefficient of x^2 each trinomial is
+    C(n, i) * C(n - i, j) (augmented: C(n, i - 1) * C(n - i + 1, j)), so the
+    first binomial multiplies one sum over j per i.
     """
     _check_domain(k, n, augmented)
     _check_rank("coefficient_formula", k)
@@ -223,18 +233,15 @@ def coefficient_formula(k: int, n: int, m: int, augmented: bool = False) -> int:
         if augmented:
             total = sum(comb(n, i - 1) for i in range(1, k))
             total += sum(
-                multinomial((i - 1, j, n - i + 1 - j))
+                comb(n, i - 1) * _binomial_sum(n - i + 1, 2, k - i + 1)
                 for i in range(1, k - 1)
-                for j in range(2, k - i + 1)
             )
             return total
         total = 1 if k >= 3 else 0
         total += sum(comb(n, i) for i in range(3, k))
         total += sum(comb(n, i) for i in range(2, k - 1))
         total += sum(
-            multinomial((i, j, n - i - j))
-            for i in range(2, k - 2)
-            for j in range(2, k - i)
+            comb(n, i) * _binomial_sum(n - i, 2, k - i) for i in range(2, k - 2)
         )
         return total
     raise ValueError(f"unsupported coefficient index m={m}, only 1 and 2 are available")

@@ -25,11 +25,10 @@ mappings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .polynomial import SqfMultiPoly, UniPoly
 from .polynomial import gamma_reconstruct, gamma_reconstruct_multivariate
@@ -218,8 +217,16 @@ def uniform(k: int, n: int) -> Matroid:
 # -- lattice of flats --------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class FlatLattice:
+class _FlatLatticeFields(NamedTuple):
+    rank: int
+    flats: tuple[int, ...]
+    flat_rank: Mapping[int, int]
+    covers: Mapping[int, tuple[tuple[int, int], ...]]
+    bottom: int
+    top: int
+
+
+class FlatLattice(_FlatLatticeFields):
     """Flats of a matroid ordered by inclusion, with cover labels.
 
     ``covers[f]`` lists the pairs (g, label) of the flats g covering f.  The
@@ -227,15 +234,19 @@ class FlatLattice:
     smallest element outside the bottom flat, and the label of a cover F < G
     is the number of the first atom below G but not below F: the atom that
     holds the smallest element of G - F.  ``flat_rank`` and ``covers`` are
-    read-only: one lattice serves every oracle call on its matroid.
+    read-only, and so is every attribute: one lattice serves every oracle
+    call on its matroid.  A lattice equals only itself.  It has no
+    ``__slots__``, so that ``admissible_chains`` can be cached on it.
     """
 
-    rank: int
-    flats: tuple[int, ...]
-    flat_rank: Mapping[int, int]
-    covers: Mapping[int, tuple[tuple[int, int], ...]]
-    bottom: int
-    top: int
+    def __eq__(self, other: object) -> bool:
+        return self is other
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's !=
+    __hash__ = object.__hash__
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign {name!r} of a shared FlatLattice")
 
     def maximal_chain_count(self) -> int:
         counts = {self.bottom: 1}

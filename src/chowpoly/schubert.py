@@ -25,8 +25,8 @@ with a ResourceLimitError before it lists a permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable, NamedTuple
 
 from .combinat import delta_multinomial
 from .forms import closed_form
@@ -51,24 +51,35 @@ def check_ground_size(operation: str, n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SchubertSpec:
-    """Defining data (ground size, index set, total order) of a Schubert matroid."""
-
+class _SchubertSpecFields(NamedTuple):
     n: int
     index_set: tuple[int, ...]
     perm: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "index_set", tuple(sorted(self.index_set)))
-        object.__setattr__(self, "perm", tuple(self.perm))
-        if tuple(sorted(self.perm)) != tuple(range(1, self.n + 1)):
-            raise ValueError(f"{self.perm} is not a permutation of 1..{self.n}")
-        for e in self.index_set:
-            if not 1 <= e <= self.n:
-                raise ValueError(f"index {e} outside ground set 1..{self.n}")
-        if len(set(self.index_set)) != len(self.index_set):
-            raise ValueError(f"repeated index in {self.index_set}")
+
+class SchubertSpec(_SchubertSpecFields):
+    """Defining data (ground size, index set, total order) of a Schubert matroid.
+
+    The index set is stored sorted and both sequences as tuples; a perm that
+    is not a permutation of 1..n, or an index outside 1..n or repeated, is a
+    ValueError.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, n: int, index_set: Iterable[int], perm: Iterable[int]
+    ) -> "SchubertSpec":
+        index_set = tuple(sorted(index_set))
+        perm = tuple(perm)
+        if tuple(sorted(perm)) != tuple(range(1, n + 1)):
+            raise ValueError(f"{perm} is not a permutation of 1..{n}")
+        for e in index_set:
+            if not 1 <= e <= n:
+                raise ValueError(f"index {e} outside ground set 1..{n}")
+        if len(set(index_set)) != len(index_set):
+            raise ValueError(f"repeated index in {index_set}")
+        return super().__new__(cls, n, index_set, perm)
 
 
 def schubert_matroid(spec: SchubertSpec, validate: bool = True) -> Matroid:
@@ -89,8 +100,7 @@ def schubert_matroid(spec: SchubertSpec, validate: bool = True) -> Matroid:
     return Matroid(spec.n, bases, validate=validate)
 
 
-@dataclass(frozen=True)
-class SchubertInvariants:
+class SchubertInvariants(NamedTuple):
     loops: tuple[int, ...]
     cogirth: int
 
@@ -137,18 +147,22 @@ def sm_count(n: int, m: int, loops: int, k: int) -> int:
 # -- census -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusTable:
-    """Counts of distinct Schubert matroids keyed by (rank, loops, cogirth).
-
-    Cogirth is an int, or inf for the rank-0 matroid (its dual is free).
-    """
-
+class _CensusTableFields(NamedTuple):
     n: int
     entries: dict
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", dict(self.entries))
+
+class CensusTable(_CensusTableFields):
+    """Counts of distinct Schubert matroids keyed by (rank, loops, cogirth).
+
+    Cogirth is an int, or inf for the rank-0 matroid (its dual is free).
+    The table holds its own copy of ``entries``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, entries: dict) -> "CensusTable":
+        return super().__new__(cls, n, dict(entries))
 
     @property
     def total(self) -> int:
@@ -265,8 +279,7 @@ def census(n: int) -> CensusTable:
 # -- verification against the closed forms -------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientCheck:
+class CoefficientCheck(NamedTuple):
     augmented: bool
     power: int
     coefficient: int
@@ -277,8 +290,7 @@ class CoefficientCheck:
         return self.coefficient == self.census_count
 
 
-@dataclass(frozen=True)
-class CoefficientCountReport:
+class CoefficientCountReport(NamedTuple):
     k: int
     n: int
     checks: tuple[CoefficientCheck, ...]

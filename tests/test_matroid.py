@@ -391,6 +391,17 @@ def test_shared_lattice_cannot_be_corrupted():
         assert chain_chow(m, augmented) == want
 
 
+def test_lattice_is_read_only_and_equals_only_itself():
+    lattice = flats_lattice(_graphic_k4())
+    for name in FlatLattice._fields + ("admissible_chains",):
+        with pytest.raises(AttributeError):
+            setattr(lattice, name, getattr(lattice, name))
+    twin = flats_lattice(_graphic_k4())
+    assert twin.flats == lattice.flats and twin.covers == lattice.covers
+    assert twin != lattice and not twin == lattice and lattice == lattice
+    assert len({lattice, twin}) == 2
+
+
 def test_chain_labels_equal_admissible_subset_permutations():
     for n in range(1, 8):
         for k in range(1, n + 1):

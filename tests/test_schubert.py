@@ -1,4 +1,6 @@
 import json
+import pickle
+from copy import deepcopy
 from itertools import combinations, permutations
 
 import pytest
@@ -60,6 +62,36 @@ def test_schubert_respects_permutation_order():
 def test_schubert_spec_rejects_bad_data(idx, perm, message):
     with pytest.raises(ValueError, match=message):
         spec(4, idx, perm)
+
+
+def test_schubert_spec_sorts_the_index_set_and_tuples_the_order():
+    sp = SchubertSpec(4, [3, 1], iter([2, 1, 4, 3]))
+    assert sp.index_set == (1, 3) and sp.perm == (2, 1, 4, 3)
+    assert sp == SchubertSpec(n=4, index_set=(1, 3), perm=(2, 1, 4, 3))
+    assert repr(sp) == "SchubertSpec(n=4, index_set=(1, 3), perm=(2, 1, 4, 3))"
+
+
+def test_records_are_read_only():
+    table = census(4)
+    report = verify_coefficient_counts(3, 4, table)
+    sp = spec(4, (2, 3))
+    records = [sp, schubert_invariants_formula(sp), table, report.checks[0], report]
+    for record in records:
+        for field in type(record)._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_spec_and_census_table_survive_pickle_and_deepcopy():
+    table = census(4)
+    for record in (spec(4, (1, 3), (2, 1, 4, 3)), table):
+        for copied in (pickle.loads(pickle.dumps(record)), deepcopy(record)):
+            assert copied == record and type(copied) is type(record)
+    assert deepcopy(table).entries is not table.entries
+    reordered = CensusTable(4, dict(reversed(table.entries.items())))
+    assert reordered == table and hash(reordered) == hash(table)
 
 
 def test_invariants_formula_examples():
