@@ -1,34 +1,32 @@
-"""The census sweep in numpy: relabel, fingerprint, prefilter, deduplicate,
-classify.
+"""The census closure in numpy: seed, relabel, deduplicate, classify.
 
-The census of Schubert matroids sweeps every (index set, permutation) pair,
-relabeling and fingerprinting each basis collection.  A rank-k collection is
-a set of k-subsets of {1..n}, so its fingerprint is a bit vector over the
-C(n, k) k-subsets: bit i is set when the i-th k-subset, in
-``itertools.combinations`` order, is a basis.  The vector is cut into
-ceil(C(n, k) / 64) little-endian uint64 words.  That is one word for every
-rank at n <= 7, and for every rank at n = 8 except k = 4 (C(8, 4) = 70),
-which takes two.  Equal fingerprints mean equal basis collections, so
-deduplication is exact.
+The census of Schubert matroids on {1..n} is the orbit, under every
+relabeling of the ground set, of the identity-order Schubert matroids of
+the index sets.  A rank-k collection is a set of k-subsets of {1..n}, so
+its fingerprint is a bit vector over the C(n, k) k-subsets: bit i is set
+when the i-th k-subset, in ``itertools.combinations`` order, is a basis.
+The vector is cut into ceil(C(n, k) / 64) little-endian uint64 words.  That
+is one word for every rank at n <= 7, and for every rank at n = 8 except
+k = 4 (C(8, 4) = 70), which takes two.  Equal fingerprints mean equal basis
+collections, so deduplication is exact.
 
-The permutations are swept in blocks of ``PERM_BLOCK`` (7!/2, for every
-n), so the memory of one block does not grow with n.  A block of 7! would
-be about a fifth faster at n = 8, but at n = 7 it holds the whole rank and
-raises the peak memory of ``census(7)`` by about 0.8 MB.
-
-* ``relabel_table`` maps each k-subset and permutation of a block to the
-  rank of the image subset.
-* ``census_fingerprints`` builds the fingerprints of every index set under
-  every permutation of the block by a recurrence over the componentwise
-  order on k-subsets: the bases of index set I are the upper set of I, so
-  its fingerprint is the bit of I's image OR the fingerprints of the upper
-  covers of I.
-* ``prefilter_mask`` drops, inside each index set's run of rows, a row that
-  equals the row j! places before it.  The value stays in the earlier row,
-  so the filter is exact; about one row in eight is left at n = 8.
+* ``schubert_seeds`` fingerprints the identity-order Schubert matroid of
+  every k-subset I by a recurrence over the componentwise order on
+  k-subsets: the bases of I are the upper set of I, so its fingerprint is
+  the bit of I OR the fingerprints of the upper covers of I.
+* ``transposition_ranks`` maps each k-subset to the rank of its image when
+  two elements are swapped.  A relabeling acts on a fingerprint as that
+  permutation of its bit positions, which ``relabel_rows`` applies to whole
+  arrays: unpack the bits, gather the columns, pack into the same words.
+* ``orbit_closure`` closes a set of fingerprints under all n! relabelings
+  in n - 1 stages.  Every permutation of {1..m+1} is a permutation of
+  {1..m} followed by the swap of m + 1 with some element up to m + 1, so
+  stage m adds the images of the rows under each such swap and
+  deduplicates.  The work grows with the distinct rows of each stage, not
+  with n!: 298,329 rows over all ranks at n = 8, against 10,281,600
+  (index set, permutation) pairs.
 * ``distinct_rows`` sorts one-word fingerprints as plain integers and
   orders two-word ones with a ``lexsort``, then drops equal neighbours.
-  ``block_distinct_rows`` runs the four steps above on one block.
 * ``classify_fingerprints`` reads loops and cogirth off whole arrays of
   fingerprints with bitwise masks over the k-subsets.
 
@@ -37,19 +35,10 @@ Ground-set convention: element e of {1..n} is bit e-1 of a subset mask.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, permutations
-from math import comb, factorial
+from itertools import combinations
+from math import comb
 
 import numpy as np
-
-PERM_BLOCK = 2520  # permutations per block of the sweep, whatever n is
-
-
-def perm_table(n: int) -> np.ndarray:
-    """All permutations of {1..n} in lexicographic order, one per row."""
-    rows = factorial(n)
-    flat = chain.from_iterable(permutations(range(1, n + 1)))
-    return np.fromiter(flat, dtype=np.uint8, count=rows * n).reshape(rows, n)
 
 
 def _subset_masks(n: int, k: int) -> np.ndarray:
@@ -57,31 +46,6 @@ def _subset_masks(n: int, k: int) -> np.ndarray:
     return np.array(
         [sum(1 << e for e in c) for c in combinations(range(n), k)], dtype=np.int64
     )
-
-
-def _rank_of_mask(n: int, k: int) -> np.ndarray:
-    """lookup[m] = rank of the k-subset mask m; -1 for masks of other sizes."""
-    lookup = np.full(1 << n, -1, dtype=np.intp)
-    lookup[_subset_masks(n, k)] = np.arange(comb(n, k))
-    return lookup
-
-
-def relabel_table(perms: np.ndarray, n: int, k: int) -> np.ndarray:
-    """table[i, p] = rank of the image of the i-th k-subset under permutation
-    row p.
-
-    Element e (bit e-1) is sent to perms[p, e-1].  Shape (C(n, k), n!), in
-    the smallest unsigned dtype that holds C(n, k) - 1.
-    """
-    masks = _subset_masks(n, k).astype(np.uint16)
-    image = np.zeros((masks.size, perms.shape[0]), dtype=np.uint16)
-    for j in range(n):
-        bit = (masks >> j) & 1
-        target = (perms[:, j].astype(np.uint16) - 1)[None, :]
-        image |= bit[:, None] << target
-    # the image of a k-subset is a k-subset, so no lookup entry of -1 is read
-    rank_of = _rank_of_mask(n, k).astype(np.min_scalar_type(masks.size - 1))
-    return rank_of[image]
 
 
 def fingerprint_words(n: int, k: int) -> int:
@@ -119,49 +83,76 @@ def _upper_covers(n: int, k: int) -> list[list[int]]:
     ]
 
 
-def census_fingerprints(table: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Fingerprint every (index set, permutation) pair of one block.
+def schubert_seeds(n: int, k: int) -> np.ndarray:
+    """Row i fingerprints the identity-order Schubert matroid of the i-th
+    k-subset I, whose bases are the upper set of I.
 
-    ``table`` is the relabel table of the block's permutations.  Row
-    i * nperms + p fingerprints the image under permutation p of the
-    identity-order Schubert matroid of the i-th k-subset I, whose bases are
-    the upper set of I.  A raised subset comes later in ``combinations``
-    order, so walking the subsets backwards meets every cover first, and the
-    fingerprint of I is the bit of its own image OR those of its covers.
+    A raised subset comes later in ``combinations`` order, so walking the
+    subsets backwards meets every cover first, and the fingerprint of I is
+    the bit of I OR those of its covers.
     """
-    size, nperms = table.shape
-    bits = _rank_bits(n, k)
-    out = np.empty((size, nperms, bits.shape[1]), dtype=np.uint64)
+    rows = _rank_bits(n, k)
     covers = _upper_covers(n, k)
-    for i in range(size - 1, -1, -1):
-        np.take(bits, table[i], axis=0, out=out[i])
+    for i in range(len(covers) - 1, -1, -1):
         for j in covers[i]:
-            out[i] |= out[j]
-    return out.reshape(size * nperms, bits.shape[1])
+            rows[i] |= rows[j]
+    return rows
 
 
-def prefilter_mask(rows: np.ndarray, per_set: int) -> np.ndarray:
-    """keep[r] is false when row r repeats a row j! places before it inside
-    its own run of ``per_set`` rows, for some j! < per_set.
+def transposition_ranks(n: int, k: int, i: int | np.ndarray, j: int) -> np.ndarray:
+    """ranks[r] = rank of the image of the r-th k-subset of {1..n} when the
+    elements at bits i and j are swapped; the identity when i == j.
 
-    The rows come in runs of ``per_set``, one run per index set, with the
-    permutations in lexicographic order.  Permutations j! places apart
-    there often differ by swapping two values, which can leave the matroid
-    as it was.  Only rows equal to an earlier row of the same run are
-    dropped, so every run keeps each of its distinct rows.  The words are
-    compared one at a time.
+    ``i`` may also be an array of bits, which gives one row of ranks per
+    bit.  A swap is its own inverse, and so is each row.
     """
-    runs = rows.reshape(-1, per_set, rows.shape[1])
-    drop = np.zeros(runs.shape[:2], dtype=bool)
-    step, j = 1, 1
-    while step < per_set:
-        same = runs[:, step:, 0] == runs[:, :-step, 0]
-        for w in range(1, runs.shape[2]):
-            same &= runs[:, step:, w] == runs[:, :-step, w]
-        drop[:, step:] |= same
-        j += 1
-        step *= j
-    return ~drop.reshape(-1)
+    masks = _subset_masks(n, k)
+    i = np.asarray(i)[..., None]
+    moved = ((masks >> i) ^ (masks >> j)) & 1
+    image = masks ^ ((moved << i) | (moved << j))
+    order = np.argsort(masks)
+    return order[np.searchsorted(masks, image, sorter=order)]
+
+
+def relabel_rows(rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Images of fingerprint rows under relabelings of the ground set.
+
+    Each row of ``ranks`` is a self-inverse permutation of the subset ranks,
+    as ``transposition_ranks`` gives: the image of a collection holds subset
+    ranks[r] exactly when the collection holds subset r.  Row
+    r * len(ranks) + s of the result is the image of row r under ranks[s].
+    """
+    words = rows.shape[1]
+    size = ranks.shape[1]
+    as_bytes = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
+    # the bits past the last subset stay where they are (they are all 0), so
+    # each image fills whole words and packing the flat array keeps the rows
+    padding = np.arange(size, bits.shape[1])
+    images = np.empty((rows.shape[0], ranks.shape[0], words), dtype=np.uint64)
+    # one swap at a time, so the gathered bytes (eight per bit of the
+    # images) are those of one image per row, not of all of them
+    for s, perm in enumerate(ranks):
+        moved = np.take(bits, np.concatenate([perm, padding]), axis=1)
+        packed = np.packbits(moved.ravel(), bitorder="little").view("<u8")
+        images[:, s] = packed.reshape(-1, words)
+    return images.reshape(-1, words)
+
+
+def orbit_closure(seeds: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The distinct images of the rank-k fingerprint rows ``seeds`` under
+    every permutation of {1..n}, in the order of ``distinct_rows``.
+
+    Stage m takes the rows closed under the permutations of the first m
+    elements to their images under the swaps of element m + 1 with each of
+    the elements up to m + 1 (the last swap is the identity, so the rows
+    themselves stay), and deduplicates them.
+    """
+    rows = distinct_rows(seeds)
+    for m in range(1, n):
+        swaps = transposition_ranks(n, k, np.arange(m + 1), m)
+        rows = distinct_rows(relabel_rows(rows, swaps))
+    return rows
 
 
 def distinct_rows(rows: np.ndarray) -> np.ndarray:
@@ -178,14 +169,6 @@ def distinct_rows(rows: np.ndarray) -> np.ndarray:
     keep = np.ones(ordered.shape[0], dtype=bool)
     keep[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     return ordered[keep]
-
-
-def block_distinct_rows(perms: np.ndarray, n: int, k: int) -> np.ndarray:
-    """The distinct fingerprints of all rank-k index sets under one block of
-    permutations: relabel, fingerprint, prefilter, deduplicate.  The block's
-    full array of rows is freed on return."""
-    rows = census_fingerprints(relabel_table(perms, n, k), n, k)
-    return distinct_rows(rows[prefilter_mask(rows, perms.shape[0])])
 
 
 def classify_fingerprints(

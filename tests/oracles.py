@@ -15,11 +15,12 @@ paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 from math import factorial
 from typing import Iterable, Iterator
 
-from chowpoly import ResourceLimitError, UniPoly
+from chowpoly import ResourceLimitError, SchubertSpec, UniPoly, schubert_matroid
 
 
 def brute_descents(seq) -> tuple[int, ...]:
@@ -187,6 +188,19 @@ def brute_relabel(mask: int, perm) -> int:
     """Image of a subset mask under the permutation with one-line ``perm``:
     element e (bit e-1) goes to perm[e-1]."""
     return sum(1 << (perm[e - 1] - 1) for e in range(1, len(perm) + 1) if mask >> (e - 1) & 1)
+
+
+@cache
+def schubert_fingerprints(n: int, k: int) -> dict[tuple, tuple[int, ...]]:
+    """(index set, order) -> ``brute_rank_fingerprint`` of the bases that
+    ``schubert_matroid`` builds, for every k-subset and every permutation of
+    {1..n}.  The values are the whole rank-k census, with repeats."""
+    out = {}
+    for perm in permutations(range(1, n + 1)):
+        for idx in combinations(range(1, n + 1), k):
+            bases = schubert_matroid(SchubertSpec(n, idx, perm), validate=False).bases
+            out[idx, perm] = tuple(brute_rank_fingerprint(bases, n, k))
+    return out
 
 
 def brute_loops_and_cogirth(masks, n: int) -> tuple[int, int]:

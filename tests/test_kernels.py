@@ -1,17 +1,18 @@
+from functools import cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chowpoly import SchubertSpec, census, kernels, schubert_matroid
+from chowpoly import SchubertSpec, census, delta_multinomial, kernels, schubert_matroid
 from tests.oracles import (
     _id_order_ranks,
     brute_loops_and_cogirth,
     brute_rank_fingerprint,
     brute_relabel,
+    schubert_fingerprints,
 )
 
 
@@ -20,63 +21,80 @@ def _k_subset_masks(n: int, k: int) -> list[int]:
 
 
 def _schubert_fingerprint(n: int, idx, perm) -> list[int]:
-    # the census pair (I, p) is the Schubert matroid of p(I) in the order p,
-    # built from the definition in chowpoly.schubert, not from the kernels
+    # the image under perm of the identity-order Schubert matroid of idx is
+    # the Schubert matroid of perm(idx) in the order perm, built from the
+    # definition in chowpoly.schubert, not from the kernels
     image = tuple(sorted(perm[e - 1] for e in idx))
     bases = schubert_matroid(SchubertSpec(n, image, tuple(perm)), validate=False).bases
     return brute_rank_fingerprint(bases, n, len(idx))
 
 
-def _block_rows(perms, n: int, k: int) -> np.ndarray:
-    table = kernels.relabel_table(np.array(perms, dtype=np.uint8).reshape(-1, n), n, k)
-    return kernels.census_fingerprints(table, n, k)
+def _swap(n: int, i: int, j: int) -> tuple[int, ...]:
+    """One-line notation of the swap of bits i and j (elements i+1, j+1)."""
+    perm = list(range(1, n + 1))
+    perm[i], perm[j] = perm[j], perm[i]
+    return tuple(perm)
 
 
-def test_relabel_table_roundtrip():
-    n, k = 4, 2
-    perms = kernels.perm_table(n)
-    table = kernels.relabel_table(perms, n, k)
-    assert table.shape == (6, 24)
-    # the identity permutation is the first lexicographic row; k-subsets in
-    # combinations order: 12, 13, 14, 23, 24, 34
-    assert list(table[:, 0]) == list(range(6))
-    # relabeling by (2,1,3,4) swaps 1 and 2: 13 -> 23, 24 -> 14
-    col = perms.tolist().index([2, 1, 3, 4])
-    assert list(table[:, col]) == [0, 3, 4, 1, 2, 5]
-    # every entry against the relabeled mask, for every rank
-    for rank in range(n + 1):
-        masks = _k_subset_masks(n, rank)
-        table = kernels.relabel_table(perms, n, rank)
-        for p, perm in enumerate(perms.tolist()):
-            assert [masks[r] for r in table[:, p]] == [brute_relabel(m, perm) for m in masks]
+def _as_set(rows: np.ndarray) -> set[tuple[int, ...]]:
+    return set(map(tuple, rows.tolist()))
 
 
-def test_fingerprints_batched_and_streamed_agree():
-    # fingerprinting in blocks of permutations, prefiltering each index set's
-    # run, deduplicating each block and then merging the survivors, as census
-    # does, keeps exactly np.unique's rows of the whole rank, in every block
-    # size; the rows of a block are the matching slices of the whole sweep
+@cache
+def _closure(n: int, k: int) -> np.ndarray:
+    rows = kernels.orbit_closure(kernels.schubert_seeds(n, k), n, k)
+    rows.setflags(write=False)
+    return rows
+
+
+@cache
+def _closure_set(n: int, k: int) -> frozenset[tuple[int, ...]]:
+    return frozenset(_as_set(_closure(n, k)))
+
+
+def test_transposition_ranks_roundtrip():
+    # k-subsets of {1..4} in combinations order: 12, 13, 14, 23, 24, 34;
+    # swapping 1 and 2 (bits 0 and 1) sends 13 -> 23 and 24 -> 14
+    assert kernels.transposition_ranks(4, 2, 0, 1).tolist() == [0, 3, 4, 1, 2, 5]
+    assert kernels.transposition_ranks(4, 2, 2, 2).tolist() == list(range(6))
+    # every entry against the relabeled mask, for every rank and swap
     n = 5
-    perms = kernels.perm_table(n)
-    nperms = perms.shape[0]
-    for k in range(1, n + 1):
-        size = comb(n, k)
-        batched = _block_rows(perms, n, k)
-        assert batched.shape[0] == size * nperms
-        expected = np.unique(batched, axis=0)
-        assert np.array_equal(kernels.distinct_rows(batched), expected)
-        for block in (6, 24, nperms):
-            survivors = []
-            for start in range(0, nperms, block):
-                block_perms = perms[start : start + block]
-                rows = _block_rows(block_perms, n, k)
-                assert rows.shape[0] == size * block
-                for i in range(size):
-                    whole = batched[i * nperms + start : i * nperms + start + block]
-                    assert np.array_equal(rows[i * block : (i + 1) * block], whole)
-                survivors.append(kernels.block_distinct_rows(block_perms, n, k))
-            streamed = kernels.distinct_rows(np.concatenate(survivors))
-            assert np.array_equal(streamed, expected), (k, block)
+    for k in range(n + 1):
+        masks = _k_subset_masks(n, k)
+        for i in range(n):
+            for j in range(n):
+                ranks = kernels.transposition_ranks(n, k, i, j).tolist()
+                expected = [brute_relabel(m, _swap(n, i, j)) for m in masks]
+                assert [masks[r] for r in ranks] == expected, (k, i, j)
+
+
+@st.composite
+def relabel_cases(draw):
+    """A ground size n <= 8, a rank, two bits (equal or not), and basis
+    collections of k-subset masks."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(0, n))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    collection = st.frozensets(st.sampled_from(_k_subset_masks(n, k)), max_size=12)
+    colls = draw(st.lists(collection, min_size=1, max_size=4))
+    return n, k, i, j, [sorted(c) for c in colls]
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabel_cases())
+# at n = 8, k = 4 the swap of 1 and 8 exchanges {1,5,6,7} (rank 31, word 0)
+# and {5,6,7,8} (rank 69, word 1)
+@example((8, 4, 0, 7, [[0b1111, 0b1110001], [0b11110000]]))
+def test_transposition_action_matches_brute_relabel(case):
+    n, k, i, j, colls = case
+    rows = np.array([brute_rank_fingerprint(c, n, k) for c in colls], dtype=np.uint64)
+    swaps = np.array([kernels.transposition_ranks(n, k, i, j), np.arange(comb(n, k))])
+    images = kernels.relabel_rows(rows, swaps).tolist()
+    assert len(images) == 2 * len(colls)
+    for r, coll in enumerate(colls):
+        relabeled = [brute_relabel(m, _swap(n, i, j)) for m in coll]
+        assert images[2 * r] == brute_rank_fingerprint(relabeled, n, k), coll
+        assert images[2 * r + 1] == rows[r].tolist(), coll
 
 
 def test_fingerprint_words():
@@ -95,27 +113,24 @@ def test_rank0_fingerprint_classifies_as_no_hitting_set():
 
 def test_second_word_fingerprints_at_rank_four_of_eight():
     # at n = 8, k = 4 the index sets 64..69 have every basis at a k-subset of
-    # rank >= 64, in the second word, so under the identity their rows agree
-    # on word 0 and differ only in word 1
+    # rank >= 64, in the second word, so their seeds agree on word 0 and
+    # differ only in word 1; swaps move bases between the two words
     n, k = 8, 4
-    perms = [tuple(range(1, n + 1)), (8, 7, 6, 5, 4, 3, 2, 1), (2, 5, 8, 3, 6, 1, 4, 7)]
-    rows = _block_rows(perms, n, k)
-    assert rows.shape == (comb(n, k) * len(perms), 2)
-    subsets = list(combinations(range(1, n + 1), k))
-    for i, idx in enumerate(subsets):
-        for p, perm in enumerate(perms):
-            row = rows[i * len(perms) + p].tolist()
-            assert row == _schubert_fingerprint(n, idx, perm), (idx, perm)
-    high = rows[64 * len(perms) :: len(perms)]  # identity rows of sets 64..69
-    assert high.shape == (6, 2)
+    seeds = kernels.schubert_seeds(n, k)
+    assert seeds.shape == (comb(n, k), 2)
+    high = seeds[64:]
     assert set(high[:, 0].tolist()) == {0}
     assert kernels.distinct_rows(high).shape == (6, 2)
-    assert kernels.distinct_rows(rows).shape[0] == len({tuple(x) for x in rows.tolist()})
-    # as one run they differ only in word 1, at offsets 1 and 2: none repeats
-    assert kernels.prefilter_mask(high, 6).all()
+    pairs = [(0, 7), (3, 4), (0, 1), (2, 6)]
+    swaps = np.array([kernels.transposition_ranks(n, k, i, j) for i, j in pairs])
+    images = kernels.relabel_rows(seeds, swaps).tolist()
+    for r, idx in enumerate(combinations(range(1, n + 1), k)):
+        for s, (i, j) in enumerate(pairs):
+            expected = _schubert_fingerprint(n, idx, _swap(n, i, j))
+            assert images[r * len(pairs) + s] == expected, (idx, i, j)
     loops, cogirths = kernels.classify_fingerprints(high, n, k)
-    for j, idx in enumerate(subsets[64:]):
-        bases = schubert_matroid(SchubertSpec(n, idx, perms[0])).bases
+    for j, idx in enumerate(list(combinations(range(1, n + 1), k))[64:]):
+        bases = schubert_matroid(SchubertSpec(n, idx, tuple(range(1, n + 1)))).bases
         assert (loops[j], cogirths[j]) == brute_loops_and_cogirth(bases, n), idx
 
 
@@ -135,42 +150,79 @@ def basis_collections(draw):
 
 @st.composite
 def census_pairs(draw):
-    """A ground size of 7 or 8, a rank, a block of permutations and some
-    positions (index set, permutation) in it."""
+    """A ground size of 7 or 8, a rank, and some (index set, permutation)
+    pairs."""
     n = draw(st.sampled_from([7, 8]))
     k = draw(st.integers(1, n))
-    perms = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=3))
-    pairs = st.tuples(st.integers(0, comb(n, k) - 1), st.integers(0, len(perms) - 1))
-    return n, k, perms, draw(st.lists(pairs, min_size=1, max_size=6))
+    index_set = st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
+    pair = st.tuples(index_set.map(lambda s: tuple(sorted(s))), st.permutations(range(1, n + 1)))
+    return n, k, draw(st.lists(pair, min_size=1, max_size=4))
 
 
 @settings(max_examples=60, deadline=None)
 @given(census_pairs())
-@example((8, 4, [(2, 5, 8, 3, 6, 1, 4, 7)], [(0, 0), (35, 0), (69, 0)]))
+@example((8, 4, [((1, 2, 3, 4), (2, 5, 8, 3, 6, 1, 4, 7)), ((5, 6, 7, 8), (8, 7, 6, 5, 4, 3, 2, 1))]))
 def test_census_fingerprints_match_brute_oracle(case):
-    n, k, perms, pairs = case
-    rows = _block_rows(perms, n, k)
-    assert rows.shape == (comb(n, k) * len(perms), kernels.fingerprint_words(n, k))
-    subsets = list(combinations(range(1, n + 1), k))
-    for i, p in pairs:
-        row = rows[i * len(perms) + p].tolist()
-        idx, perm = subsets[i], perms[p]
-        assert row == _schubert_fingerprint(n, idx, perm), (idx, perm)
+    # at n = 7 and 8, past the exhaustive check, the closure holds the
+    # fingerprint of every sampled (index set, permutation) pair
+    n, k, pairs = case
+    closure = _closure_set(n, k)
+    for idx, perm in pairs:
+        assert tuple(_schubert_fingerprint(n, idx, perm)) in closure, (idx, perm)
 
 
-def test_block_fingerprints_match_schubert_bases_exhaustively():
-    # every (index set, permutation) row for n <= 6, against the bases of
-    # schubert_matroid, which shares no code with the kernels
+def test_closure_matches_schubert_bases_exhaustively():
+    # for n <= 6 the closure of each rank's seeds is, as a set, the
+    # fingerprints of schubert_matroid over every (index set, permutation)
+    # pair; schubert_matroid shares no code with the kernels
     for n in range(1, 7):
-        perms = kernels.perm_table(n)
-        perm_rows = [tuple(int(v) for v in row) for row in perms]
+        for k in range(n + 1):
+            rows = _closure(n, k)
+            assert _as_set(rows) == set(schubert_fingerprints(n, k).values()), (n, k)
+            assert np.array_equal(kernels.distinct_rows(rows), rows), (n, k)
+
+
+def test_closure_is_closed_under_adjacent_transpositions():
+    # the adjacent swaps generate every permutation, so each of them maps the
+    # final rows of a rank onto themselves, across both words at n = 8, k = 4
+    for n in (2, 5, 8):
+        for k in range(1, n):
+            rows = _closure(n, k)
+            adjacent = [kernels.transposition_ranks(n, k, i, i + 1) for i in range(n - 1)]
+            images = kernels.relabel_rows(rows, np.array(adjacent))
+            assert _as_set(images) == _closure_set(n, k), (n, k)
+
+
+def test_fingerprints_batched_and_streamed_agree():
+    # closing all seeds of a rank at once keeps exactly the rows of closing
+    # each index set's seed alone and merging; each index set's own orbit
+    # has as many matroids as its gap multinomial
+    for n in (5, 6):
         for k in range(1, n + 1):
-            rows = _block_rows(perms, n, k).tolist()
-            r = 0
-            for idx in combinations(range(1, n + 1), k):
-                for perm in perm_rows:
-                    assert rows[r] == _schubert_fingerprint(n, idx, perm), (idx, perm)
-                    r += 1
+            seeds = kernels.schubert_seeds(n, k)
+            orbits = [kernels.orbit_closure(seeds[i : i + 1], n, k) for i in range(len(seeds))]
+            for idx, orbit in zip(combinations(range(1, n + 1), k), orbits):
+                assert orbit.shape[0] == delta_multinomial(n, idx), idx
+            streamed = kernels.distinct_rows(np.concatenate(orbits))
+            assert np.array_equal(streamed, _closure(n, k)), (n, k)
+
+
+def test_census_relabels_only_distinct_rows(monkeypatch):
+    # census(8) relabels the distinct rows of each stage, 298,329 images over
+    # all ranks, not the 10,281,600 (index set, permutation) pairs
+    images = []
+    relabel = kernels.relabel_rows
+
+    def counted(rows, ranks):
+        assert np.array_equal(kernels.distinct_rows(rows), rows)
+        out = relabel(rows, ranks)
+        images.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(kernels, "relabel_rows", counted)
+    census(8)
+    assert len(images) == 8 * 7
+    assert sum(images) == 298_329
 
 
 @settings(max_examples=80, deadline=None)
@@ -199,96 +251,13 @@ def test_distinct_rows_is_exact_dedupe(case):
         assert sorted(map(tuple, distinct.tolist())) == sorted(set(map(tuple, block.tolist())))
 
 
-def _factorial_offsets(per_set: int) -> list[int]:
-    offsets, j = [], 1
-    while factorial(j) < per_set:
-        offsets.append(factorial(j))
-        j += 1
-    return offsets
-
-
-def _brute_prefilter(rows: list[tuple[int, ...]], per_set: int) -> list[bool]:
-    # a row is dropped when it equals the row j! places back in its own run
-    offsets = _factorial_offsets(per_set)
-    return [
-        not any(r % per_set >= f and row == rows[r - f] for f in offsets)
-        for r, row in enumerate(rows)
-    ]
-
-
-@st.composite
-def planted_runs(draw):
-    """Runs of one- or two-word rows with few distinct values, where some
-    rows are copied from j! places back (also across the start of a run) and
-    some copies are then changed in their last word only."""
-    words = draw(st.integers(1, 2))
-    per_set = draw(st.sampled_from([1, 2, 5, 6, 24, 30]))
-    total = per_set * draw(st.integers(1, 4))
-    word = st.sampled_from([0, 1, 2**63, 2**64 - 1])
-    rows = [draw(st.lists(word, min_size=words, max_size=words)) for _ in range(total)]
-    for _ in range(draw(st.integers(0, total))):
-        r = draw(st.integers(0, total - 1))
-        f = draw(st.sampled_from([1, 2, 6, 24]))
-        if r >= f:
-            rows[r] = list(rows[r - f])
-            if draw(st.booleans()):
-                rows[r][-1] ^= 1
-    return per_set, np.array(rows, dtype=np.uint64).reshape(total, words)
-
-
 def test_identity_rows_are_the_upper_sets_of_every_index_set():
-    # under the identity the bases of I are the k-subsets dominating it, for
-    # every index set up to n = 8 (both words of k = 4 included)
+    # the seed of I fingerprints the k-subsets dominating it, for every index
+    # set up to n = 8 (both words of k = 4 included)
     for n in (7, 8):
         for k in range(1, n + 1):
-            rows = _block_rows([tuple(range(1, n + 1))], n, k).tolist()
+            rows = kernels.schubert_seeds(n, k).tolist()
             for i, idx in enumerate(combinations(range(1, n + 1), k)):
                 vector = sum(1 << r for r in _id_order_ranks(n, idx))
                 words = [(vector >> (64 * w)) % 2**64 for w in range(len(rows[i]))]
                 assert rows[i] == words, idx
-
-
-@settings(max_examples=150, deadline=None)
-@given(planted_runs())
-def test_prefilter_and_distinct_rows_keep_every_row_value(case):
-    per_set, rows = case
-    keep = kernels.prefilter_mask(rows, per_set)
-    as_tuples = [tuple(r) for r in rows.tolist()]
-    assert keep.tolist() == _brute_prefilter(as_tuples, per_set)
-    distinct = kernels.distinct_rows(rows[keep])
-    assert sorted(map(tuple, distinct.tolist())) == sorted(set(as_tuples))
-    # each index set's run keeps all of its own values, not only the union
-    for start in range(0, rows.shape[0], per_set):
-        run = set(as_tuples[start : start + per_set])
-        kept = {as_tuples[r] for r in range(start, start + per_set) if keep[r]}
-        assert kept == run, start
-
-
-def test_census_fingerprints_every_pair_once_in_fixed_blocks(monkeypatch):
-    # one census(8) call fingerprints each (index set, permutation) pair once,
-    # in blocks of PERM_BLOCK < 8! permutations, never a whole rank at once
-    calls = []
-    kernel = kernels.census_fingerprints
-
-    def counted(table, n, k):
-        rows = kernel(table, n, k)
-        calls.append((k, table.shape[1], rows.shape[0]))
-        return rows
-
-    monkeypatch.setattr(kernels, "census_fingerprints", counted)
-    n = 8
-    census(n)
-    assert sum(rows for _, _, rows in calls) == sum(
-        comb(n, k) for k in range(1, n + 1)
-    ) * factorial(n)
-    assert kernels.PERM_BLOCK < factorial(n)
-    for k, nperms, rows in calls:
-        assert nperms == kernels.PERM_BLOCK
-        assert rows == comb(n, k) * kernels.PERM_BLOCK
-
-
-def test_census_is_the_same_in_any_block_size(monkeypatch):
-    expected = census(6)
-    for block in (2, 24, 120):
-        monkeypatch.setattr(kernels, "PERM_BLOCK", block)
-        assert census(6) == expected, block

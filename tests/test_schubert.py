@@ -1,5 +1,6 @@
 import json
 import pickle
+import sys
 from copy import deepcopy
 from itertools import combinations, permutations
 
@@ -24,7 +25,11 @@ from chowpoly import (
     uniform,
     verify_coefficient_counts,
 )
-from tests.oracles import _grassmannian_perms, grassmannian_avoiding_count
+from tests.oracles import (
+    _grassmannian_perms,
+    grassmannian_avoiding_count,
+    schubert_fingerprints,
+)
 
 
 def spec(n, idx, perm=None):
@@ -117,25 +122,20 @@ def test_invariants_formula_matches_engine_exhaustively():
 
 
 def test_invariants_formula_matches_kernel_classification():
-    # exhaustive at n = 6 via the census block kernel
+    # exhaustive at n = 6: the census kernel classifies the brute fingerprint
+    # of every Schubert matroid as the formula reads it off (I, p)
+    import numpy as np
+
     from chowpoly import kernels
 
     n = 6
-    perms = kernels.perm_table(n)
-    perm_rows = [tuple(int(v) for v in row) for row in perms]
     for size in range(1, n + 1):
-        table = kernels.relabel_table(perms, n, size)
-        rows = kernels.census_fingerprints(table, n, size)
+        pairs = schubert_fingerprints(n, size)
+        rows = np.array(list(pairs.values()), dtype=np.uint64)
         loops, cogirths = kernels.classify_fingerprints(rows, n, size)
-        r = 0
-        for idx in combinations(range(1, n + 1), size):
-            for perm in perm_rows:
-                image = tuple(sorted(perm[e - 1] for e in idx))
-                inv = schubert_invariants_formula(SchubertSpec(n, image, perm))
-                assert len(inv.loops) == loops[r], (idx, perm)
-                assert inv.cogirth == cogirths[r], (idx, perm)
-                r += 1
-        assert r == rows.shape[0]
+        for r, (idx, perm) in enumerate(pairs):
+            inv = schubert_invariants_formula(SchubertSpec(n, idx, perm))
+            assert (len(inv.loops), inv.cogirth) == (loops[r], cogirths[r]), (idx, perm)
 
 
 def test_relabeled_bases_versus_identity_order_form():
@@ -264,11 +264,12 @@ def test_census_is_deterministic():
 
 
 def _no_permutations(monkeypatch):
-    # census(9) would sweep all 9! permutations before a late refusal
-    def no_listing(*args):
-        raise AssertionError("permutations listed before the ground size was checked")
+    # census(9) would close its fingerprints under all 9! relabelings before
+    # a late refusal
+    def no_closure(*args):
+        raise AssertionError("fingerprints relabeled before the ground size was checked")
 
-    monkeypatch.setattr("chowpoly.kernels.perm_table", no_listing)
+    monkeypatch.setattr("chowpoly.kernels.orbit_closure", no_closure)
 
 
 def test_census_resource_guard(monkeypatch):
@@ -288,6 +289,15 @@ def test_census_guard_ignores_the_removed_env_override(monkeypatch):
 def test_census_needs_a_nonempty_ground_set():
     with pytest.raises(ValueError, match="n >= 1"):
         census(0)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.5, 8.0, "8", None])
+def test_census_refuses_a_non_int_ground_size(monkeypatch, n):
+    # the refusal comes before numpy is imported: with numpy unimportable, a
+    # later check would raise ImportError instead
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ValueError, match=r"^census needs an int n, got \S+$"):
+        census(n)
 
 
 def test_census_from_csv_rejects_empty_text():
