@@ -10,14 +10,15 @@ is one word for every rank at n <= 7, and for every rank at n = 8 except
 k = 4 (C(8, 4) = 70), which takes two.  Equal fingerprints mean equal basis
 collections, so deduplication is exact.
 
+* ``_pack`` is the one place that knows the word layout: it packs a
+  boolean matrix with one column per k-subset into those words.
 * ``schubert_seeds`` fingerprints the identity-order Schubert matroid of
-  every k-subset I by a recurrence over the componentwise order on
-  k-subsets: the bases of I are the upper set of I, so its fingerprint is
-  the bit of I OR the fingerprints of the upper covers of I.
+  every k-subset I from the definition: its bases are the k-subsets J with
+  J >= I componentwise, one comparison over the subsets' elements.
 * ``transposition_ranks`` maps each k-subset to the rank of its image when
   two elements are swapped.  A relabeling acts on a fingerprint as that
   permutation of its bit positions, which ``relabel_rows`` applies to whole
-  arrays: unpack the bits, gather the columns, pack into the same words.
+  arrays: unpack the bits once, then gather the columns and pack each image.
 * ``orbit_closure`` closes a set of fingerprints under all n! relabelings
   in n - 1 stages.  Every permutation of {1..m+1} is a permutation of
   {1..m} followed by the swap of m + 1 with some element up to m + 1, so
@@ -41,11 +42,15 @@ from math import comb
 import numpy as np
 
 
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of {1..n}, one row of k element bits each, in
+    ``combinations`` order."""
+    return np.array(list(combinations(range(n), k)), dtype=np.int64)
+
+
 def _subset_masks(n: int, k: int) -> np.ndarray:
     """Masks of the k-subsets of {1..n}, in ``combinations`` order."""
-    return np.array(
-        [sum(1 << e for e in c) for c in combinations(range(n), k)], dtype=np.int64
-    )
+    return (1 << _subsets(n, k)).sum(axis=1)
 
 
 def fingerprint_words(n: int, k: int) -> int:
@@ -53,50 +58,22 @@ def fingerprint_words(n: int, k: int) -> int:
     return (comb(n, k) + 63) // 64
 
 
-def _rank_bits(n: int, k: int) -> np.ndarray:
-    """bits[i] is the fingerprint of the i-th k-subset alone."""
-    size = comb(n, k)
-    ranks = np.arange(size)
-    bits = np.zeros((size, fingerprint_words(n, k)), dtype=np.uint64)
-    bits[ranks, ranks // 64] = np.uint64(1) << (ranks % 64).astype(np.uint64)
-    return bits
-
-
-def _fingerprints_of(members: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Row r fingerprints the k-subsets i with members[r, i] true."""
-    words = np.where(members[:, :, None], _rank_bits(n, k), 0)
-    return words.sum(axis=1, dtype=np.uint64)
-
-
-def _upper_covers(n: int, k: int) -> list[list[int]]:
-    """covers[i] = ranks of the k-subsets covering the i-th one in the
-    componentwise order: one element raised by one, the rest kept."""
-    subsets = list(combinations(range(n), k))
-    rank = {c: i for i, c in enumerate(subsets)}
-    return [
-        [
-            rank[c[:j] + (e + 1,) + c[j + 1 :]]
-            for j, e in enumerate(c)
-            if e + 1 < n and (j + 1 == k or c[j + 1] != e + 1)
-        ]
-        for c in subsets
-    ]
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Fingerprints of the rows of a boolean matrix with one column per
+    k-subset: column i is bit i % 64 of little-endian uint64 word i // 64,
+    and the bits past the last column are 0."""
+    rows, width = bits.shape
+    words = (width + 63) // 64
+    padded = np.zeros((rows, 64 * words), dtype=bool)
+    padded[:, :width] = bits
+    return np.packbits(padded, bitorder="little").view("<u8").reshape(rows, words)
 
 
 def schubert_seeds(n: int, k: int) -> np.ndarray:
     """Row i fingerprints the identity-order Schubert matroid of the i-th
-    k-subset I, whose bases are the upper set of I.
-
-    A raised subset comes later in ``combinations`` order, so walking the
-    subsets backwards meets every cover first, and the fingerprint of I is
-    the bit of I OR those of its covers.
-    """
-    rows = _rank_bits(n, k)
-    covers = _upper_covers(n, k)
-    for i in range(len(covers) - 1, -1, -1):
-        for j in covers[i]:
-            rows[i] |= rows[j]
-    return rows
+    k-subset I, whose bases are the k-subsets J >= I componentwise."""
+    subsets = _subsets(n, k)
+    return _pack((subsets[None, :, :] >= subsets[:, None, :]).all(axis=2))
 
 
 def transposition_ranks(n: int, k: int, i: int | np.ndarray, j: int) -> np.ndarray:
@@ -123,19 +100,13 @@ def relabel_rows(rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     r * len(ranks) + s of the result is the image of row r under ranks[s].
     """
     words = rows.shape[1]
-    size = ranks.shape[1]
     as_bytes = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    # the bits past the last subset stay where they are (they are all 0), so
-    # each image fills whole words and packing the flat array keeps the rows
-    padding = np.arange(size, bits.shape[1])
+    bits = np.unpackbits(as_bytes, axis=1, count=ranks.shape[1], bitorder="little")
     images = np.empty((rows.shape[0], ranks.shape[0], words), dtype=np.uint64)
-    # one swap at a time, so the gathered bytes (eight per bit of the
-    # images) are those of one image per row, not of all of them
+    # one swap at a time, so the gathered bits are those of one image per
+    # row, not of all of them
     for s, perm in enumerate(ranks):
-        moved = np.take(bits, np.concatenate([perm, padding]), axis=1)
-        packed = np.packbits(moved.ravel(), bitorder="little").view("<u8")
-        images[:, s] = packed.reshape(-1, words)
+        images[:, s] = _pack(np.take(bits, perm, axis=1))
     return images.reshape(-1, words)
 
 
@@ -186,8 +157,8 @@ def classify_fingerprints(
     masks = _subset_masks(n, k)
     every_mask = np.arange(1 << n)
     elements = np.arange(n)[:, None]
-    containing = _fingerprints_of((masks[None, :] >> elements) & 1 == 1, n, k)
-    subsets_of = _fingerprints_of((masks[None, :] & ~every_mask[:, None]) == 0, n, k)
+    containing = _pack((masks[None, :] >> elements) & 1 == 1)
+    subsets_of = _pack((masks[None, :] & ~every_mask[:, None]) == 0)
     loop_counts = np.full(rows.shape[0], n, dtype=np.int64)
     for words in containing:
         loop_counts -= (rows & words).any(axis=1)

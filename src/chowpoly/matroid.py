@@ -74,6 +74,9 @@ class Matroid:
         self.bases: tuple[int, ...] = tuple(sorted(set(bases)))
         if not self.bases:
             raise MatroidError("basis collection is empty")
+        for b in self.bases[0], self.bases[-1]:  # sorted, so the extremes
+            if not 0 <= b < 1 << n:
+                raise MatroidError(f"basis mask {b} not in 0..{(1 << n) - 1}")
         sizes = {b.bit_count() for b in self.bases}
         if len(sizes) > 1:
             ordered = sorted(self.bases, key=lambda m: m.bit_count())

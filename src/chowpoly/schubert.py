@@ -13,9 +13,9 @@ equality, classifies each distinct matroid from its own bases, and
 tabulates counts by (rank, loops, cogirth).  It runs on the numpy kernels in
 ``chowpoly.kernels`` and never lists the pairs: a rank-k collection is
 fingerprinted over the C(n, k) k-subsets (one or two uint64 words up to
-n = 8), the identity-order matroid of each index set by a recurrence over
-its upper covers, and the set of fingerprints is closed under relabeling
-one element at a time, deduplicating after each stage.  That is exact by
+n = 8), the identity-order matroid of each index set from the definition
+(the k-subsets dominating it), and the set of fingerprints is closed under
+relabeling one element at a time, deduplicating after each stage.  That is exact by
 group theory alone and shares no code with the counting formula.
 ``census`` is the only function that imports numpy, so ``import chowpoly``
 and every other command run without it.
@@ -34,9 +34,9 @@ from .forms import closed_form
 from .matroid import INFINITY, Matroid, mask_of
 
 # Largest ground size for ``census`` and the CLI ``oracle``: census(8) takes
-# about 0.15 s, census(9) about 2.8 s and 83 MB of peak RSS (986,410
-# matroids; 2 CPUs, Python 3.11.7), and the matroids, and with them the
-# work, grow about n-fold with each further n.
+# about 0.3 s, census(9) about 2.8 s and 76 MB of peak RSS (986,410
+# matroids; 2 CPUs, Python 3.11.7, numpy 2.4.6), and the matroids, and with
+# them the work, grow about n-fold with each further n.
 MAX_EXHAUSTIVE_N = 8
 
 

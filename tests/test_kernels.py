@@ -97,6 +97,31 @@ def test_transposition_action_matches_brute_relabel(case):
         assert images[2 * r + 1] == rows[r].tolist(), coll
 
 
+@st.composite
+def bit_matrices(draw):
+    """A boolean matrix whose width straddles the word boundaries; the census
+    meets none of the widths that are a multiple of 64."""
+    width = draw(st.sampled_from([1, 63, 64, 65, 70, 128, 129]))
+    row = st.lists(st.booleans(), min_size=width, max_size=width)
+    return width, draw(st.lists(row, min_size=1, max_size=5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bit_matrices())
+@example((64, [[True] * 64, [False] * 63 + [True]]))
+@example((129, [[False] * 128 + [True]]))
+def test_pack_matches_python_fingerprint(case):
+    # bit i of a row is bit i % 64 of word i // 64, and the last word is
+    # padded with zeros
+    width, rows = case
+    packed = kernels._pack(np.array(rows, dtype=bool))
+    words = (width + 63) // 64
+    assert packed.dtype == np.uint64 and packed.shape == (len(rows), words)
+    for got, row in zip(packed.tolist(), rows):
+        vector = sum(1 << i for i, bit in enumerate(row) if bit)
+        assert got == [(vector >> (64 * w)) % 2**64 for w in range(words)], row
+
+
 def test_fingerprint_words():
     # one word per rank up to n = 7; at n = 8 only C(8, 4) = 70 needs two
     for n in range(1, 8):

@@ -78,6 +78,16 @@ def test_construction_validates():
         Matroid(17, [0b11])
 
 
+def test_basis_mask_outside_the_ground_set_is_refused():
+    # before the rank table is built, with or without the rank check
+    for validate in (True, False):
+        with pytest.raises(MatroidError, match=r"^basis mask 19 not in 0\.\.7$"):
+            Matroid(3, [0b10011], validate=validate)
+        with pytest.raises(MatroidError, match=r"^basis mask -1 not in 0\.\.7$"):
+            Matroid(3, [-1], validate=validate)
+    assert Matroid(3, [0b111]).rank == 3
+
+
 def test_uniform_refuses_large_ground_sets_before_listing_bases(monkeypatch):
     # uniform(20, 40) would list C(40, 20) bases before Matroid saw n
     def no_listing(*args):
