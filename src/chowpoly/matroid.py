@@ -71,6 +71,10 @@ class Matroid:
         if not 0 <= n <= MAX_GROUND:
             raise MatroidError(f"ground size {n} not in 0..{MAX_GROUND}")
         self.n = n
+        bases = tuple(bases)
+        for b in bases:
+            if isinstance(b, bool) or not isinstance(b, int):
+                raise MatroidError(f"basis mask {b!r} is not an int")
         self.bases: tuple[int, ...] = tuple(sorted(set(bases)))
         if not self.bases:
             raise MatroidError("basis collection is empty")

@@ -10,18 +10,16 @@ of gap multinomials.
 ``census`` cross-checks all of this exhaustively: it finds the distinct
 basis collections of all (index set, permutation) pairs, by exact basis-set
 equality, classifies each distinct matroid from its own bases, and
-tabulates counts by (rank, loops, cogirth).  It runs on the numpy kernels in
-``chowpoly.kernels`` and never lists the pairs: a rank-k collection is
-fingerprinted over the C(n, k) k-subsets (one or two uint64 words up to
-n = 8), the identity-order matroid of each index set from the definition
-(the k-subsets dominating it), and the set of fingerprints is closed under
-relabeling one element at a time, deduplicating after each stage.  That is exact by
-group theory alone and shares no code with the counting formula.
-``census`` is the only function that imports numpy, so ``import chowpoly``
-and every other command run without it.
+tabulates counts by (rank, loops, cogirth).  It runs on the plain-Python
+kernels in ``chowpoly.kernels`` and never lists the pairs: a basis
+collection is one int with a bit for each basis mask, the identity-order
+matroid of each index set is built from the definition (the k-subsets
+dominating it), and each one is closed under relabeling one element at a
+time, deduplicating after each stage.  That is exact by group theory alone
+and shares no code with the counting formula.
 
 The census is exponential in n, so ``census`` refuses n > MAX_EXHAUSTIVE_N
-= 8 with a ResourceLimitError before it fingerprints anything.
+= 8 with a ResourceLimitError before it builds any seed.
 """
 
 from __future__ import annotations
@@ -29,14 +27,15 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
+from . import kernels
 from .combinat import delta_multinomial
 from .forms import closed_form
 from .matroid import INFINITY, Matroid, mask_of
 
 # Largest ground size for ``census`` and the CLI ``oracle``: census(8) takes
-# about 0.3 s, census(9) about 2.8 s and 76 MB of peak RSS (986,410
-# matroids; 2 CPUs, Python 3.11.7, numpy 2.4.6), and the matroids, and with
-# them the work, grow about n-fold with each further n.
+# about 0.19 s and 21 MB of peak RSS, census(9) about 1.4 s and 79 MB
+# (986,410 matroids; fresh processes, 2 CPUs, Python 3.11.7), and the
+# matroids, and with them the work, grow about n-fold with each further n.
 MAX_EXHAUSTIVE_N = 8
 
 
@@ -244,14 +243,16 @@ class CensusTable(_CensusTableFields):
 def census(n: int) -> CensusTable:
     """Exhaustive deduplicated census of Schubert matroids on {1..n}.
 
-    For each rank k, the identity-order Schubert matroids of the k-subsets
-    are fingerprinted and closed under every relabeling of {1..n}, one
-    element at a time: the rows closed under the permutations of the first
-    m elements are joined by their images under the swaps of element m + 1
-    with each earlier one, and deduplicated exactly.  The result is the set
-    of basis collections of all (index set, permutation) pairs, without
-    listing the pairs.  Each distinct matroid is classified by (rank, loops,
-    cogirth) from its own bases.  A non-int n (``bool`` included) is a
+    For each rank k, the identity-order Schubert matroid of each k-subset
+    is closed under every relabeling of {1..n}, one element at a time: the
+    members closed under the permutations of the first m elements are
+    joined by their images under the swaps of element m + 1 with each
+    earlier one, and deduplicated exactly.  A seed that already lies in an
+    earlier orbit is skipped.  The union of the orbits is the set of basis
+    collections of all (index set, permutation) pairs, found without
+    listing the pairs.  Each orbit is classified by (rank, loops, cogirth)
+    from its seed's bases, which relabeling preserves; the rank-0 matroid
+    {empty set} has cogirth inf.  A non-int n (``bool`` included) is a
     ValueError.
     """
     if isinstance(n, bool) or not isinstance(n, int):
@@ -259,21 +260,11 @@ def census(n: int) -> CensusTable:
     if n < 1:
         raise ValueError(f"census needs n >= 1, got {n}")
     check_ground_size("census", n)
-    import numpy as np
-
-    from . import kernels
-
-    entries: dict[tuple[int, int, int | float], int] = {(0, n, INFINITY): 1}
-    for k in range(1, n + 1):
-        distinct = kernels.orbit_closure(kernels.schubert_seeds(n, k), n, k)
-        loop_counts, cogirths = kernels.classify_fingerprints(distinct, n, k)
-        # cogirth + 1 lies in 0..n + 1, so the pair is one integer base n + 2
-        keys, counts = np.unique(
-            loop_counts * (n + 2) + cogirths + 1, return_counts=True
-        )
-        for key, count in zip(keys.tolist(), counts.tolist()):
-            ell, cg = divmod(key, n + 2)
-            entries[(k, ell, cg - 1 if cg else INFINITY)] = count
+    entries: dict[tuple[int, int, int | float], int] = {}
+    for k in range(n + 1):
+        counts = kernels.orbit_counts(kernels.schubert_seeds(n, k), n)
+        for (ell, cg), count in sorted(counts.items()):
+            entries[(k, ell, cg if cg >= 0 else INFINITY)] = count
     return CensusTable(n, entries)
 
 

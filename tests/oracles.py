@@ -172,16 +172,10 @@ def brute_gamma_reconstruct_multivariate(
     return {key: c for key, c in terms.items() if c}
 
 
-def brute_rank_fingerprint(masks, n: int, k: int) -> list[int]:
-    """Fingerprint of a set of k-subset masks of {1..n}: the bit vector with
-    bit i set when the i-th k-subset in ``combinations`` order is in the set,
-    cut into 64-bit words, least significant first."""
-    subsets = [sum(1 << (e - 1) for e in c) for c in combinations(range(1, n + 1), k)]
-    vector = 0
-    for m in masks:
-        vector |= 1 << subsets.index(m)
-    words = -(-len(subsets) // 64)
-    return [(vector >> (64 * w)) % 2**64 for w in range(words)]
+def brute_fingerprint(masks) -> int:
+    """Fingerprint of a set of subset masks: the int with bit m set for each
+    mask m in the set."""
+    return sum(1 << m for m in set(masks))
 
 
 def brute_relabel(mask: int, perm) -> int:
@@ -191,15 +185,15 @@ def brute_relabel(mask: int, perm) -> int:
 
 
 @cache
-def schubert_fingerprints(n: int, k: int) -> dict[tuple, tuple[int, ...]]:
-    """(index set, order) -> ``brute_rank_fingerprint`` of the bases that
+def schubert_fingerprints(n: int, k: int) -> dict[tuple, int]:
+    """(index set, order) -> ``brute_fingerprint`` of the bases that
     ``schubert_matroid`` builds, for every k-subset and every permutation of
     {1..n}.  The values are the whole rank-k census, with repeats."""
     out = {}
     for perm in permutations(range(1, n + 1)):
         for idx in combinations(range(1, n + 1), k):
             bases = schubert_matroid(SchubertSpec(n, idx, perm), validate=False).bases
-            out[idx, perm] = tuple(brute_rank_fingerprint(bases, n, k))
+            out[idx, perm] = brute_fingerprint(bases)
     return out
 
 
@@ -216,13 +210,12 @@ def brute_loops_and_cogirth(masks, n: int) -> tuple[int, int]:
     return loops, -1
 
 
-def _id_order_ranks(n: int, index_set: tuple[int, ...]) -> list[int]:
-    """Bases of the identity-order Schubert matroid of ``index_set``, as the
-    ranks of the k-subsets in ``combinations`` order: the k-subsets that
-    dominate it componentwise."""
+def _id_order_bases(n: int, index_set: tuple[int, ...]) -> list[int]:
+    """Bases of the identity-order Schubert matroid of ``index_set``, as
+    masks: the k-subsets that dominate it componentwise."""
     return [
-        i
-        for i, j in enumerate(combinations(range(1, n + 1), len(index_set)))
+        sum(1 << (e - 1) for e in j)
+        for j in combinations(range(1, n + 1), len(index_set))
         if all(a <= b for a, b in zip(index_set, j))
     ]
 

@@ -42,7 +42,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # trigger JIT compilation outside the timed sections
+    # run each path once outside the timed sections, so imports and caches are warm
     closed_form(3, 4, "gamma_perm")
     census(2)
 

@@ -88,6 +88,17 @@ def test_basis_mask_outside_the_ground_set_is_refused():
     assert Matroid(3, [0b111]).rank == 3
 
 
+@pytest.mark.parametrize("mask", [1.5, "3", None, True])
+def test_basis_mask_that_is_not_an_int_is_refused(mask):
+    # before the range check, which would compare it with ints, and before
+    # the sort, which would compare it with the other masks
+    for validate in (True, False):
+        with pytest.raises(MatroidError, match=r"^basis mask \S+ is not an int$"):
+            Matroid(3, [mask], validate=validate)
+        with pytest.raises(MatroidError, match="is not an int"):
+            Matroid(3, [0b011, mask], validate=validate)
+
+
 def test_uniform_refuses_large_ground_sets_before_listing_bases(monkeypatch):
     # uniform(20, 40) would list C(40, 20) bases before Matroid saw n
     def no_listing(*args):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pickle
 import sys
@@ -124,18 +125,14 @@ def test_invariants_formula_matches_engine_exhaustively():
 def test_invariants_formula_matches_kernel_classification():
     # exhaustive at n = 6: the census kernel classifies the brute fingerprint
     # of every Schubert matroid as the formula reads it off (I, p)
-    import numpy as np
-
     from chowpoly import kernels
 
     n = 6
     for size in range(1, n + 1):
-        pairs = schubert_fingerprints(n, size)
-        rows = np.array(list(pairs.values()), dtype=np.uint64)
-        loops, cogirths = kernels.classify_fingerprints(rows, n, size)
-        for r, (idx, perm) in enumerate(pairs):
+        for (idx, perm), fingerprint in schubert_fingerprints(n, size).items():
             inv = schubert_invariants_formula(SchubertSpec(n, idx, perm))
-            assert (len(inv.loops), inv.cogirth) == (loops[r], cogirths[r]), (idx, perm)
+            got = kernels.loops_and_cogirth(fingerprint, n)
+            assert (len(inv.loops), inv.cogirth) == got, (idx, perm)
 
 
 def test_relabeled_bases_versus_identity_order_form():
@@ -269,7 +266,7 @@ def _no_permutations(monkeypatch):
     def no_closure(*args):
         raise AssertionError("fingerprints relabeled before the ground size was checked")
 
-    monkeypatch.setattr("chowpoly.kernels.orbit_closure", no_closure)
+    monkeypatch.setattr("chowpoly.kernels.orbit", no_closure)
 
 
 def test_census_resource_guard(monkeypatch):
@@ -293,11 +290,18 @@ def test_census_needs_a_nonempty_ground_set():
 
 @pytest.mark.parametrize("n", [True, False, 2.5, 8.0, "8", None])
 def test_census_refuses_a_non_int_ground_size(monkeypatch, n):
-    # the refusal comes before numpy is imported: with numpy unimportable, a
-    # later check would raise ImportError instead
-    monkeypatch.setitem(sys.modules, "numpy", None)
+    # the refusal comes before any seed is closed
+    _no_permutations(monkeypatch)
     with pytest.raises(ValueError, match=r"^census needs an int n, got \S+$"):
         census(n)
+
+
+def test_census_runs_without_numpy(monkeypatch):
+    # with numpy unimportable, census(7) still computes the whole table
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    table = census(7)
+    assert table.total == 13_700
+    assert census_matches_formula(table)
 
 
 def test_census_from_csv_rejects_empty_text():
@@ -390,6 +394,25 @@ def test_census_rank_totals():
                 for idx in combinations(range(1, n + 1), m)
             )
             assert total == expected, (n, m)
+
+
+# sha256 of census(n).to_csv(), recorded from the numpy census that the
+# plain-Python one replaced
+CENSUS_CSV_SHA256 = {
+    1: "bd4d505b82b55d3d1025558763c4522e31c5fff5d8d96360c309bd612155d319",
+    2: "a88dc5c814bbb6ed03075caa1dcc4001f68dc3c678e33d5457e1469bf7f08610",
+    3: "e37d6e5079a87bb3b18d9b463554c024f6226748d5fd7aca6c83b73b35c750f8",
+    4: "a043710b696a5a491d579aeb7fe0e66d68cd246eec20acf0318223ec4a12e982",
+    5: "8744ebbe73ad51134c459d01dd11491ae3d6439e87474e1d33b948b31577b527",
+    6: "334f81598938ef5cb5ea7ee70a554194f1f5a39fb8b2eb63bd381bf578aabbae",
+    7: "020100ba991f84abaaaa68dfc02ac7aa2ba001c52728e9883cb4d3761a8f4ff4",
+    8: "04be11adac804088eac6e32398d6cfc5318ea728d7db009006119ec8525531ec",
+}
+
+
+def test_census_csv_matches_the_pinned_digests():
+    for n, digest in CENSUS_CSV_SHA256.items():
+        assert hashlib.sha256(census(n).to_csv().encode()).hexdigest() == digest, n
 
 
 def test_census_csv_json_roundtrip():
