@@ -7,8 +7,9 @@ The module provides the one multinomial of the package, a running product
 of binomials that never forms a factorial of the total; the gap
 multinomial attached to an index set (via its partition into maximal
 consecutive runs); the no-consecutive subsets of {1..m}; descent-set
-counting over the symmetric group (every no-consecutive set at once by a
-Moebius transform over the multinomials of its blocks); the weighted sums
+counting over the symmetric group (every no-consecutive set at once: the
+count with descents inside a set is its parent's times one binomial, and a
+Moebius transform makes the counts exact); the weighted sums
 over permutations with no two adjacent descents that ``gamma_perm`` needs
 (an exact insertion DP, polynomial in k; ``tests/oracles.py`` holds the k!
 scan it replaces), and the Eulerian and derangement polynomials.
@@ -121,24 +122,34 @@ def exact_descent_counts(
 
     A permutation has its descents inside D exactly when it increases on
     each block between the cuts of D, so that count is the multinomial of
-    the block sizes.  The family is closed under taking subsets, so one
-    in-place Moebius transform over its bitmasks (bit i for position i)
-    turns every such count into the exact count.
+    the block sizes.  The family is built level by level, each set as its
+    parent extended by one larger position t, in ``nc_subsets`` order; the
+    extension splits the last block, so its count is the parent's times
+    C(n - last, t - last), with last = 0 for the empty set.  The family is
+    closed under taking subsets, so one in-place Moebius transform over its
+    bitmasks (bit i for position i) turns every such count into the exact
+    count.
     """
     if m > max(n - 1, 0):
         raise ValueError(f"descent position {m} out of range for n={n}")
-    dsets = list(nc_subsets(m, exclude_one))
-    masks = [sum(1 << i for i in dset) for dset in dsets]
-    counts = {
-        mask: multinomial(b - a for a, b in zip((0, *dset), (*dset, n)))
-        for mask, dset in zip(masks, dsets)
-    }
+    lo = 2 if exclude_one else 1
+    # (set, mask, last position, permutations with descents inside the set)
+    level = [((t,), 1 << t, t, comb(n, t)) for t in range(lo, m + 1)]
+    family = [((), 0, 0, 1)]
+    while level:
+        family += level
+        level = [
+            (dset + (t,), mask | 1 << t, t, count * comb(n - last, t - last))
+            for dset, mask, last, count in level
+            for t in range(last + 2, m + 1)
+        ]
+    counts = {mask: count for _, mask, _, count in family}
     for i in range(1, m + 1):
         bit = 1 << i
-        for mask in masks:
+        for mask in counts:
             if mask & bit:
                 counts[mask] -= counts[mask ^ bit]
-    return {dset: counts[mask] for dset, mask in zip(dsets, masks)}
+    return {dset: counts[mask] for dset, mask, _, _ in family}
 
 
 def perm_descent_aggregates(

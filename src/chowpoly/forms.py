@@ -27,7 +27,6 @@ from __future__ import annotations
 from math import comb
 
 from .combinat import (
-    delta_multinomial,
     derangement_poly,
     eulerian_poly,
     exact_descent_counts,
@@ -40,10 +39,11 @@ METHODS = ("monomial", "gamma_eulerian", "gamma_perm", "convolution")
 MULTIVARIATE_BASES = ("monomial", "gamma")
 
 # Largest rank for the forms exponential in k: ``gamma_eulerian`` sums over
-# Fib(k) descent sets (augmented, 2 CPUs, Python 3.11: 0.04 s at k = n = 20,
-# 0.2 s at 22) and both multivariate bases return 2^k terms (about 0.25 s at
-# k = n = 18, about 4x per two ranks).  Above it they raise ValueError;
-# ``monomial``, ``gamma_perm`` and ``convolution`` are polynomial in k.
+# Fib(k) descent sets (augmented, 2 CPUs, Python 3.11: 0.02 s at k = n = 20,
+# 0.07 s at 22) and both multivariate bases return 2^k terms (augmented,
+# keys included: about 0.2 s each at k = n = 18, about 4x per two ranks).
+# Above it they raise ValueError; ``monomial``, ``gamma_perm`` and
+# ``convolution`` are polynomial in k.
 EXPONENTIAL_RANK_MAX = 18
 
 # Largest rank for every form and for ``coefficient_formula``.  The
@@ -182,23 +182,23 @@ def multivariate_closed_form(
     if basis == "gamma":
         weights = exact_descent_counts(n, k - 1, not augmented)
         return gamma_reconstruct_multivariate(weights, var_range)
-    # index sets as bit patterns (bit i for index i + 1); bit i of the dense
-    # position q is variable lo + i, index lo + i + 1, and the non-augmented
-    # sets all hold index 1, which has no variable.  The gap multinomial
-    # depends only on the run minima.
+    # index sets as bit patterns (bit i for index i + 1): dense position q
+    # holds q << lo | lo, so bit i of q is variable lo + i, index lo + i + 1,
+    # and the non-augmented sets all hold index 1, which has no variable.
+    # The gap multinomial depends only on the run minima M and telescopes as
+    # in ``_monomial_form``: weight(M) = weight(M - top) * C(n - prev + 1,
+    # top - prev) over the two largest minima by index, a lone minimum m
+    # gives C(n, m - 1) (prev = 1) and the empty set 1.  Ascending order
+    # puts M - top before M.
     lo = var_range[0]
-    weight_of: dict[int, int] = {}
-    coeffs = []
-    for q in range(1 << (k - lo)):
-        pattern = q << lo | lo
-        minima = pattern & ~(pattern << 1)
-        w = weight_of.get(minima)
-        if w is None:
-            w = weight_of[minima] = delta_multinomial(
-                n, [i + 1 for i in range(k) if minima >> i & 1]
-            )
-        coeffs.append(w)
-    return SqfMultiPoly.from_dense(var_range, coeffs)
+    minima = [p & ~(p << 1) for p in range(lo, 1 << k, 1 + lo)]
+    weight = {0: 1}
+    for m in sorted(set(minima) - {0}):
+        top = m.bit_length()
+        rest = m ^ (1 << (top - 1))
+        prev = rest.bit_length() or 1
+        weight[m] = weight[rest] * comb(n - prev + 1, top - prev)
+    return SqfMultiPoly.from_dense(var_range, list(map(weight.__getitem__, minima)))
 
 
 def _binomial_sum(n: int, lo: int, hi: int) -> int:

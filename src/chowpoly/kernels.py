@@ -7,8 +7,9 @@ for each basis mask: 2^n bits, 256 at n = 8.  Equal ints mean equal basis
 collections, so deduplication is exact.
 
 * ``schubert_seeds`` builds the identity-order Schubert matroid of every
-  k-subset I from the definition: its bases are the k-subsets J with J >= I
-  componentwise.
+  k-subset I: its bases are the k-subsets J with J >= I componentwise, the
+  AND over the positions t of the subsets whose t-th element is at least
+  the t-th element of I.
 * ``swap`` relabels a collection by the swap of elements i < j as a delta
   swap: the positions whose mask holds i but not j move up by 2^j - 2^i,
   and those holding j but not i move down by as much.
@@ -31,8 +32,9 @@ Ground-set convention: element e of {1..n} is bit e-1 of a subset mask.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
+from operator import and_
 from typing import Iterable
 
 
@@ -52,13 +54,22 @@ def _position_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def schubert_seeds(n: int, k: int) -> list[int]:
     """Entry i is the identity-order Schubert matroid of the i-th k-subset I
     in ``combinations`` order, whose bases are the k-subsets J >= I
-    componentwise."""
+    componentwise.
+
+    at_least[t][v] collects the k-subsets whose t-th element is at least v,
+    so each seed is the AND of one such collection per position of I; the
+    empty AND (k = 0) is every k-subset."""
     subsets = list(combinations(range(n), k))
-    bits = [1 << sum(1 << e for e in J) for J in subsets]
-    return [
-        sum(bit for J, bit in zip(subsets, bits) if all(a <= b for a, b in zip(I, J)))
-        for I in subsets
-    ]
+    at_least = [[0] * (n + 1) for _ in range(k)]
+    for J in subsets:
+        bit = 1 << sum(1 << e for e in J)
+        for row, e in zip(at_least, J):
+            row[e] |= bit
+    for row in at_least:
+        for v in range(n - 1, -1, -1):
+            row[v] |= row[v + 1]
+    every = at_least[0][0] if k else 1
+    return [reduce(and_, (row[v] for row, v in zip(at_least, I)), every) for I in subsets]
 
 
 @cache

@@ -68,6 +68,8 @@ class Matroid:
     """Matroid given by ground-set size and the collection of basis masks."""
 
     def __init__(self, n: int, bases: Iterable[int], validate: bool = True):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise MatroidError(f"ground size {n!r} is not an int")
         if not 0 <= n <= MAX_GROUND:
             raise MatroidError(f"ground size {n} not in 0..{MAX_GROUND}")
         self.n = n

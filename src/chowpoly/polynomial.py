@@ -20,6 +20,7 @@ All coefficients are Python ints, so results are exact at any size.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -234,7 +235,9 @@ class SqfMultiPoly:
                 f"in x{lo}..x{hi}"
             )
         poly = cls((lo, hi))
-        poly.terms = {key: c for key, c in zip(keys, coeffs) if c}
+        poly.terms = dict(zip(keys, coeffs))
+        if 0 in coeffs:
+            poly.terms = {key: c for key, c in poly.terms.items() if c}
         return poly
 
     def __bool__(self) -> bool:
@@ -341,13 +344,17 @@ def gamma_reconstruct(gammas: Iterable[int], d: int) -> UniPoly:
     return result
 
 
-def variable_subsets(lo: int, hi: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=2)
+def variable_subsets(lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
     """Every subset of the variables lo..hi as a sorted index tuple, listed so
-    that the subset at position q holds lo + i exactly when bit i of q is set."""
+    that the subset at position q holds lo + i exactly when bit i of q is set.
+
+    The last two ranges are kept, so the two multivariate bases of one
+    (k, n, augmented) share one set of keys."""
     keys: list[tuple[int, ...]] = [()]
     for i in range(lo, hi + 1):
         keys += [key + (i,) for key in keys]
-    return keys
+    return tuple(keys)
 
 
 def gamma_reconstruct_multivariate(
@@ -364,7 +371,9 @@ def gamma_reconstruct_multivariate(
     The pairs (D, E) with E a set of free positions of D match one to one the
     pairs (S, D) with D a subset of A(S), the run minima of S above lo, via
     S = D + E.  So x_S has coefficient W(A(S)), the sum of weights[D] over
-    the D inside A(S), found once per A by submask enumeration.
+    the D inside A(S).  The run-minima sets are closed under taking subsets,
+    so one zeta pass per position gives every W: the pass over bit i adds
+    W(A - i) to each A holding i, and changes no set that lacks i.
     """
     lo, hi = var_range
     by_mask: dict[int, int] = {}
@@ -381,17 +390,11 @@ def gamma_reconstruct_multivariate(
         for i in dset:
             mask |= 1 << (i - lo)
         by_mask[mask] = w
-    summed: dict[int, int] = {}
-    coeffs = []
-    for s in range(1 << max(hi - lo + 1, 0)):
-        a = s & ~(s << 1) & ~1  # bit 0 is position lo, which no D holds
-        total = summed.get(a)
-        if total is None:
-            total = by_mask.get(0, 0)
-            sub = a
-            while sub:
-                total += by_mask.get(sub, 0)
-                sub = (sub - 1) & a
-            summed[a] = total
-        coeffs.append(total)
-    return SqfMultiPoly.from_dense(var_range, coeffs)
+    width = max(hi - lo + 1, 0)
+    # bit 0 is position lo, which no D holds
+    minima = [s & ~(s << 1) & ~1 for s in range(1 << width)]
+    summed = {a: by_mask.get(a, 0) for a in set(minima)}
+    for i in range(1, width):
+        bit = 1 << i
+        summed.update({a: summed[a] + summed[a ^ bit] for a in summed if a & bit})
+    return SqfMultiPoly.from_dense(var_range, list(map(summed.__getitem__, minima)))

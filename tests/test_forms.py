@@ -3,6 +3,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowpoly import forms
 from chowpoly import (
@@ -12,6 +14,7 @@ from chowpoly import (
     UniPoly,
     closed_form,
     coefficient_formula,
+    delta_multinomial,
     derangement_poly,
     eulerian_poly,
     gamma_vector,
@@ -129,6 +132,21 @@ def test_multivariate_monomial_matches_brute_force_terms():
                 expected = brute_monomial_terms(k, n, augmented)
                 got = multivariate_closed_form(k, n, "monomial", augmented)
                 assert got.terms == expected, (k, n, augmented)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_multivariate_monomial_terms_are_gap_multinomials(data):
+    # the basis telescopes the gap multinomial over the run minima; the
+    # helper computes each term on its own from the index set of the key
+    augmented = data.draw(st.booleans(), label="augmented")
+    n = data.draw(st.integers(1, 40), label="n")
+    k = data.draw(st.integers(0 if augmented else 1, min(n, 12)), label="k")
+    p = multivariate_closed_form(k, n, "monomial", augmented)
+    assert len(p.terms) == 2 ** (k if augmented else k - 1)
+    for key, coeff in p.terms.items():
+        index_set = [v + 1 for v in key] if augmented else [1, *(v + 1 for v in key)]
+        assert coeff == delta_multinomial(n, index_set), key
 
 
 def test_monomial_form_reaches_large_rank():

@@ -99,6 +99,14 @@ def test_basis_mask_that_is_not_an_int_is_refused(mask):
             Matroid(3, [0b011, mask], validate=validate)
 
 
+@pytest.mark.parametrize("n", ["3", None, 2.5, 3.0, True])
+def test_ground_size_that_is_not_an_int_is_refused(n):
+    # before the range check, which would compare it with ints
+    for validate in (True, False):
+        with pytest.raises(MatroidError, match=r"^ground size \S+ is not an int$"):
+            Matroid(n, [1], validate=validate)
+
+
 def test_uniform_refuses_large_ground_sets_before_listing_bases(monkeypatch):
     # uniform(20, 40) would list C(40, 20) bases before Matroid saw n
     def no_listing(*args):

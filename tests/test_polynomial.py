@@ -93,6 +93,17 @@ def test_from_dense_matches_constructor(case):
     assert got.var_range == var_range
 
 
+def test_variable_subsets_is_one_tuple_per_range():
+    keys = variable_subsets(1, 4)
+    assert isinstance(keys, tuple)
+    assert len(keys) == 16 and keys[0] == () and keys[0b1010] == (2, 4)
+    assert variable_subsets(1, 4) is keys
+    # two polynomials over one range share the key objects
+    a = SqfMultiPoly.from_dense((1, 4), [1] * 16)
+    b = SqfMultiPoly.from_dense((1, 4), [2] * 16)
+    assert all(x is y for x, y in zip(a.terms, b.terms))
+
+
 @pytest.mark.parametrize(
     "var_range, length", [((1, 3), 7), ((1, 3), 9), ((0, -1), 0), ((0, 0), 1)]
 )
