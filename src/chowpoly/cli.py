@@ -161,7 +161,7 @@ def _cmd_compute(args) -> int:
         for m in methods:
             _check_rank(m, args.k)
         results = {m: closed_form(args.k, args.n, m, augmented) for m in methods}
-    agree = len(set(results.values())) == 1
+    difference = _first_difference(results)
 
     if args.format == "json":
         payload = {
@@ -172,7 +172,7 @@ def _cmd_compute(args) -> int:
             "results": {m: p.to_json() for m, p in results.items()},
         }
         if len(results) > 1:
-            payload["agree"] = agree
+            payload["agree"] = difference is None
         _print_json(payload)
     elif args.format == "csv":
         if args.multivariate:
@@ -187,45 +187,35 @@ def _cmd_compute(args) -> int:
         for m, p in results.items():
             print(f"{m}: {p.render()}")
         if len(results) > 1:
-            if agree:
-                print("AGREE")
-            else:
-                print(f"DISAGREE: {_first_difference(results)}")
-    return 0 if agree else 1
+            print("AGREE" if difference is None else f"DISAGREE: {difference}")
+    return 0 if difference is None else 1
 
 
-def _first_difference(results: dict) -> str:
-    names = list(results)
-    ref_name, ref = names[0], results[names[0]]
-    for name in names[1:]:
-        got = results[name]
+def _first_difference(results: dict) -> str | None:
+    """None when every result equals the first one; else the first coefficient,
+    in ``sorted_terms`` order, where the first result that differs leaves it."""
+    (ref_name, ref), *rest = results.items()
+    for name, got in rest:
         if got == ref:
             continue
         if isinstance(ref, UniPoly):
-            for i in range(max(ref.degree, got.degree) + 1):
-                if ref[i] != got[i]:
-                    return f"{name} vs {ref_name} at x^{i}: {got[i]} vs {ref[i]}"
+            width = max(ref.degree, got.degree) + 1
+            diffs = ((f"x^{i}", got[i], ref[i]) for i in range(width))
         else:
-            keys = sorted(
-                set(ref.terms) | set(got.terms), key=lambda k: (len(k), k)
-            )
-            for key in keys:
-                a, b = got.terms.get(key, 0), ref.terms.get(key, 0)
-                if a != b:
-                    return f"{name} vs {ref_name} at {key}: {a} vs {b}"
-    return "no coefficient difference found"
+            keys = sorted(set(ref.terms) | set(got.terms), key=lambda k: (len(k), k))
+            diffs = ((k, got.terms.get(k, 0), ref.terms.get(k, 0)) for k in keys)
+        for at, a, b in diffs:
+            if a != b:
+                return f"{name} vs {ref_name} at {at}: {a} vs {b}"
+        return f"{name} vs {ref_name}: variables {got.var_range} vs {ref.var_range}"
+    return None
 
 
 def _cmd_oracle(args) -> int:
     check_ground_size("oracle", args.n)
     oracle_poly = chain_chow(uniform(args.k, args.n), augmented=args.augmented)
     closed = {m: closed_form(args.k, args.n, m, args.augmented) for m in METHODS}
-    reference = closed["monomial"]
-    equal = all(p == oracle_poly for p in closed.values())
-    width = max(oracle_poly.degree, reference.degree) + 1
-    diffs = [
-        (i, oracle_poly[i], reference[i]) for i in range(width)
-    ]
+    difference = _first_difference({"oracle": oracle_poly, **closed})
     if args.format == "json":
         _print_json(
             {
@@ -234,23 +224,22 @@ def _cmd_oracle(args) -> int:
                 "augmented": args.augmented,
                 "oracle": oracle_poly.to_json(),
                 "closed_forms": {m: p.to_json() for m, p in closed.items()},
-                "equal": equal,
+                "equal": difference is None,
             }
         )
     elif args.format == "csv":
+        # closed_form is the monomial form; equal covers every closed form
         print("power,oracle,closed_form,equal")
-        for i, a, b in diffs:
-            print(f"{i},{a},{b},{str(a == b).lower()}")
+        width = max(p.degree for p in (oracle_poly, *closed.values())) + 1
+        for i in range(width):
+            equal = all(p[i] == oracle_poly[i] for p in closed.values())
+            print(f"{i},{oracle_poly[i]},{closed['monomial'][i]},{str(equal).lower()}")
     else:
         print(f"oracle:      {oracle_poly.render()}")
         for m, p in closed.items():
             print(f"{m}: {p.render()}")
-        if equal:
-            print("EQUAL")
-        else:
-            i, a, b = next((i, a, b) for i, a, b in diffs if a != b)
-            print(f"MISMATCH at x^{i}: oracle {a} vs closed form {b}")
-    return 0 if equal else 1
+        print("EQUAL" if difference is None else f"MISMATCH: {difference}")
+    return 0 if difference is None else 1
 
 
 def _verification_report(n: int, table) -> tuple[bool, list[str]]:
@@ -293,8 +282,7 @@ def _cmd_census(args) -> int:
         print(f"distinct Schubert matroids on 1..{args.n}: {table.total}")
         print("rank loops cogirth count")
         for r, l, g, c in table.rows():
-            cg = "inf" if g == INFINITY else str(g)
-            print(f"{r:4d} {l:5d} {cg:>7s} {c:5d}")
+            print(f"{r:4d} {l:5d} {g!s:>7} {c:5d}")
         for line in report_lines:
             print(line)
     return 0 if ok else 1

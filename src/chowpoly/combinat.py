@@ -209,7 +209,7 @@ def eulerian_poly(n: int) -> UniPoly:
     if n <= 1:
         return UniPoly.one()
     prev = eulerian_poly(n - 1).coeffs
-    out = [0] * (n if n > 1 else 1)
+    out = [0] * n
     for j in range(len(prev)):
         out[j] += (j + 1) * prev[j]
         out[j + 1] += (n - j - 1) * prev[j]

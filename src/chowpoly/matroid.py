@@ -68,14 +68,14 @@ class Matroid:
     """Matroid given by ground-set size and the collection of basis masks."""
 
     def __init__(self, n: int, bases: Iterable[int], validate: bool = True):
-        if isinstance(n, bool) or not isinstance(n, int):
+        if not _is_int(n):
             raise MatroidError(f"ground size {n!r} is not an int")
         if not 0 <= n <= MAX_GROUND:
             raise MatroidError(f"ground size {n} not in 0..{MAX_GROUND}")
         self.n = n
         bases = tuple(bases)
         for b in bases:
-            if isinstance(b, bool) or not isinstance(b, int):
+            if not _is_int(b):
                 raise MatroidError(f"basis mask {b!r} is not an int")
         self.bases: tuple[int, ...] = tuple(sorted(set(bases)))
         if not self.bases:

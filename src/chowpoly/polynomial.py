@@ -33,6 +33,26 @@ class NotPalindromicError(ValueError):
     """Raised when a polynomial is not palindromic about the requested center."""
 
 
+def _join_terms(terms: Iterable[tuple[str, int]]) -> str:
+    """Join (monomial text, coefficient) pairs into a sum.  Zero coefficients
+    are skipped, a coefficient of 1 is elided and -1 becomes a minus sign;
+    the constant term, whose text is empty, is written as its number.  No
+    nonzero term gives "0"."""
+    parts: list[str] = []
+    for mono, c in terms:
+        if c == 0:
+            continue
+        if not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
 class UniPoly:
     """Dense univariate polynomial with exact integer coefficients."""
 
@@ -161,23 +181,10 @@ class UniPoly:
 
     def render(self) -> str:
         """Human-readable form like ``1 + 11*x + x^2``; unit coefficients are elided."""
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-                continue
-            power = "x" if i == 1 else f"x^{i}"
-            if c == 1:
-                parts.append(power)
-            elif c == -1:
-                parts.append(f"-{power}")
-            else:
-                parts.append(f"{c}*{power}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _join_terms(
+            ("x" if i == 1 else f"x^{i}" if i else "", c)
+            for i, c in enumerate(self.coeffs)
+        )
 
     def __repr__(self) -> str:
         return f"UniPoly({self.render()})"
@@ -266,21 +273,11 @@ class SqfMultiPoly:
         return UniPoly(out)
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for k, c in self.sorted_terms():
-            if not k:
-                parts.append(str(c))
-                continue
-            mono = "*".join(f"x{i}" for i in k)
-            if c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        """Human-readable form like ``1 + 2*x1 + x1*x2``, in the order of
+        ``sorted_terms``; unit coefficients are elided."""
+        return _join_terms(
+            ("*".join(f"x{i}" for i in k), c) for k, c in self.sorted_terms()
+        )
 
     def __repr__(self) -> str:
         return f"SqfMultiPoly({self.var_range}, {self.render()})"

@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple
 from . import kernels
 from .combinat import delta_multinomial
 from .forms import closed_form
-from .matroid import INFINITY, Matroid, mask_of
+from .matroid import INFINITY, Matroid, _is_int, mask_of
 
 # Largest ground size for ``census`` and the CLI ``oracle``: census(8) takes
 # about 0.19 s and 21 MB of peak RSS, census(9) about 1.4 s and 79 MB
@@ -193,8 +193,7 @@ class CensusTable(_CensusTableFields):
     def to_csv(self) -> str:
         lines = ["rank,loops,cogirth,count"]
         for r, l, g, c in self.rows():
-            cg = "inf" if g == INFINITY else str(g)
-            lines.append(f"{r},{l},{cg},{c}")
+            lines.append(f"{r},{l},{g},{c}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -255,7 +254,7 @@ def census(n: int) -> CensusTable:
     {empty set} has cogirth inf.  A non-int n (``bool`` included) is a
     ValueError.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not _is_int(n):
         raise ValueError(f"census needs an int n, got {n!r}")
     if n < 1:
         raise ValueError(f"census needs n >= 1, got {n}")
@@ -292,10 +291,7 @@ class CoefficientCountReport(NamedTuple):
         return all(c.ok for c in self.checks)
 
     def first_mismatch(self) -> CoefficientCheck | None:
-        for c in self.checks:
-            if not c.ok:
-                return c
-        return None
+        return next((c for c in self.checks if not c.ok), None)
 
 
 def verify_coefficient_counts(
@@ -309,26 +305,15 @@ def verify_coefficient_counts(
     """
     if table.n != n:
         raise ValueError(f"census table is for n={table.n}, not n={n}")
-    chow = closed_form(k, n, "monomial", augmented=False)
-    aug = closed_form(k, n, "monomial", augmented=True)
     checks: list[CoefficientCheck] = []
-    for m in range(k):
-        checks.append(
+    for augmented in (False, True):
+        poly = closed_form(k, n, "monomial", augmented)
+        checks += (
             CoefficientCheck(
-                augmented=False,
-                power=m,
-                coefficient=chow[m],
-                census_count=table.slice_count(m + 1, n - k, loopless=True),
+                augmented, m, poly[m],
+                table.slice_count(m + 1 - augmented, n - k, loopless=not augmented),
             )
-        )
-    for m in range(k + 1):
-        checks.append(
-            CoefficientCheck(
-                augmented=True,
-                power=m,
-                coefficient=aug[m],
-                census_count=table.slice_count(m, n - k, loopless=False),
-            )
+            for m in range(k + augmented)
         )
     return CoefficientCountReport(k=k, n=n, checks=tuple(checks))
 

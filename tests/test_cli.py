@@ -181,6 +181,41 @@ def test_oracle_csv_per_coefficient(capsys):
     assert all(ln.endswith("true") for ln in lines[1:])
 
 
+@pytest.fixture
+def gamma_perm_plus_x(monkeypatch):
+    """The CLI's closed forms, with x added to every gamma_perm result."""
+    real = cli.closed_form
+
+    def closed_form(k, n, method="monomial", augmented=False):
+        p = real(k, n, method, augmented)
+        return p + UniPoly.x() if method == "gamma_perm" else p
+
+    monkeypatch.setattr(cli, "closed_form", closed_form)
+
+
+def test_oracle_reports_a_wrong_non_reference_form(capsys, gamma_perm_plus_x):
+    # U(3, 4) has Chow polynomial 1 + 7x + x^2; only gamma_perm is off
+    code, out, err = run(capsys, "oracle", "--k", "3", "--n", "4")
+    assert (code, err) == (1, "")
+    assert "gamma_perm: 1 + 8*x + x^2" in out.splitlines()
+    assert [ln for ln in out.splitlines() if "MISMATCH" in ln] == [
+        "MISMATCH: gamma_perm vs oracle at x^1: 8 vs 7"
+    ]
+    code, out, _ = run(capsys, "oracle", "--k", "3", "--n", "4", "--format", "csv")
+    assert code == 1
+    assert out.splitlines() == [
+        "power,oracle,closed_form,equal",
+        "0,1,1,true",
+        "1,7,7,false",
+        "2,1,1,true",
+    ]
+    code, out, _ = run(capsys, "oracle", "--k", "3", "--n", "4", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["equal"] is False
+    assert payload["closed_forms"]["gamma_perm"] == ["1", "8", "1"]
+
+
 def test_oracle_resource_guard(capsys):
     code, _, err = run(capsys, "oracle", "--k", "2", "--n", "9")
     assert code == 2

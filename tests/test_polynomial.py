@@ -224,6 +224,11 @@ def test_render_text():
     assert UniPoly.zero().render() == "0"
     assert UniPoly((1, -1, -2)).render() == "1 - x - 2*x^2"
     assert SqfMultiPoly((1, 2), {(): 1, (1, 2): 3}).render() == "1 + 3*x1*x2"
+    poly = SqfMultiPoly((1, 3), {(): -1, (2,): -1, (1, 3): 2, (1, 2, 3): -5})
+    assert poly.render() == "-1 - x2 + 2*x1*x3 - 5*x1*x2*x3"
+    assert SqfMultiPoly((1, 2), {(): 1, (1,): -1, (2,): 1}).render() == "1 - x1 + x2"
+    assert SqfMultiPoly((1, 2)).render() == "0"
+    assert SqfMultiPoly.from_dense((1, 2), [0, 0, 0, 0]).render() == "0"
 
 
 def test_json_roundtrip_unipoly():

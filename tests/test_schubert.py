@@ -325,8 +325,13 @@ def test_verify_coefficient_counts_golden():
     plain = [c for c in report.checks if not c.augmented]
     assert [c.coefficient for c in plain] == [1, 11, 1]
     assert [c.census_count for c in plain] == [1, 11, 1]
-    assert verify_coefficient_counts(1, 5, table).passed
-    assert verify_coefficient_counts(5, 5, table).passed
+    for k in (1, 3, 5):
+        report = verify_coefficient_counts(k, 5, table)
+        assert report.passed
+        # k plain coefficients first, then k + 1 augmented ones, in power order
+        assert [(c.augmented, c.power) for c in report.checks] == [
+            (False, m) for m in range(k)
+        ] + [(True, m) for m in range(k + 1)]
 
 
 def test_verify_coefficient_counts_reports_a_doctored_cell():
