@@ -33,7 +33,7 @@ from .combinat import (
     perm_descent_aggregates,
 )
 from .polynomial import SqfMultiPoly, UniPoly
-from .polynomial import gamma_reconstruct, gamma_reconstruct_multivariate
+from .polynomial import gamma_reconstruct, gamma_reconstruct_multivariate, run_minima
 
 METHODS = ("monomial", "gamma_eulerian", "gamma_perm", "convolution")
 MULTIVARIATE_BASES = ("monomial", "gamma")
@@ -182,21 +182,22 @@ def multivariate_closed_form(
     if basis == "gamma":
         weights = exact_descent_counts(n, k - 1, not augmented)
         return gamma_reconstruct_multivariate(weights, var_range)
-    # index sets as bit patterns (bit i for index i + 1): dense position q
-    # holds q << lo | lo, so bit i of q is variable lo + i, index lo + i + 1,
-    # and the non-augmented sets all hold index 1, which has no variable.
-    # The gap multinomial depends only on the run minima M and telescopes as
-    # in ``_monomial_form``: weight(M) = weight(M - top) * C(n - prev + 1,
-    # top - prev) over the two largest minima by index, a lone minimum m
-    # gives C(n, m - 1) (prev = 1) and the empty set 1.  Ascending order
-    # puts M - top before M.
+    # dense position q is an index set as a bit pattern: bit i of q is
+    # variable lo + i, index lo + i + 1, and the non-augmented sets all hold
+    # index 1, which has no variable.  The gap multinomial depends only on
+    # the run minima M, entry q of ``run_minima``: non-augmented, bit 0
+    # (index 2) is never one, as index 1 precedes it, and index 1 is left
+    # out.  The weight telescopes as in ``_monomial_form``:
+    # weight(M) = weight(M - top) * C(n - prev + 1, top - prev) over the two
+    # largest minima by index, with prev = 1 when there is no second, and
+    # the empty M weighs 1.  Ascending order puts M - top before M.
     lo = var_range[0]
-    minima = [p & ~(p << 1) for p in range(lo, 1 << k, 1 + lo)]
+    minima = run_minima(k - lo, 1 - lo)
     weight = {0: 1}
     for m in sorted(set(minima) - {0}):
-        top = m.bit_length()
-        rest = m ^ (1 << (top - 1))
-        prev = rest.bit_length() or 1
+        rest = m ^ (1 << (m.bit_length() - 1))
+        top = m.bit_length() + lo
+        prev = rest.bit_length() + lo or 1
         weight[m] = weight[rest] * comb(n - prev + 1, top - prev)
     return SqfMultiPoly.from_dense(var_range, list(map(weight.__getitem__, minima)))
 

@@ -10,9 +10,9 @@ collections, so deduplication is exact.
   k-subset I: its bases are the k-subsets J with J >= I componentwise, the
   AND over the positions t of the subsets whose t-th element is at least
   the t-th element of I.
-* ``swap`` relabels a collection by the swap of elements i < j as a delta
-  swap: the positions whose mask holds i but not j move up by 2^j - 2^i,
-  and those holding j but not i move down by as much.
+* A collection is relabeled by the swap of elements i < j as a delta swap:
+  the positions whose mask holds i but not j move up by 2^j - 2^i, and
+  those holding j but not i move down by as much.
 * ``orbit`` closes one seed under all n! relabelings in n - 1 stages.  Every
   permutation of {1..m+1} is a permutation of {1..m} followed by the swap
   of m + 1 with some element up to m + 1, so stage m (``relabel_stage``)
@@ -81,21 +81,12 @@ def _delta(n: int, i: int, j: int) -> tuple[int, int]:
     return (1 << j) - (1 << i), containing[i] & ~containing[j]
 
 
-def swap(collection: int, n: int, i: int, j: int) -> int:
-    """The collection with bits i and j exchanged in every member mask; the
-    identity when i == j.  Every swap is its own inverse."""
-    if i == j:
-        return collection
-    shift, low = _delta(n, min(i, j), max(i, j))
-    moved = (collection ^ (collection >> shift)) & low
-    return collection ^ moved ^ (moved << shift)
-
-
 def relabel_stage(members: set[int], n: int, m: int) -> set[int]:
     """``members`` joined by their images under the swaps of bit m with
     each lower bit."""
-    # the delta swap of ``swap``, inlined: a function call per image made
-    # the closures of census(8) 10-30 % slower
+    # the delta swap written inline (``tests/oracles.py`` has it as a
+    # function): a call per image made the closures of census(8) 10-30 %
+    # slower
     deltas = [_delta(n, i, m) for i in range(m)]
     return members.union(
         [

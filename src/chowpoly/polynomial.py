@@ -20,7 +20,6 @@ All coefficients are Python ints, so results are exact at any size.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -259,8 +258,11 @@ class SqfMultiPoly:
         return hash((self.var_range, frozenset(self.terms.items())))
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in the canonical (total degree, index tuple) order."""
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        """Terms in the canonical (total degree, index tuple) order: the keys
+        sorted as tuples, then stably by length."""
+        keys = sorted(self.terms)
+        keys.sort(key=len)
+        return list(zip(keys, map(self.terms.__getitem__, keys)))
 
     def specialize(self) -> UniPoly:
         """Set every variable to a common x: a monomial over an index set of
@@ -341,17 +343,49 @@ def gamma_reconstruct(gammas: Iterable[int], d: int) -> UniPoly:
     return result
 
 
-@lru_cache(maxsize=2)
+# Every subset of the variables 0..h as a sorted index tuple, at the
+# position whose bit i is variable i, for the widest h asked for so far.
+# Growing it builds a new tuple from a snapshot and rebinds the name, so a
+# reader never sees a partial table; it is never rebuilt or shrunk.
+_SUBSETS: tuple[tuple[int, ...], ...] = ((),)
+
+
 def variable_subsets(lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
     """Every subset of the variables lo..hi as a sorted index tuple, listed so
     that the subset at position q holds lo + i exactly when bit i of q is set.
 
-    The last two ranges are kept, so the two multivariate bases of one
-    (k, n, augmented) share one set of keys."""
-    keys: list[tuple[int, ...]] = [()]
-    for i in range(lo, hi + 1):
-        keys += [key + (i,) for key in keys]
-    return tuple(keys)
+    For lo = 0 these are the first 2^(hi + 1) entries of one key table, and
+    for lo = 1 its even positions among them, so every range of both bases
+    shares one key tuple per subset for the life of the process."""
+    global _SUBSETS
+    if lo not in (0, 1):
+        keys: list[tuple[int, ...]] = [()]
+        for i in range(lo, hi + 1):
+            keys += [key + (i,) for key in keys]
+        return tuple(keys)
+    table = _SUBSETS
+    bits = max(hi + 1, lo)  # the variables 0..hi of the table
+    end = 1 << bits
+    if len(table) < end:
+        grown = list(table)
+        for i in range(len(table).bit_length() - 1, bits):
+            grown += [key + (i,) for key in grown]
+        table = _SUBSETS = tuple(grown)
+    return table[: end : 1 + lo]
+
+
+def run_minima(width: int, first: int) -> list[int]:
+    """Entry q is ``q & ~(q << 1)``, the lowest bit of each run of ones in q,
+    for every q below 2^width; bit 0 is dropped when ``first`` is 0.
+
+    Built one bit at a time: the entries from 2^t on repeat the lower half,
+    with bit t added where bit t - 1 is clear."""
+    minima = [0, 1 if first else 0][: 1 << width]
+    for t in range(1, width):
+        bit, half = 1 << t, 1 << (t - 1)
+        minima += map(bit.__or__, minima[:half])
+        minima += minima[half:bit]
+    return minima
 
 
 def gamma_reconstruct_multivariate(
@@ -375,21 +409,20 @@ def gamma_reconstruct_multivariate(
     lo, hi = var_range
     by_mask: dict[int, int] = {}
     for dset, w in weights.items():
-        if (
-            any(b - a < 2 for a, b in zip(dset, dset[1:]))
-            or dset and not lo < dset[0] <= dset[-1] <= hi
-        ):
-            raise ValueError(
-                f"descent set {dset} is not strictly increasing without "
-                f"consecutive entries inside {lo + 1}..{hi}"
-            )
+        # each bit must lie in the window and at least two above the last
         mask = 0
         for i in dset:
-            mask |= 1 << (i - lo)
+            bit = 1 << (i - lo) if lo < i <= hi else 0
+            if bit <= mask << 1:
+                raise ValueError(
+                    f"descent set {dset} is not strictly increasing without "
+                    f"consecutive entries inside {lo + 1}..{hi}"
+                )
+            mask |= bit
         by_mask[mask] = w
     width = max(hi - lo + 1, 0)
     # bit 0 is position lo, which no D holds
-    minima = [s & ~(s << 1) & ~1 for s in range(1 << width)]
+    minima = run_minima(width, 0)
     summed = {a: by_mask.get(a, 0) for a in set(minima)}
     for i in range(1, width):
         bit = 1 << i

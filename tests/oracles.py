@@ -185,6 +185,26 @@ def brute_relabel(mask: int, perm) -> int:
 
 
 @cache
+def _holding_low_only(n: int, i: int, j: int) -> int:
+    """The int with bit p set for each subset mask p of {1..n} that holds
+    bit i but not bit j."""
+    return sum(1 << p for p in range(1 << n) if p >> i & 1 and not p >> j & 1)
+
+
+def swap(collection: int, n: int, i: int, j: int) -> int:
+    """The collection with bits i and j exchanged in every member mask, as a
+    delta swap; the identity when i == j, and its own inverse.  For i < j the
+    members holding i but not j move up by 2^j - 2^i onto their partners,
+    which move down; ``kernels.relabel_stage`` inlines the same swap."""
+    if i == j:
+        return collection
+    i, j = min(i, j), max(i, j)
+    shift = (1 << j) - (1 << i)
+    moved = (collection ^ (collection >> shift)) & _holding_low_only(n, i, j)
+    return collection ^ moved ^ (moved << shift)
+
+
+@cache
 def schubert_fingerprints(n: int, k: int) -> dict[tuple, int]:
     """(index set, order) -> ``brute_fingerprint`` of the bases that
     ``schubert_matroid`` builds, for every k-subset and every permutation of

@@ -11,6 +11,7 @@ from tests.oracles import (
     brute_loops_and_cogirth,
     brute_relabel,
     schubert_fingerprints,
+    swap,
 )
 
 
@@ -27,7 +28,7 @@ def _schubert_fingerprint(n: int, idx, perm) -> int:
     return brute_fingerprint(bases)
 
 
-def _swap(n: int, i: int, j: int) -> tuple[int, ...]:
+def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:
     """One-line notation of the swap of bits i and j (elements i+1, j+1)."""
     perm = list(range(1, n + 1))
     perm[i], perm[j] = perm[j], perm[i]
@@ -66,22 +67,44 @@ def test_transposition_action_matches_brute_relabel(case):
     # each swap is the relabeling by that transposition, and its own inverse
     n, i, j, masks = case
     collection = brute_fingerprint(masks)
-    image = kernels.swap(collection, n, i, j)
-    assert image == brute_fingerprint(brute_relabel(m, _swap(n, i, j)) for m in masks)
-    assert kernels.swap(image, n, i, j) == collection
+    image = swap(collection, n, i, j)
+    assert image == brute_fingerprint(brute_relabel(m, _transposition(n, i, j)) for m in masks)
+    assert swap(image, n, i, j) == collection
+
+
+@st.composite
+def stage_cases(draw):
+    """A ground size n <= 8, a stage m < n and a collection of subset masks
+    of any sizes."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, n - 1))
+    masks = draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=12))
+    return n, m, brute_fingerprint(masks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stage_cases())
+@example((8, 7, brute_fingerprint([0b1111, 0b1110001, 0b11110000])))
+@example((8, 0, brute_fingerprint([0b10000100, 0b100])))
+def test_relabel_stage_adds_the_swaps_with_every_lower_bit(case):
+    # the inlined delta swaps of a stage are the oracle's swaps of bit m
+    # with bits 0..m - 1, and the collection itself is kept
+    n, m, x = case
+    expected = {x} | {swap(x, n, i, m) for i in range(m)}
+    assert kernels.relabel_stage({x}, n, m) == expected
 
 
 def test_swap_moves_each_mask_to_its_relabeling():
     # n = 4: swapping elements 1 and 2 (bits 0 and 1) sends {1, 3} to {2, 3}
     # and {2, 4} to {1, 4}; exhaustively at n = 6, every single mask under
     # every swap goes to its brute relabeling
-    assert kernels.swap(1 << 0b0101 | 1 << 0b1010, 4, 0, 1) == 1 << 0b0110 | 1 << 0b1001
+    assert swap(1 << 0b0101 | 1 << 0b1010, 4, 0, 1) == 1 << 0b0110 | 1 << 0b1001
     n = 6
     for i in range(n):
         for j in range(n):
             for mask in range(1 << n):
-                got = kernels.swap(1 << mask, n, i, j)
-                assert got == 1 << brute_relabel(mask, _swap(n, i, j)), (i, j, mask)
+                got = swap(1 << mask, n, i, j)
+                assert got == 1 << brute_relabel(mask, _transposition(n, i, j)), (i, j, mask)
 
 
 def test_rank0_fingerprint_classifies_as_no_hitting_set():
@@ -99,7 +122,7 @@ def test_swaps_of_every_seed_at_rank_four_of_eight():
     seeds = kernels.schubert_seeds(n, k)
     for seed, idx in zip(seeds, combinations(range(1, n + 1), k)):
         for i, j in pairs:
-            assert kernels.swap(seed, n, i, j) == _schubert_fingerprint(n, idx, _swap(n, i, j))
+            assert swap(seed, n, i, j) == _schubert_fingerprint(n, idx, _transposition(n, i, j))
         bases = schubert_matroid(SchubertSpec(n, idx, tuple(range(1, n + 1)))).bases
         assert kernels.loops_and_cogirth(seed, n) == brute_loops_and_cogirth(bases, n), idx
 
@@ -151,7 +174,7 @@ def test_closure_is_closed_under_adjacent_transpositions():
         for k in range(1, n):
             for members in _orbits(n, k):
                 for i in range(n - 1):
-                    assert {kernels.swap(x, n, i, i + 1) for x in members} == members, (n, k)
+                    assert {swap(x, n, i, i + 1) for x in members} == members, (n, k)
 
 
 def test_orbit_members_share_the_seed_invariants():
@@ -187,7 +210,7 @@ def test_orbit_counts_skip_a_seed_in_a_counted_orbit():
     for k in range(1, n + 1):
         seeds = kernels.schubert_seeds(n, k)
         once = kernels.orbit_counts(seeds, n)
-        images = [kernels.swap(s, n, 0, n - 1) for s in seeds]
+        images = [swap(s, n, 0, n - 1) for s in seeds]
         assert kernels.orbit_counts(seeds + seeds, n) == once, k
         assert kernels.orbit_counts(seeds + images, n) == once, k
         assert kernels.orbit_counts(images + seeds, n) == once, k

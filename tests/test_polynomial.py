@@ -15,7 +15,8 @@ from chowpoly import (
     gamma_vector,
     nc_subsets,
 )
-from chowpoly.polynomial import variable_subsets
+from chowpoly.forms import EXPONENTIAL_RANK_MAX
+from chowpoly.polynomial import run_minima, variable_subsets
 from tests.oracles import brute_eulerian_poly, brute_gamma_reconstruct_multivariate
 
 
@@ -97,11 +98,38 @@ def test_variable_subsets_is_one_tuple_per_range():
     keys = variable_subsets(1, 4)
     assert isinstance(keys, tuple)
     assert len(keys) == 16 and keys[0] == () and keys[0b1010] == (2, 4)
-    assert variable_subsets(1, 4) is keys
+    assert all(x is y for x, y in zip(variable_subsets(1, 4), keys))
     # two polynomials over one range share the key objects
     a = SqfMultiPoly.from_dense((1, 4), [1] * 16)
     b = SqfMultiPoly.from_dense((1, 4), [2] * 16)
     assert all(x is y for x, y in zip(a.terms, b.terms))
+
+
+def test_variable_subsets_share_one_key_per_subset():
+    # position q of (1, h) is position 2q of (0, h), and a narrower range is
+    # a prefix of a wider one, key object for key object, whichever range
+    # was asked for first; every key holds lo + i exactly when bit i of its
+    # position is set, also for the ranges outside the shared table
+    for h in (12, *range(12)):
+        plain, augmented = variable_subsets(1, h), variable_subsets(0, h)
+        assert len(augmented) == 2 * len(plain) == 2 ** (h + 1)
+        assert all(plain[q] is augmented[2 * q] for q in range(len(plain)))
+        for lo, keys in ((0, augmented), (1, plain)):
+            wider = variable_subsets(lo, h + 1)
+            assert all(x is y for x, y in zip(keys, wider))
+    for lo, hi in ((0, 5), (1, 6), (2, 6), (3, 9), (-2, 1), (0, -1), (1, -3), (4, 2)):
+        keys = variable_subsets(lo, hi)
+        width = max(hi - lo + 1, 0)
+        assert keys == tuple(
+            tuple(lo + i for i in range(width) if q >> i & 1) for q in range(1 << width)
+        )
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_run_minima_matches_definition(first):
+    for width in range(EXPONENTIAL_RANK_MAX + 1):
+        expected = [q & ~(q << 1) & ~(1 - first) for q in range(1 << width)]
+        assert run_minima(width, first) == expected, width
 
 
 @pytest.mark.parametrize(
@@ -215,6 +243,17 @@ def test_gamma_multivariate_matches_brute_expansion(case):
 )
 def test_gamma_multivariate_rejects_bad_descent_sets(dset):
     with pytest.raises(ValueError, match=re.escape(f"descent set {dset} ")):
+        gamma_reconstruct_multivariate({(): 1, dset: 1}, (1, 6))
+
+
+@pytest.mark.parametrize("dset", [(-2, 3), (3, 10**9), (-(10**9),), (10**9, 3)])
+def test_gamma_multivariate_rejects_positions_far_outside_the_window(dset):
+    # no shift is taken by a position below lo or far above hi
+    message = (
+        f"descent set {dset} is not strictly increasing without "
+        "consecutive entries inside 2..6"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         gamma_reconstruct_multivariate({(): 1, dset: 1}, (1, 6))
 
 
