@@ -13,19 +13,23 @@ collections, so deduplication is exact.
 * A collection is relabeled by the swap of elements i < j as a delta swap:
   the positions whose mask holds i but not j move up by 2^j - 2^i, and
   those holding j but not i move down by as much.
-* ``orbit`` closes one seed under all n! relabelings in n - 1 stages.  Every
-  permutation of {1..m+1} is a permutation of {1..m} followed by the swap
-  of m + 1 with some element up to m + 1, so stage m (``relabel_stage``)
-  adds the images of the members under each such swap and deduplicates
-  them in a ``set``.  The work grows with the distinct members of each
-  stage, not with n!: 298,329 images over the ranks 1..8 at n = 8, against
-  10,281,600 (index set, permutation) pairs.
+* A seed is closed under the relabelings of {1..n-1} in n - 2 stages.
+  Every permutation of {1..m+1} is a permutation of {1..m} followed by the
+  swap of m + 1 with some element up to m + 1, so stage m
+  (``relabel_stage``) adds the images of the members under each such swap
+  and deduplicates them in a ``set``.  The work grows with the distinct
+  members of each stage, not with n!: 79,137 images over the ranks 1..8 at
+  n = 8, against 10,281,600 (index set, permutation) pairs.
 * ``loops_and_cogirth`` reads both invariants off a collection with a few
   whole-int operations; relabeling preserves them, so a seed's values hold
   for its whole orbit.
-* ``orbit_counts`` tallies the union of the orbits of a rank's seeds by
-  (loops, cogirth), skipping a seed that already lies in an earlier orbit:
-  the orbits of a group are equal or disjoint.
+* ``orbit_counts`` counts the last stage instead of listing it: with M the
+  seed's closure under {1..n-1}, its orbit under every relabeling of
+  {1..n} has n |M| / c members, where c counts the swaps (j n), j = n
+  included, that keep the seed in M (orbit-stabilizer).  It tallies the
+  orbits of a rank's seeds by (loops, cogirth), skipping a seed that
+  already lies in an earlier orbit: the orbits of a group are equal or
+  disjoint.
 
 Ground-set convention: element e of {1..n} is bit e-1 of a subset mask.
 """
@@ -81,35 +85,23 @@ def _delta(n: int, i: int, j: int) -> tuple[int, int]:
     return (1 << j) - (1 << i), containing[i] & ~containing[j]
 
 
-def relabel_stage(members: set[int], n: int, m: int) -> set[int]:
-    """``members`` joined by their images under the swaps of bit m with
-    each lower bit."""
+def _swap_images(members: Iterable[int], deltas: list[tuple[int, int]]) -> list[int]:
+    """The image of each member under each delta swap, repeats kept."""
     # the delta swap written inline (``tests/oracles.py`` has it as a
     # function): a call per image made the closures of census(8) 10-30 %
     # slower
-    deltas = [_delta(n, i, m) for i in range(m)]
-    return members.union(
-        [
-            x ^ moved ^ (moved << shift)
-            for shift, low in deltas
-            for x in members
-            for moved in ((x ^ (x >> shift)) & low,)
-        ]
-    )
+    return [
+        x ^ moved ^ (moved << shift)
+        for shift, low in deltas
+        for x in members
+        for moved in ((x ^ (x >> shift)) & low,)
+    ]
 
 
-def orbit(seed: int, n: int) -> set[int]:
-    """The distinct images of ``seed`` under every permutation of {1..n}.
-
-    Stage m takes the members closed under the permutations of the first m
-    elements to their images under the swaps of element m + 1 with each
-    earlier element, and keeps the members themselves (the swap of m + 1
-    with itself).
-    """
-    members = {seed}
-    for m in range(1, n):
-        members = relabel_stage(members, n, m)
-    return members
+def relabel_stage(members: set[int], n: int, m: int) -> set[int]:
+    """``members`` joined by their images under the swaps of bit m with
+    each lower bit."""
+    return members.union(_swap_images(members, [_delta(n, i, m) for i in range(m)]))
 
 
 def loops_and_cogirth(collection: int, n: int) -> tuple[int, int]:
@@ -137,16 +129,38 @@ def orbit_counts(seeds: Iterable[int], n: int) -> dict[tuple[int, int], int]:
     """(loops, cogirth) -> number of distinct collections in the union of the
     orbits of ``seeds``.
 
-    A seed already in the union is skipped, since its orbit is one already
-    counted; each other orbit adds its size to the cell of its seed.
+    Each seed s is closed only under the permutations of {1..n-1}, by
+    stages 1..n-2, into M = S_{n-1}.s.  Every permutation of {1..n} is one
+    of those followed by a swap (j n), so the orbit S_n.s is the union of
+    the (j n).M, and by orbit-stabilizer its size is n |M| / c with
+    c = #{j : (j n).s in M}: (j n).s lies in M exactly when some stabilizer
+    element of s sends n to j, so c is the size of the stabilizer orbit of
+    n.  A seed t lies in an earlier orbit exactly when some (j n).t (t itself
+    for j = n) lies in an earlier M, and then it is skipped, since the
+    orbits of a group are equal or disjoint; each other orbit adds its size
+    to the cell of its seed.
     """
-    seen: set[int] = set()
+    top = n - 1
+    deltas = [_delta(n, i, top) for i in range(top)]
+    seen: set[int] = set()  # the union of the M of the seeds counted so far
     counts: dict[tuple[int, int], int] = {}
     for seed in seeds:
-        if seed in seen:
+        # (j n).seed for j = n, 1, .., n - 1, as a list: two swaps may give
+        # one image, and c counts each j
+        swapped = [seed, *_swap_images((seed,), deltas)]
+        if not seen.isdisjoint(swapped):
             continue
-        members = orbit(seed, n)
+        members = {seed}
+        for m in range(1, top):
+            members = relabel_stage(members, n, m)
+        c = sum(1 for x in swapped if x in members)
+        if not c or n * len(members) % c:
+            raise RuntimeError(
+                f"inexact orbit count at n={n}: {c} of the swaps (j {n}) keep the"
+                f" seed among its {len(members)} closed members, and {c} does not"
+                f" divide {n} * {len(members)}"
+            )
         seen |= members
         key = loops_and_cogirth(seed, n)
-        counts[key] = counts.get(key, 0) + len(members)
+        counts[key] = counts.get(key, 0) + n * len(members) // c
     return counts

@@ -14,9 +14,10 @@ tabulates counts by (rank, loops, cogirth).  It runs on the plain-Python
 kernels in ``chowpoly.kernels`` and never lists the pairs: a basis
 collection is one int with a bit for each basis mask, the identity-order
 matroid of each index set is built from the definition (the k-subsets
-dominating it), and each one is closed under relabeling one element at a
-time, deduplicating after each stage.  That is exact by group theory alone
-and shares no code with the counting formula.
+dominating it), and each one is closed under the relabelings of {1..n-1}
+one element at a time, deduplicating after each stage; the last element's
+stage is counted by orbit-stabilizer instead of listed.  That is exact by
+group theory alone and shares no code with the counting formula.
 
 The census is exponential in n, so ``census`` refuses n > MAX_EXHAUSTIVE_N
 = 8 with a ResourceLimitError before it builds any seed.
@@ -33,7 +34,7 @@ from .forms import closed_form
 from .matroid import INFINITY, Matroid, _is_int, mask_of
 
 # Largest ground size for ``census`` and the CLI ``oracle``: census(8) takes
-# about 0.19 s and 21 MB of peak RSS, census(9) about 1.4 s and 79 MB
+# about 0.05 s and 16 MB of peak RSS, census(9) about 0.27 s and 25 MB
 # (986,410 matroids; fresh processes, 2 CPUs, Python 3.11.7), and the
 # matroids, and with them the work, grow about n-fold with each further n.
 MAX_EXHAUSTIVE_N = 8
@@ -198,16 +199,30 @@ class CensusTable(_CensusTableFields):
 
     @classmethod
     def from_csv(cls, n: int, text: str) -> "CensusTable":
+        """Parse ``to_csv`` output; blank lines are skipped.  A malformed row
+        is a one-line ValueError naming its line number in ``text``."""
         entries = {}
-        lines = [ln for ln in text.strip().splitlines() if ln]
+        body = text.lstrip()
+        first = text[: len(text) - len(body)].count("\n") + 1
+        lines = [(i, ln) for i, ln in enumerate(body.rstrip().splitlines(), first) if ln]
         if not lines:
             raise ValueError("census CSV is empty: no header line")
-        if lines[0] != "rank,loops,cogirth,count":
-            raise ValueError(f"unexpected header {lines[0]!r}")
-        for ln in lines[1:]:
-            r, l, g, c = ln.split(",")
-            cog = INFINITY if g == "inf" else int(g)
-            entries[(int(r), int(l), cog)] = int(c)
+        if lines[0][1] != "rank,loops,cogirth,count":
+            raise ValueError(f"unexpected header {lines[0][1]!r}")
+        for number, ln in lines[1:]:
+            fields = ln.split(",")
+            if len(fields) != 4:
+                raise ValueError(
+                    f"census CSV line {number} has {len(fields)} fields, not 4: {ln!r}"
+                )
+            r, l, g, c = fields
+            try:
+                cog = INFINITY if g == "inf" else int(g)
+                entries[(int(r), int(l), cog)] = int(c)
+            except ValueError:
+                raise ValueError(
+                    f"census CSV line {number} has a field that is not an integer: {ln!r}"
+                ) from None
         return cls(n, entries)
 
     def to_json(self) -> dict:
@@ -243,12 +258,15 @@ def census(n: int) -> CensusTable:
     """Exhaustive deduplicated census of Schubert matroids on {1..n}.
 
     For each rank k, the identity-order Schubert matroid of each k-subset
-    is closed under every relabeling of {1..n}, one element at a time: the
-    members closed under the permutations of the first m elements are
+    is closed under every relabeling of {1..n-1}, one element at a time:
+    the members closed under the permutations of the first m elements are
     joined by their images under the swaps of element m + 1 with each
-    earlier one, and deduplicated exactly.  A seed that already lies in an
+    earlier one, and deduplicated exactly.  The size of its orbit under
+    every relabeling of {1..n} follows by orbit-stabilizer from that
+    closure and the seed's images under the swaps of n with each element,
+    with the division checked to be exact.  A seed that already lies in an
     earlier orbit is skipped.  The union of the orbits is the set of basis
-    collections of all (index set, permutation) pairs, found without
+    collections of all (index set, permutation) pairs, counted without
     listing the pairs.  Each orbit is classified by (rank, loops, cogirth)
     from its seed's bases, which relabeling preserves; the rank-0 matroid
     {empty set} has cogirth inf.  A non-int n (``bool`` included) is a

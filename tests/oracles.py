@@ -204,6 +204,20 @@ def swap(collection: int, n: int, i: int, j: int) -> int:
     return collection ^ moved ^ (moved << shift)
 
 
+def orbit(seed: int, n: int) -> set[int]:
+    """The distinct images of ``seed`` under every permutation of {1..n}, as
+    its closure under the adjacent swaps, which generate them all."""
+    members, frontier = {seed}, [seed]
+    while frontier:
+        x = frontier.pop()
+        for i in range(n - 1):
+            y = swap(x, n, i, i + 1)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return members
+
+
 @cache
 def schubert_fingerprints(n: int, k: int) -> dict[tuple, int]:
     """(index set, order) -> ``brute_fingerprint`` of the bases that

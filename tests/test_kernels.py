@@ -1,6 +1,7 @@
 from functools import cache
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from tests.oracles import (
     brute_fingerprint,
     brute_loops_and_cogirth,
     brute_relabel,
+    orbit,
     schubert_fingerprints,
     swap,
 )
@@ -37,8 +39,9 @@ def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:
 
 @cache
 def _orbits(n: int, k: int) -> tuple[frozenset[int], ...]:
-    """The orbit of each rank-k seed, in ``combinations`` order."""
-    return tuple(frozenset(kernels.orbit(s, n)) for s in kernels.schubert_seeds(n, k))
+    """The orbit of each rank-k seed, in ``combinations`` order, from the
+    adjacent-swap closure of the oracles."""
+    return tuple(frozenset(orbit(s, n)) for s in kernels.schubert_seeds(n, k))
 
 
 @cache
@@ -111,7 +114,7 @@ def test_rank0_fingerprint_classifies_as_no_hitting_set():
     # only the empty set is a basis; its orbit is itself
     assert kernels.schubert_seeds(4, 0) == [1]
     assert kernels.loops_and_cogirth(1, 4) == (4, -1)
-    assert kernels.orbit(1, 4) == {1}
+    assert kernels.orbit_counts([1], 4) == {(4, -1): 1}
 
 
 def test_swaps_of_every_seed_at_rank_four_of_eight():
@@ -216,10 +219,39 @@ def test_orbit_counts_skip_a_seed_in_a_counted_orbit():
         assert kernels.orbit_counts(images + seeds, n) == once, k
 
 
+def test_orbit_counts_match_the_oracle_closure_per_seed():
+    # the orbit-stabilizer count of each seed alone is the size of its whole
+    # orbit, as the adjacent-swap closure of the oracles lists it, for every
+    # seed of every rank up to n = 8
+    for n in range(1, 9):
+        for k in range(n + 1):
+            for seed, members in zip(kernels.schubert_seeds(n, k), _orbits(n, k)):
+                expected = {kernels.loops_and_cogirth(seed, n): len(members)}
+                assert kernels.orbit_counts([seed], n) == expected, (n, k)
+
+
+def test_orbit_counts_refuse_an_inexact_count(monkeypatch):
+    # a stage that loses a member of more than one leaves a closure whose
+    # count is not exact; the refusal is an exception, not an assert, so it
+    # holds under -O
+    stage = kernels.relabel_stage
+
+    def lossy(members, n, m):
+        out = stage(members, n, m)
+        if len(out) > 1:
+            out.discard(max(out))
+        return out
+
+    monkeypatch.setattr(kernels, "relabel_stage", lossy)
+    with pytest.raises(RuntimeError, match=r"^inexact orbit count at n=6: "):
+        census(6)
+
+
 def test_census_relabels_only_distinct_rows(monkeypatch):
-    # census(8) relabels the distinct members of each stage of each orbit:
-    # 298,329 images over the ranks 1..8, counting each member's own, not
-    # the 10,281,600 (index set, permutation) pairs, and 35 for the rank-0
+    # census(8) relabels the distinct members of each stage of each orbit
+    # under the relabelings of {1..7} and counts the last stage: 79,137
+    # images over the ranks 1..8, counting each member's own, not the
+    # 10,281,600 (index set, permutation) pairs, and 27 for the rank-0
     # matroid, which is its own image
     images = []
     stage = kernels.relabel_stage
@@ -231,8 +263,8 @@ def test_census_relabels_only_distinct_rows(monkeypatch):
 
     monkeypatch.setattr(kernels, "relabel_stage", counted)
     census(8)
-    assert len(images) == 256 * 7  # every index set, 7 stages each
-    assert sum(images) == 298_329 + 35
+    assert len(images) == 256 * 6  # every index set, 6 stages each
+    assert sum(images) == 79_137 + 27
 
 
 @st.composite

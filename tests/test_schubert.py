@@ -261,12 +261,12 @@ def test_census_is_deterministic():
 
 
 def _no_permutations(monkeypatch):
-    # census(9) would close its fingerprints under all 9! relabelings before
-    # a late refusal
+    # census(9) would close its fingerprints under the relabelings of
+    # {1..8} before a late refusal
     def no_closure(*args):
         raise AssertionError("fingerprints relabeled before the ground size was checked")
 
-    monkeypatch.setattr("chowpoly.kernels.orbit", no_closure)
+    monkeypatch.setattr("chowpoly.kernels.relabel_stage", no_closure)
 
 
 def test_census_resource_guard(monkeypatch):
@@ -316,6 +316,26 @@ def test_census_from_csv_rejects_empty_text():
 def test_census_from_csv_rejects_wrong_header(header):
     with pytest.raises(ValueError, match="unexpected header"):
         CensusTable.from_csv(3, f"{header}\n1,0,1,3\n")
+
+
+@pytest.mark.parametrize("lead", ["", "\n\n"])
+@pytest.mark.parametrize(
+    "rows, line, problem",
+    [
+        ("1,0,1,3\n\n1,0\n", 4, "has 2 fields, not 4: '1,0'"),
+        ("1,0,1,3,7\n", 2, "has 5 fields, not 4: '1,0,1,3,7'"),
+        ("1,0,1,3\n1,x,2,3\n", 3, "has a field that is not an integer: '1,x,2,3'"),
+        ("1,0,1,3.0\n", 2, "has a field that is not an integer: '1,0,1,3.0'"),
+    ],
+)
+def test_census_from_csv_names_a_malformed_line(lead, rows, line, problem):
+    # a wrong field count or a non-integer field is a one-line ValueError
+    # naming the line, counted from 1 in the text, leading blank lines too
+    text = lead + "rank,loops,cogirth,count\n" + rows
+    number = line + lead.count("\n")
+    with pytest.raises(ValueError) as info:
+        CensusTable.from_csv(3, text)
+    assert str(info.value) == f"census CSV line {number} {problem}"
 
 
 def test_verify_coefficient_counts_golden():
