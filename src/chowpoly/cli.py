@@ -123,11 +123,7 @@ def _poly_terms_csv(label: str, poly: UniPoly) -> list[str]:
 
 
 def _multipoly_terms_csv(label: str, poly: SqfMultiPoly) -> list[str]:
-    out = []
-    for key, c in poly.sorted_terms():
-        mono = " ".join(str(i) for i in key) if key else "-"
-        out.append(f"{label},{mono},{c}")
-    return out
+    return [f"{label},{' '.join(map(str, k)) or '-'},{c}" for k, c in poly.sorted_terms()]
 
 
 def _cmd_compute(args) -> int:
@@ -175,14 +171,10 @@ def _cmd_compute(args) -> int:
             payload["agree"] = difference is None
         _print_json(payload)
     elif args.format == "csv":
-        if args.multivariate:
-            print("method,variables,coefficient")
-            for m, p in results.items():
-                print("\n".join(_multipoly_terms_csv(m, p)))
-        else:
-            print("method,power,coefficient")
-            for m, p in results.items():
-                print("\n".join(_poly_terms_csv(m, p)))
+        print(f"method,{'variables' if args.multivariate else 'power'},coefficient")
+        rows = _multipoly_terms_csv if args.multivariate else _poly_terms_csv
+        for m, p in results.items():
+            print("\n".join(rows(m, p)))
     else:
         for m, p in results.items():
             print(f"{m}: {p.render()}")
@@ -192,8 +184,8 @@ def _cmd_compute(args) -> int:
 
 
 def _first_difference(results: dict) -> str | None:
-    """None when every result equals the first one; else the first coefficient,
-    in ``sorted_terms`` order, where the first result that differs leaves it."""
+    """None if every result equals the first; else the variables, or the first
+    coefficient in ``sorted_terms`` order, where the first that differs leaves it."""
     (ref_name, ref), *rest = results.items()
     for name, got in rest:
         if got == ref:
@@ -201,13 +193,13 @@ def _first_difference(results: dict) -> str | None:
         if isinstance(ref, UniPoly):
             width = max(ref.degree, got.degree) + 1
             diffs = ((f"x^{i}", got[i], ref[i]) for i in range(width))
+        elif got.var_range != ref.var_range:
+            return f"{name} vs {ref_name}: variables {got.var_range} vs {ref.var_range}"
         else:
-            keys = sorted(set(ref.terms) | set(got.terms), key=lambda k: (len(k), k))
-            diffs = ((k, got.terms.get(k, 0), ref.terms.get(k, 0)) for k in keys)
+            diffs = ((k, got.coeffs[q], ref.coeffs[q]) for k, q in ref.monomials())
         for at, a, b in diffs:
             if a != b:
                 return f"{name} vs {ref_name} at {at}: {a} vs {b}"
-        return f"{name} vs {ref_name}: variables {got.var_range} vs {ref.var_range}"
     return None
 
 

@@ -6,22 +6,27 @@ Two representations are provided:
   tuple with index i holding the coefficient of x^i.  Trailing zeros are
   trimmed, so the zero polynomial is the empty tuple.
 
-* ``SqfMultiPoly`` -- a sparse multivariate polynomial whose monomials are
-  squarefree products of indexed variables x_i.  Each term is keyed by the
-  set of variable indices appearing in it; the coefficient of the key ``()``
-  is the constant term.  A declared index range restricts which variables
-  are admissible, and a key that repeats a variable is rejected.  It has no
-  arithmetic: the multivariate formulas of this package fill one coefficient
-  per subset of the range (``from_dense``), then compare, specialize,
-  render or serialize the result.
+* ``SqfMultiPoly`` -- a dense multivariate polynomial whose monomials are
+  squarefree products of the variables x_lo..x_hi of a declared range of at
+  most MAX_VARIABLES, stored as a coefficient tuple whose entry q is the
+  monomial over the x_{lo+i} with bit i of q set; entry 0 is the constant
+  term.  Each key of a dict it is built from is checked to be in range and
+  squarefree.  It has no arithmetic: the multivariate formulas of this
+  package fill one coefficient per subset of the range (``from_dense``),
+  then compare, specialize, render or serialize the result.
 
 All coefficients are Python ints, so results are exact at any size.
 """
 
 from __future__ import annotations
 
+from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
+
+# Widest range of a SqfMultiPoly, which stores 2^width coefficients: every
+# basis (k <= EXPONENTIAL_RANK_MAX) and chain oracle (rank <= MAX_GROUND) fits.
+MAX_VARIABLES = 18
 
 
 class NonSquarefreeProductError(ValueError):
@@ -193,23 +198,35 @@ class UniPoly:
         return [str(c) for c in self.coeffs]
 
     @classmethod
-    def from_json(cls, data: Iterable[str]) -> "UniPoly":
-        return cls(int(s) for s in data)
+    def from_json(cls, data: list) -> "UniPoly":
+        """Inverse of ``to_json``; a malformed document is a ValueError."""
+        if not isinstance(data, list):
+            raise ValueError(f"polynomial JSON is malformed: {type(data).__name__}, not a list")
+        try:
+            return cls(map(_json_int, data))
+        except ValueError as exc:
+            raise ValueError(f"polynomial JSON is malformed: {exc}") from None
 
 
 class SqfMultiPoly:
     """Multivariate polynomial with squarefree monomials in variables x_lo..x_hi.
 
-    ``terms`` maps sorted tuples of variable indices to nonzero integer
-    coefficients; the empty tuple keys the constant term.
+    ``coeffs`` holds one coefficient per subset of the range, 2^width in
+    all: entry q is the coefficient of the monomial that holds x_{lo+i}
+    exactly when bit i of q is set, so entry 0 is the constant term.  A range
+    of more than MAX_VARIABLES variables is a ValueError.
     """
 
-    __slots__ = ("var_range", "terms")
+    __slots__ = ("var_range", "coeffs")
 
     def __init__(self, var_range: tuple[int, int], terms: dict | None = None):
         lo, hi = var_range
-        self.var_range: tuple[int, int] = (lo, hi)
-        normalized: dict[tuple[int, ...], int] = {}
+        width = max(hi - lo + 1, 0)
+        if width > MAX_VARIABLES:
+            raise ValueError(
+                f"x{lo}..x{hi} has {width} variables, more than MAX_VARIABLES = {MAX_VARIABLES}"
+            )
+        dense = [0] * (1 << width)
         for key, coeff in (terms or {}).items():
             if coeff == 0:
                 continue
@@ -219,59 +236,63 @@ class SqfMultiPoly:
             if k and not lo <= k[0] <= k[-1] <= hi:
                 v = next(v for v in k if not lo <= v <= hi)
                 raise ValueError(f"variable x{v} outside declared range x{lo}..x{hi}")
-            normalized[k] = normalized.get(k, 0) + coeff
-        self.terms: dict[tuple[int, ...], int] = {
-            k: c for k, c in normalized.items() if c != 0
-        }
+            dense[sum(1 << (i - lo) for i in k)] += coeff
+        self.var_range: tuple[int, int] = (lo, hi)
+        self.coeffs: tuple[int, ...] = tuple(dense)
 
     @classmethod
     def from_dense(
-        cls, var_range: tuple[int, int], coeffs: Sequence[int]
+        cls, var_range: tuple[int, int], coeffs: Iterable[int]
     ) -> "SqfMultiPoly":
-        """The polynomial whose monomial at position q of
-        ``variable_subsets(lo, hi)`` has coefficient ``coeffs[q]``, one entry
-        per subset of the range.  Those keys are sorted, distinct and in range
-        by construction, so only the length is checked (ValueError) and zero
-        coefficients are dropped."""
-        lo, hi = var_range
-        keys = variable_subsets(lo, hi)
-        if len(coeffs) != len(keys):
+        """The polynomial whose ``coeffs`` are ``coeffs``, one per subset of the
+        range (ValueError for any other length)."""
+        poly, dense = cls(var_range), tuple(coeffs)
+        if len(dense) != len(poly.coeffs):
             raise ValueError(
-                f"{len(coeffs)} coefficients for the {len(keys)} monomials "
-                f"in x{lo}..x{hi}"
+                f"{len(dense)} coefficients for the {len(poly.coeffs)} monomials in "
+                f"x{poly.var_range[0]}..x{poly.var_range[1]}"
             )
-        poly = cls((lo, hi))
-        poly.terms = dict(zip(keys, coeffs))
-        if 0 in coeffs:
-            poly.terms = {key: c for key, c in poly.terms.items() if c}
+        poly.coeffs = dense
         return poly
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """A new {index tuple: coefficient} dict of the nonzero terms."""
+        return dict(self.sorted_terms())
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return any(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SqfMultiPoly):
             return NotImplemented
-        return self.var_range == other.var_range and self.terms == other.terms
+        return self.var_range == other.var_range and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.var_range, frozenset(self.terms.items())))
+        return hash((self.var_range, self.coeffs))
+
+    def monomials(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """(index tuple, position in ``coeffs``) of every monomial of the
+        range, in the canonical order: by total degree, then by index tuple."""
+        width = len(self.coeffs).bit_length() - 1
+        variables = range(self.var_range[0], self.var_range[0] + width)
+        bits = [1 << i for i in range(width)]
+        return chain.from_iterable(
+            zip(combinations(variables, d), map(sum, combinations(bits, d)))
+            for d in range(width + 1)
+        )
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in the canonical (total degree, index tuple) order: the keys
-        sorted as tuples, then stably by length."""
-        keys = sorted(self.terms)
-        keys.sort(key=len)
-        return list(zip(keys, map(self.terms.__getitem__, keys)))
+        """The nonzero terms in the order of ``monomials``."""
+        cs = self.coeffs
+        return [(key, cs[q]) for key, q in self.monomials() if cs[q]]
 
     def specialize(self) -> UniPoly:
         """Set every variable to a common x: a monomial over an index set of
         size d collapses to x**d, and coefficients of equal degree add up."""
-        if not self.terms:
-            return UniPoly.zero()
-        out = [0] * (max(len(k) for k in self.terms) + 1)
-        for k, c in self.terms.items():
-            out[len(k)] += c
+        out = [0] * len(self.coeffs).bit_length()
+        for q, c in enumerate(self.coeffs):
+            out[q.bit_count()] += c
         return UniPoly(out)
 
     def render(self) -> str:
@@ -294,11 +315,27 @@ class SqfMultiPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "SqfMultiPoly":
-        lo, hi = data["vars"]
-        return cls(
-            (lo, hi),
-            {tuple(t["vars"]): int(t["coeff"]) for t in data["terms"]},
-        )
+        """Inverse of ``to_json``; a malformed document is a ValueError."""
+        try:
+            lo, hi = map(_json_int, data["vars"])
+            terms = {
+                tuple(map(_json_int, t["vars"])): _json_int(t["coeff"]) for t in data["terms"]
+            }
+        except KeyError as exc:
+            raise ValueError(f"multivariate polynomial JSON lacks the field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"multivariate polynomial JSON is malformed: {exc}") from None
+        return cls((lo, hi), terms)
+
+
+def _json_int(value) -> int:
+    """An int (not a bool), or a string of ASCII digits with an optional minus
+    sign read as one; anything else is a ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.isascii() and value.removeprefix("-").isdigit():
+        return int(value)
+    raise ValueError(f"expected a decimal string or an int, got {value!r}")
 
 
 def gamma_vector(p: UniPoly, d: int) -> tuple[int, ...]:
@@ -341,37 +378,6 @@ def gamma_reconstruct(gammas: Iterable[int], d: int) -> UniPoly:
         if g:
             result = result + UniPoly.monomial(g, i) * UniPoly.one_plus_x_power(d - 2 * i)
     return result
-
-
-# Every subset of the variables 0..h as a sorted index tuple, at the
-# position whose bit i is variable i, for the widest h asked for so far.
-# Growing it builds a new tuple from a snapshot and rebinds the name, so a
-# reader never sees a partial table; it is never rebuilt or shrunk.
-_SUBSETS: tuple[tuple[int, ...], ...] = ((),)
-
-
-def variable_subsets(lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
-    """Every subset of the variables lo..hi as a sorted index tuple, listed so
-    that the subset at position q holds lo + i exactly when bit i of q is set.
-
-    For lo = 0 these are the first 2^(hi + 1) entries of one key table, and
-    for lo = 1 its even positions among them, so every range of both bases
-    shares one key tuple per subset for the life of the process."""
-    global _SUBSETS
-    if lo not in (0, 1):
-        keys: list[tuple[int, ...]] = [()]
-        for i in range(lo, hi + 1):
-            keys += [key + (i,) for key in keys]
-        return tuple(keys)
-    table = _SUBSETS
-    bits = max(hi + 1, lo)  # the variables 0..hi of the table
-    end = 1 << bits
-    if len(table) < end:
-        grown = list(table)
-        for i in range(len(table).bit_length() - 1, bits):
-            grown += [key + (i,) for key in grown]
-        table = _SUBSETS = tuple(grown)
-    return table[: end : 1 + lo]
 
 
 def run_minima(width: int, first: int) -> list[int]:
@@ -427,4 +433,4 @@ def gamma_reconstruct_multivariate(
     for i in range(1, width):
         bit = 1 << i
         summed.update({a: summed[a] + summed[a ^ bit] for a in summed if a & bit})
-    return SqfMultiPoly.from_dense(var_range, list(map(summed.__getitem__, minima)))
+    return SqfMultiPoly.from_dense(var_range, map(summed.__getitem__, minima))

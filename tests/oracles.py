@@ -172,6 +172,18 @@ def brute_gamma_reconstruct_multivariate(
     return {key: c for key, c in terms.items() if c}
 
 
+def brute_subsets(lo: int, hi: int) -> list[tuple[int, ...]]:
+    """Every subset of the variables lo..hi as a sorted tuple, at the position
+    q whose bit i is set exactly when lo + i is in it."""
+    width = max(hi - lo + 1, 0)
+    return [tuple(lo + i for i in range(width) if q >> i & 1) for q in range(1 << width)]
+
+
+def brute_sorted_terms(terms: dict) -> list[tuple[tuple[int, ...], int]]:
+    """The nonzero (key, coefficient) items, sorted by key length, then key."""
+    return sorted(((k, c) for k, c in terms.items() if c), key=lambda t: (len(t[0]), t[0]))
+
+
 def brute_fingerprint(masks) -> int:
     """Fingerprint of a set of subset masks: the int with bit m set for each
     mask m in the set."""

@@ -8,7 +8,17 @@ from pathlib import Path
 import pytest
 
 import chowpoly
-from chowpoly import CensusTable, UniPoly, census, cli, forms, matroid_to_json, uniform
+from chowpoly import (
+    CensusTable,
+    SqfMultiPoly,
+    UniPoly,
+    census,
+    cli,
+    forms,
+    matroid_to_json,
+    multivariate_closed_form,
+    uniform,
+)
 from chowpoly.cli import main
 
 
@@ -99,6 +109,25 @@ def test_compute_disagreement_reporting():
     a, b = UniPoly((1, 2)), UniPoly((1, 3))
     msg = _first_difference({"m1": a, "m2": b})
     assert "at x^1: 3 vs 2" in msg
+
+
+def test_compute_multivariate_disagreement_reporting():
+    from chowpoly.cli import _first_difference
+
+    a = multivariate_closed_form(4, 6, "monomial")
+    off = list(a.coeffs)
+    off[0b101] += 1  # the monomial x1*x3
+    b = SqfMultiPoly.from_dense(a.var_range, off)
+    msg = _first_difference({"monomial": a, "gamma": a, "wrong": b})
+    assert msg == f"wrong vs monomial at (1, 3): {a.coeffs[0b101] + 1} vs {a.coeffs[0b101]}"
+    # the lowest differing term in (degree, index tuple) order is reported
+    off[0b110] -= 1  # x2*x3, of the same degree but later
+    off[0b111] += 1  # x1*x2*x3
+    b = SqfMultiPoly.from_dense(a.var_range, off)
+    assert _first_difference({"m": a, "w": b}).startswith("w vs m at (1, 3): ")
+    c = SqfMultiPoly((0, 2), {(): 1})
+    msg = _first_difference({"m1": SqfMultiPoly((1, 2), {(): 1}), "m2": c})
+    assert msg == "m2 vs m1: variables (0, 2) vs (1, 2)"
 
 
 def test_compute_invalid_domain(capsys):

@@ -15,9 +15,15 @@ from chowpoly import (
     gamma_vector,
     nc_subsets,
 )
-from chowpoly.forms import EXPONENTIAL_RANK_MAX
-from chowpoly.polynomial import run_minima, variable_subsets
-from tests.oracles import brute_eulerian_poly, brute_gamma_reconstruct_multivariate
+from chowpoly.forms import EXPONENTIAL_RANK_MAX, MULTIVARIATE_BASES, multivariate_closed_form
+from chowpoly.matroid import MAX_GROUND
+from chowpoly.polynomial import MAX_VARIABLES, run_minima
+from tests.oracles import (
+    brute_eulerian_poly,
+    brute_gamma_reconstruct_multivariate,
+    brute_sorted_terms,
+    brute_subsets,
+)
 
 
 def test_trailing_zeros_trimmed():
@@ -75,54 +81,103 @@ def test_multivariate_constructor_errors():
 
 @st.composite
 def dense_coefficients(draw):
-    lo = draw(st.integers(0, 1))
-    width = draw(st.integers(0, 8))
+    # negative lo, empty ranges (hi below lo) and coefficients past 2^64
+    lo = draw(st.integers(-3, 3))
+    width = draw(st.integers(0, 7))
+    hi = lo + width - 1 - (draw(st.integers(0, 2)) if width == 0 else 0)
     coeff = st.one_of(
         st.just(0), st.integers(-(10**6), 10**6), st.integers(2**64, 2**80)
     )
     coeffs = draw(st.lists(coeff, min_size=1 << width, max_size=1 << width))
-    return (lo, lo + width - 1), coeffs
+    return (lo, hi), coeffs
 
 
 @settings(max_examples=50, deadline=None)
 @given(dense_coefficients())
 def test_from_dense_matches_constructor(case):
     var_range, coeffs = case
-    expected = SqfMultiPoly(var_range, dict(zip(variable_subsets(*var_range), coeffs)))
+    keys = brute_subsets(*var_range)
+    expected = SqfMultiPoly(var_range, dict(zip(keys, coeffs)))
     got = SqfMultiPoly.from_dense(var_range, coeffs)
-    assert got == expected
+    assert got == expected and hash(got) == hash(expected)
     assert got.var_range == var_range
+    # entry q is the coefficient of the key that holds lo + i for each bit i
+    assert expected.coeffs == tuple(coeffs)
+    assert bool(got) == any(coeffs)
 
 
-def test_variable_subsets_is_one_tuple_per_range():
-    keys = variable_subsets(1, 4)
-    assert isinstance(keys, tuple)
-    assert len(keys) == 16 and keys[0] == () and keys[0b1010] == (2, 4)
-    assert all(x is y for x, y in zip(variable_subsets(1, 4), keys))
-    # two polynomials over one range share the key objects
-    a = SqfMultiPoly.from_dense((1, 4), [1] * 16)
-    b = SqfMultiPoly.from_dense((1, 4), [2] * 16)
-    assert all(x is y for x, y in zip(a.terms, b.terms))
+@settings(max_examples=50, deadline=None)
+@given(dense_coefficients())
+def test_dense_terms_order_and_round_trips(case):
+    var_range, coeffs = case
+    terms = dict(zip(brute_subsets(*var_range), coeffs))
+    poly = SqfMultiPoly(var_range, terms)
+    assert poly.sorted_terms() == brute_sorted_terms(terms)
+    assert poly.terms == {k: c for k, c in terms.items() if c}
+    assert all(poly.terms.values())
+    dense = SqfMultiPoly.from_dense(var_range, poly.coeffs)
+    back = SqfMultiPoly.from_json(json.loads(json.dumps(dense.to_json())))
+    assert back == dense == poly and hash(back) == hash(poly)
+    assert back.to_json() == poly.to_json()
 
 
-def test_variable_subsets_share_one_key_per_subset():
-    # position q of (1, h) is position 2q of (0, h), and a narrower range is
-    # a prefix of a wider one, key object for key object, whichever range
-    # was asked for first; every key holds lo + i exactly when bit i of its
-    # position is set, also for the ranges outside the shared table
-    for h in (12, *range(12)):
-        plain, augmented = variable_subsets(1, h), variable_subsets(0, h)
-        assert len(augmented) == 2 * len(plain) == 2 ** (h + 1)
-        assert all(plain[q] is augmented[2 * q] for q in range(len(plain)))
-        for lo, keys in ((0, augmented), (1, plain)):
-            wider = variable_subsets(lo, h + 1)
-            assert all(x is y for x, y in zip(keys, wider))
-    for lo, hi in ((0, 5), (1, 6), (2, 6), (3, 9), (-2, 1), (0, -1), (1, -3), (4, 2)):
-        keys = variable_subsets(lo, hi)
-        width = max(hi - lo + 1, 0)
-        assert keys == tuple(
-            tuple(lo + i for i in range(width) if q >> i & 1) for q in range(1 << width)
-        )
+def test_variable_range_is_bounded():
+    wide = (0, MAX_VARIABLES)  # MAX_VARIABLES + 1 variables
+    with pytest.raises(ValueError, match="19 variables, more than MAX_VARIABLES = 18"):
+        SqfMultiPoly(wide)
+    with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
+        SqfMultiPoly.from_dense(wide, [])
+    # a declared range is refused before its coefficients are allocated
+    with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
+        SqfMultiPoly.from_json({"vars": [0, 10**6], "terms": []})
+    assert len(SqfMultiPoly((-1, MAX_VARIABLES - 2)).coeffs) == 2**MAX_VARIABLES
+    # every basis at the rank bound fits, and so does every chain oracle
+    k = EXPONENTIAL_RANK_MAX
+    for basis in MULTIVARIATE_BASES:
+        p = multivariate_closed_form(k, k, basis, augmented=True)
+        assert len(p.coeffs) == 2**k and p.var_range == (0, k - 1)
+    assert MAX_GROUND <= MAX_VARIABLES
+
+
+@pytest.mark.parametrize(
+    "data", [[1.5], [True], ["1.0"], [" 1"], ["1_000"], ["+1"], ["٣"], [None], "12", {"0": 1}]
+)
+def test_unipoly_from_json_rejects_malformed(data):
+    with pytest.raises(ValueError, match="^polynomial JSON is malformed"):
+        UniPoly.from_json(data)
+
+
+_TERM = {"vars": [1], "coeff": "2"}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"terms": [_TERM]}, "lacks the field 'vars'"),
+        ({"vars": [1, 2]}, "lacks the field 'terms'"),
+        ({"vars": [1, 2], "terms": [{"vars": [1]}]}, "lacks the field 'coeff'"),
+        ({"vars": [1, 2], "terms": [{"coeff": "2"}]}, "lacks the field 'vars'"),
+        ([], "is malformed"),
+        (None, "is malformed"),
+        ("vars", "is malformed"),
+        ({"vars": [1, 2], "terms": [[1]]}, "is malformed"),
+        ({"vars": [1, 2, 3], "terms": []}, "is malformed"),
+        ({"vars": 2, "terms": []}, "is malformed"),
+        ({"vars": [1, 2], "terms": [{"vars": [1], "coeff": 1.5}]}, "got 1.5"),
+        ({"vars": [1, 2], "terms": [{"vars": [1], "coeff": True}]}, "got True"),
+        ({"vars": [1, 2], "terms": [{"vars": [1.0], "coeff": "2"}]}, "got 1.0"),
+        ({"vars": [1, 2], "terms": [{"vars": [3], "coeff": "2"}]}, "outside declared"),
+    ],
+)
+def test_multipoly_from_json_rejects_malformed(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SqfMultiPoly.from_json(data)
+
+
+def test_from_json_reads_decimal_strings_and_ints():
+    assert UniPoly.from_json(["-3", 4, "0"]) == UniPoly((-3, 4))
+    data = {"vars": ["1", 2], "terms": [{"vars": [2, 1], "coeff": -5}, _TERM]}
+    assert SqfMultiPoly.from_json(data) == SqfMultiPoly((1, 2), {(1, 2): -5, (1,): 2})
 
 
 @pytest.mark.parametrize("first", [0, 1])
