@@ -72,7 +72,8 @@ def _parser() -> argparse.ArgumentParser:
         "--method",
         default="all",
         choices=("all", "gamma") + tuple(_METHOD_FLAGS),
-        help="expansion to use; 'all' compares every applicable one",
+        help="expansion to use; 'all' runs every method and compares them, "
+        "and exits 2 when any is out of its bound",
     )
     p.add_argument("--augmented", action="store_true")
     p.add_argument(

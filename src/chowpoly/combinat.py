@@ -114,11 +114,10 @@ def descent_count(seq: Sequence[int]) -> int:
     return len(descent_set(seq))
 
 
-def exact_descent_counts(
-    n: int, m: int, exclude_one: bool = False
-) -> dict[tuple[int, ...], int]:
+def exact_descent_counts(n: int, m: int, exclude_one: bool = False) -> dict[int, int]:
     """Number of permutations of {1..n} with descent set exactly D, for every
-    D that ``nc_subsets(m, exclude_one)`` yields, keyed in that order.
+    D that ``nc_subsets(m, exclude_one)`` yields, keyed in that order by its
+    bitmask (bit i for position i).
 
     A permutation has its descents inside D exactly when it increases on
     each block between the cuts of D, so that count is the multinomial of
@@ -126,30 +125,28 @@ def exact_descent_counts(
     parent extended by one larger position t, in ``nc_subsets`` order; the
     extension splits the last block, so its count is the parent's times
     C(n - last, t - last), with last = 0 for the empty set.  The family is
-    closed under taking subsets, so one in-place Moebius transform over its
-    bitmasks (bit i for position i) turns every such count into the exact
-    count.
+    closed under taking subsets, so one in-place Moebius transform over it
+    turns every such count into the exact count.
     """
     if m > max(n - 1, 0):
         raise ValueError(f"descent position {m} out of range for n={n}")
     lo = 2 if exclude_one else 1
-    # (set, mask, last position, permutations with descents inside the set)
-    level = [((t,), 1 << t, t, comb(n, t)) for t in range(lo, m + 1)]
-    family = [((), 0, 0, 1)]
+    # (mask, last position, permutations with descents inside the set)
+    level = [(1 << t, t, comb(n, t)) for t in range(lo, m + 1)]
+    counts = {0: 1}
     while level:
-        family += level
+        counts.update((mask, count) for mask, _, count in level)
         level = [
-            (dset + (t,), mask | 1 << t, t, count * comb(n - last, t - last))
-            for dset, mask, last, count in level
+            (mask | 1 << t, t, count * comb(n - last, t - last))
+            for mask, last, count in level
             for t in range(last + 2, m + 1)
         ]
-    counts = {mask: count for _, mask, _, count in family}
     for i in range(1, m + 1):
         bit = 1 << i
         for mask in counts:
             if mask & bit:
                 counts[mask] -= counts[mask ^ bit]
-    return {dset: counts[mask] for dset, mask, _, _ in family}
+    return counts
 
 
 def perm_descent_aggregates(

@@ -109,8 +109,8 @@ def _monomial_form(k: int, n: int, augmented: bool) -> UniPoly:
 def _gamma_eulerian_form(k: int, n: int, augmented: bool) -> UniPoly:
     d = k if augmented else k - 1
     gammas = [0] * (d // 2 + 1)
-    for dset, count in exact_descent_counts(n, k - 1, not augmented).items():
-        gammas[len(dset)] += count
+    for mask, count in exact_descent_counts(n, k - 1, not augmented).items():
+        gammas[mask.bit_count()] += count
     return gamma_reconstruct(gammas, d)
 
 

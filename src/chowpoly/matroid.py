@@ -265,9 +265,10 @@ class FlatLattice(_FlatLatticeFields):
         return counts[self.top]
 
     @cached_property
-    def admissible_chains(self) -> Mapping[tuple[int, ...], int]:
-        """Number of maximal chains with each descent set, among the chains
-        whose label sequence has no two consecutive descents.
+    def admissible_chains(self) -> Mapping[int, int]:
+        """Number of maximal chains with each descent set, as a bitmask (bit i
+        for position i), among the chains whose label sequence has no two
+        consecutive descents.
 
         A transfer count over the flats in rank order: ``states[f]`` maps
         (label of the last cover, bitmask of descent positions) to the number
@@ -292,10 +293,9 @@ class FlatLattice(_FlatLatticeFields):
                         mask |= 1 << pos
                     key = (label, mask)
                     there[key] = there.get(key, 0) + count
-        counts: dict[tuple[int, ...], int] = {}
+        counts: dict[int, int] = {}
         for (_, mask), count in states.get(self.top, {}).items():
-            dset = tuple(i for i in range(1, self.rank) if mask >> i & 1)
-            counts[dset] = counts.get(dset, 0) + count
+            counts[mask] = counts.get(mask, 0) + count
         return MappingProxyType(counts)
 
 
@@ -347,11 +347,9 @@ def _build_lattice(m: Matroid) -> FlatLattice:
     )
 
 
-def _chain_descent_weights(
-    m: Matroid, augmented: bool
-) -> dict[tuple[int, ...], int]:
-    """Number of maximal chains with each admissible descent set, as a fresh
-    dict.
+def _chain_descent_weights(m: Matroid, augmented: bool) -> dict[int, int]:
+    """Number of maximal chains with each admissible descent set (a bitmask,
+    bit i for position i), as a fresh dict.
 
     The lattice counts its chains once under the augmented rules.  A chain is
     admissible for the plain polynomial exactly when it is admissible for the
@@ -365,7 +363,7 @@ def _chain_descent_weights(
     counts = flats_lattice(m).admissible_chains
     if augmented:
         return dict(counts)
-    return {dset: count for dset, count in counts.items() if dset[:1] != (1,)}
+    return {mask: count for mask, count in counts.items() if not mask & 2}
 
 
 def chain_chow(m: Matroid, augmented: bool = False) -> UniPoly:
@@ -377,8 +375,8 @@ def chain_chow(m: Matroid, augmented: bool = False) -> UniPoly:
     weights = _chain_descent_weights(m, augmented)
     d = m.rank if augmented else m.rank - 1
     gammas = [0] * (d // 2 + 1)
-    for dset, count in weights.items():
-        gammas[len(dset)] += count
+    for mask, count in weights.items():
+        gammas[mask.bit_count()] += count
     return gamma_reconstruct(gammas, d)
 
 

@@ -221,12 +221,7 @@ class SqfMultiPoly:
 
     def __init__(self, var_range: tuple[int, int], terms: dict | None = None):
         lo, hi = var_range
-        width = max(hi - lo + 1, 0)
-        if width > MAX_VARIABLES:
-            raise ValueError(
-                f"x{lo}..x{hi} has {width} variables, more than MAX_VARIABLES = {MAX_VARIABLES}"
-            )
-        dense = [0] * (1 << width)
+        dense = [0] * (1 << _range_width(lo, hi))
         for key, coeff in (terms or {}).items():
             if coeff == 0:
                 continue
@@ -246,13 +241,12 @@ class SqfMultiPoly:
     ) -> "SqfMultiPoly":
         """The polynomial whose ``coeffs`` are ``coeffs``, one per subset of the
         range (ValueError for any other length)."""
-        poly, dense = cls(var_range), tuple(coeffs)
-        if len(dense) != len(poly.coeffs):
-            raise ValueError(
-                f"{len(dense)} coefficients for the {len(poly.coeffs)} monomials in "
-                f"x{poly.var_range[0]}..x{poly.var_range[1]}"
-            )
-        poly.coeffs = dense
+        lo, hi = var_range
+        size, dense = 1 << _range_width(lo, hi), tuple(coeffs)
+        if len(dense) != size:
+            raise ValueError(f"{len(dense)} coefficients for the {size} monomials in x{lo}..x{hi}")
+        poly = cls.__new__(cls)
+        poly.var_range, poly.coeffs = (lo, hi), dense
         return poly
 
     @property
@@ -328,6 +322,14 @@ class SqfMultiPoly:
         return cls((lo, hi), terms)
 
 
+def _range_width(lo: int, hi: int) -> int:
+    """Number of variables in x_lo..x_hi; more than MAX_VARIABLES is a ValueError."""
+    width = max(hi - lo + 1, 0)
+    if width > MAX_VARIABLES:
+        raise ValueError(f"x{lo}..x{hi} has {width} variables, more than {MAX_VARIABLES = }")
+    return width
+
+
 def _json_int(value) -> int:
     """An int (not a bool), or a string of ASCII digits with an optional minus
     sign read as one; anything else is a ValueError."""
@@ -395,15 +397,15 @@ def run_minima(width: int, first: int) -> list[int]:
 
 
 def gamma_reconstruct_multivariate(
-    weights: Mapping[tuple[int, ...], int], var_range: tuple[int, int]
+    weights: Mapping[int, int], var_range: tuple[int, int]
 ) -> SqfMultiPoly:
     """Sum over descent sets D of weights[D] * prod_{i in D} x_i * prod (1 + x_i)
     over the free i in var_range, those with neither i nor i+1 in D.
 
-    Each D must be a strictly increasing tuple with no consecutive entries
-    inside lo+1..hi; any other set raises ValueError.  ``specialize`` then
-    gives ``gamma_reconstruct`` of the weights summed by |D| with
-    d = hi - lo + 1.
+    Each D is a bitmask, bit i for position i, with no two adjacent bits and
+    every bit inside lo+1..hi; any other key, or a negative lo, raises
+    ValueError.  ``specialize`` then gives ``gamma_reconstruct`` of the
+    weights summed by |D| with d = hi - lo + 1.
 
     The pairs (D, E) with E a set of free positions of D match one to one the
     pairs (S, D) with D a subset of A(S), the run minima of S above lo, via
@@ -413,23 +415,20 @@ def gamma_reconstruct_multivariate(
     W(A - i) to each A holding i, and changes no set that lacks i.
     """
     lo, hi = var_range
-    by_mask: dict[int, int] = {}
-    for dset, w in weights.items():
-        # each bit must lie in the window and at least two above the last
-        mask = 0
-        for i in dset:
-            bit = 1 << (i - lo) if lo < i <= hi else 0
-            if bit <= mask << 1:
-                raise ValueError(
-                    f"descent set {dset} is not strictly increasing without "
-                    f"consecutive entries inside {lo + 1}..{hi}"
-                )
-            mask |= bit
-        by_mask[mask] = w
-    width = max(hi - lo + 1, 0)
+    if lo < 0:
+        raise ValueError(f"x{lo}..x{hi} starts below x0, and a mask has no negative bits")
+    width = _range_width(lo, hi)  # before run_minima lists 2^width entries
+    window = max((1 << width) - 2, 0) << lo  # positions lo+1..hi
+    for mask in weights:
+        if not isinstance(mask, int) or mask & ~window or mask & mask >> 1:
+            shown = bin(mask) if isinstance(mask, int) else repr(mask)
+            raise ValueError(
+                f"descent set {shown} is not a mask without adjacent bits "
+                f"inside positions {lo + 1}..{hi}"
+            )
     # bit 0 is position lo, which no D holds
     minima = run_minima(width, 0)
-    summed = {a: by_mask.get(a, 0) for a in set(minima)}
+    summed = {a: weights.get(a << lo, 0) for a in set(minima)}
     for i in range(1, width):
         bit = 1 << i
         summed.update({a: summed[a] + summed[a ^ bit] for a in summed if a & bit})

@@ -32,6 +32,7 @@ from . import kernels
 from .combinat import delta_multinomial
 from .forms import closed_form
 from .matroid import INFINITY, Matroid, _is_int, mask_of
+from .polynomial import _json_int
 
 # Largest ground size for ``census`` and the CLI ``oracle``: census(8) takes
 # about 0.05 s and 16 MB of peak RSS, census(9) about 0.27 s and 25 MB
@@ -217,8 +218,8 @@ class CensusTable(_CensusTableFields):
                 )
             r, l, g, c = fields
             try:
-                cog = INFINITY if g == "inf" else int(g)
-                entries[(int(r), int(l), cog)] = int(c)
+                cog = INFINITY if g == "inf" else _json_int(g)
+                entries[(_json_int(r), _json_int(l), cog)] = _json_int(c)
             except ValueError:
                 raise ValueError(
                     f"census CSV line {number} has a field that is not an integer: {ln!r}"
@@ -242,15 +243,17 @@ class CensusTable(_CensusTableFields):
 
     @classmethod
     def from_json(cls, data: dict) -> "CensusTable":
+        """Inverse of ``to_json``; a malformed document is a ValueError."""
         entries = {}
         try:
             for row in data["entries"]:
-                g = INFINITY if row["cogirth"] == "inf" else int(row["cogirth"])
-                entries[(int(row["rank"]), int(row["loops"]), g)] = int(row["count"])
-            return cls(int(data["n"]), entries)
+                g = INFINITY if row["cogirth"] == "inf" else _json_int(row["cogirth"])
+                r, l = _json_int(row["rank"]), _json_int(row["loops"])
+                entries[(r, l, g)] = _json_int(row["count"])
+            return cls(_json_int(data["n"]), entries)
         except KeyError as exc:
             raise ValueError(f"census JSON lacks the field {exc}") from None
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"census JSON is malformed: {exc}") from None
 
 

@@ -27,6 +27,17 @@ def brute_descents(seq) -> tuple[int, ...]:
     return tuple(i for i in range(1, len(seq)) if seq[i - 1] > seq[i])
 
 
+def positions_mask(positions: Iterable[int]) -> int:
+    """A set of distinct nonnegative positions as the package's bitmask, bit i
+    for position i."""
+    return sum(1 << i for i in positions)
+
+
+def by_mask(weights: dict[tuple[int, ...], int]) -> dict[int, int]:
+    """A {descent set: weight} dict keyed by ``positions_mask`` instead."""
+    return {positions_mask(dset): w for dset, w in weights.items()}
+
+
 def brute_descent_census(n: int) -> dict[tuple[int, ...], int]:
     """Descent set -> number of permutations of {1..n} with exactly that set."""
     counts: dict[tuple[int, ...], int] = {}

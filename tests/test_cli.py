@@ -507,6 +507,18 @@ def test_polynomial_forms_refuse_rank_above_bound(capsys, no_form_work, argv, fo
     assert err.splitlines() == [f"error: {form} is capped at rank k <= 256, got k=257"]
 
 
+def test_compute_help_says_all_refuses_out_of_bound_ranks(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert (
+        "'all' runs every method and compares them, and exits 2 when any is out of its bound"
+        in text
+    )
+    assert "every applicable one" not in text
+
+
 def test_compute_all_checks_every_rank_bound_first(capsys, no_form_work):
     # monomial admits k = 200; gamma_eulerian, second in METHODS, does not
     code, out, err = run(capsys, "compute", "--k", "200", "--n", "200")

@@ -24,6 +24,7 @@ from tests.oracles import (
     brute_nc_subsets,
     brute_perm_descent_aggregates,
     eulerian_fixed_descents,
+    positions_mask,
 )
 
 
@@ -110,23 +111,37 @@ def test_exact_descent_counts_against_scan():
         for m in range(n):
             for exclude_one in (False, True):
                 counts = exact_descent_counts(n, m, exclude_one)
-                assert list(counts) == list(nc_subsets(m, exclude_one))
-                for dset, count in counts.items():
-                    assert count == census.get(dset, 0), (n, m, exclude_one, dset)
+                want = {positions_mask(d): census.get(d, 0) for d in nc_subsets(m, exclude_one)}
+                # the same counts, keyed in nc_subsets order
+                assert list(counts.items()) == list(want.items()), (n, m, exclude_one)
 
 
 def test_exact_descent_counts_match_per_set_check_at_wide_point():
     for exclude_one in (False, True):
         counts = exact_descent_counts(30, 15, exclude_one)
-        assert len(counts) == len(list(nc_subsets(15, exclude_one)))
-        for dset, count in counts.items():
+        for dset in nc_subsets(15, exclude_one):
+            count = counts.pop(positions_mask(dset))
             assert count == eulerian_fixed_descents(30, dset), (exclude_one, dset)
+        assert not counts
 
 
 def test_exact_descent_counts_rejects_positions_past_n():
-    assert exact_descent_counts(1, 0) == {(): 1}
+    assert exact_descent_counts(1, 0) == {0: 1}
     with pytest.raises(ValueError, match="descent position 3 out of range for n=3"):
         exact_descent_counts(3, 3)
+
+
+def test_exact_descent_counts_keys_are_no_consecutive_masks():
+    # every key is a mask inside positions 1..m with no two adjacent bits, and
+    # excluding position 1 keeps exactly the masks without bit 1
+    for n in range(1, 11):
+        for m in range(n):
+            full = exact_descent_counts(n, m)
+            for mask in full:
+                assert mask >= 0 and not mask & ~((1 << m + 1) - 2), (n, m, mask)
+                assert not mask & mask >> 1, (n, m, mask)
+            plain = {mask: c for mask, c in full.items() if not mask & 2}
+            assert exact_descent_counts(n, m, True) == plain, (n, m)
 
 
 @settings(max_examples=200, deadline=None)

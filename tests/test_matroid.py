@@ -33,6 +33,7 @@ from tests.oracles import (
     brute_chain_descent_weights,
     brute_loops_and_cogirth,
     brute_satisfies_exchange,
+    by_mask,
     chain_label_permutations,
     labeled_chains,
 )
@@ -344,7 +345,22 @@ def loopless_schubert_matroids(draw):
 @example(matroid_from_bases(3, [(1, 2), (1, 3)]), True)
 def test_transfer_count_matches_brute_chain_tally(m, augmented):
     want = brute_chain_descent_weights(flats_lattice(m), augmented)
-    assert _chain_descent_weights(m, augmented) == want
+    assert _chain_descent_weights(m, augmented) == by_mask(want)
+
+
+def test_chain_descent_masks_and_the_plain_rule():
+    # every key is a mask inside positions 1..rank-1 with no two adjacent
+    # bits, and the plain weights are the augmented ones without bit 1
+    mats = [uniform(k, n) for n in range(1, 9) for k in range(1, n + 1)]
+    for m in mats + [_graphic_k4()]:
+        counts = flats_lattice(m).admissible_chains
+        for mask in counts:
+            assert mask >= 0 and not mask & ~((1 << m.rank) - 2), (m, mask)
+            assert not mask & mask >> 1, (m, mask)
+        augmented = _chain_descent_weights(m, True)
+        assert augmented == counts
+        plain = {mask: c for mask, c in augmented.items() if not mask & 2}
+        assert _chain_descent_weights(m, False) == plain, m
 
 
 def test_lattice_and_chain_count_built_once_per_matroid(monkeypatch):
@@ -380,7 +396,7 @@ def test_matroids_of_equal_size_and_rank_keep_their_own_lattices():
     for m in (first, second):
         for augmented in (False, True):
             want = brute_chain_descent_weights(_build_lattice(m), augmented)
-            assert _chain_descent_weights(m, augmented) == want
+            assert _chain_descent_weights(m, augmented) == by_mask(want)
 
 
 def test_equal_matroids_give_equal_results():
@@ -411,12 +427,12 @@ def test_shared_lattice_cannot_be_corrupted():
     with pytest.raises(TypeError):
         lattice.flat_rank[lattice.top] = 0
     with pytest.raises(TypeError):
-        lattice.admissible_chains[()] = 0
+        lattice.admissible_chains[0] = 0
     for augmented in (False, True):
         want = chain_chow(m, augmented)
         weights = _chain_descent_weights(m, augmented)
-        weights[()] += 100
-        weights[(1, 2)] = 7
+        weights[0] += 100
+        weights[0b110] = 7
         assert chain_chow(m, augmented) == want
 
 

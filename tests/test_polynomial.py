@@ -23,6 +23,8 @@ from tests.oracles import (
     brute_gamma_reconstruct_multivariate,
     brute_sorted_terms,
     brute_subsets,
+    by_mask,
+    positions_mask,
 )
 
 
@@ -127,6 +129,15 @@ def test_variable_range_is_bounded():
         SqfMultiPoly(wide)
     with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
         SqfMultiPoly.from_dense(wide, [])
+
+    def unread():
+        raise AssertionError("coefficients read before the range was checked")
+        yield
+
+    with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
+        SqfMultiPoly.from_dense(wide, unread())
+    with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
+        gamma_reconstruct_multivariate({}, (0, 10**6))
     # a declared range is refused before its coefficients are allocated
     with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
         SqfMultiPoly.from_json({"vars": [0, 10**6], "terms": []})
@@ -248,7 +259,7 @@ def test_gamma_roundtrip_random(case):
 def test_gamma_multivariate_small_example():
     # the empty set leaves x1 and x2 free; D = {2} leaves neither free, since
     # 2 is in D and 1 + 1 is
-    p = gamma_reconstruct_multivariate({(): 1, (2,): 3}, (1, 2))
+    p = gamma_reconstruct_multivariate({0: 1, 1 << 2: 3}, (1, 2))
     assert p.terms == {(): 1, (1,): 1, (2,): 4, (1, 2): 1}
 
 
@@ -271,7 +282,7 @@ def test_gamma_multivariate_specializes_to_univariate(case):
     by_size = [0] * (d // 2 + 1)
     for dset, w in weights.items():
         by_size[len(dset)] += w
-    multi = gamma_reconstruct_multivariate(weights, (lo, hi))
+    multi = gamma_reconstruct_multivariate(by_mask(weights), (lo, hi))
     assert multi.var_range == (lo, hi)
     assert multi.specialize() == gamma_reconstruct(by_size, d)
 
@@ -280,36 +291,51 @@ def test_gamma_multivariate_specializes_to_univariate(case):
 @given(descent_weights())
 def test_gamma_multivariate_matches_brute_expansion(case):
     var_range, weights = case
-    multi = gamma_reconstruct_multivariate(weights, var_range)
+    multi = gamma_reconstruct_multivariate(by_mask(weights), var_range)
     assert multi.terms == brute_gamma_reconstruct_multivariate(weights, var_range)
+
+
+def _rejection(key) -> str:
+    shown = bin(key) if isinstance(key, int) else repr(key)
+    message = f"descent set {shown} is not a mask without adjacent bits inside positions 2..6"
+    return f"^{re.escape(message)}$"
 
 
 @pytest.mark.parametrize(
     "dset",
     [
-        (4, 2),  # not increasing
-        (3, 3),  # repeated
-        (2, 3),  # consecutive
-        (2, 5, 6),  # consecutive
         (1,),  # position lo
+        (1, 4),  # position lo
         (0, 3),  # below the window
         (3, 7),  # above hi
+        (7,),  # above hi
+        (2, 3),  # consecutive
+        (2, 5, 6),  # consecutive
     ],
 )
 def test_gamma_multivariate_rejects_bad_descent_sets(dset):
-    with pytest.raises(ValueError, match=re.escape(f"descent set {dset} ")):
-        gamma_reconstruct_multivariate({(): 1, dset: 1}, (1, 6))
+    mask = positions_mask(dset)
+    with pytest.raises(ValueError, match=_rejection(mask)):
+        gamma_reconstruct_multivariate({0: 1, mask: 1}, (1, 6))
 
 
-@pytest.mark.parametrize("dset", [(-2, 3), (3, 10**9), (-(10**9),), (10**9, 3)])
+@pytest.mark.parametrize("dset", [(3, 1000), (1000,), (2, 10**4), (64,)])
 def test_gamma_multivariate_rejects_positions_far_outside_the_window(dset):
-    # no shift is taken by a position below lo or far above hi
-    message = (
-        f"descent set {dset} is not strictly increasing without "
-        "consecutive entries inside 2..6"
-    )
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        gamma_reconstruct_multivariate({(): 1, dset: 1}, (1, 6))
+    mask = positions_mask(dset)
+    with pytest.raises(ValueError, match=_rejection(mask)):
+        gamma_reconstruct_multivariate({0: 1, mask: 1}, (1, 6))
+
+
+@pytest.mark.parametrize("key", [-4, -(1 << 70), (2, 4), 4.0])
+def test_gamma_multivariate_rejects_keys_that_are_not_masks(key):
+    # a negative int has bits past every position; a tuple or a float is no mask
+    with pytest.raises(ValueError, match=_rejection(key)):
+        gamma_reconstruct_multivariate({0: 1, key: 1}, (1, 6))
+
+
+def test_gamma_multivariate_rejects_a_range_below_x0():
+    with pytest.raises(ValueError, match="x-1..x3 starts below x0"):
+        gamma_reconstruct_multivariate({0: 1}, (-1, 3))
 
 
 def test_render_text():

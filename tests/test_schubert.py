@@ -326,6 +326,9 @@ def test_census_from_csv_rejects_wrong_header(header):
         ("1,0,1,3,7\n", 2, "has 5 fields, not 4: '1,0,1,3,7'"),
         ("1,0,1,3\n1,x,2,3\n", 3, "has a field that is not an integer: '1,x,2,3'"),
         ("1,0,1,3.0\n", 2, "has a field that is not an integer: '1,0,1,3.0'"),
+        ("1,0,1,1_000\n", 2, "has a field that is not an integer: '1,0,1,1_000'"),
+        ("1,0,1, 5\n", 2, "has a field that is not an integer: '1,0,1, 5'"),
+        ("1,0,1,+5\n", 2, "has a field that is not an integer: '1,0,1,+5'"),
     ],
 )
 def test_census_from_csv_names_a_malformed_line(lead, rows, line, problem):
@@ -472,6 +475,9 @@ def test_census_table_roundtrip_random(n, entries):
     assert CensusTable.from_json(json.loads(json.dumps(table.to_json()))) == table
 
 
+_ROW = {"rank": 1, "loops": 0, "cogirth": 2, "count": "3"}
+
+
 @pytest.mark.parametrize(
     "data, field",
     [
@@ -479,6 +485,12 @@ def test_census_table_roundtrip_random(n, entries):
         ({"n": 3, "entries": [{"rank": 1}]}, "cogirth"),
         ({"n": 3, "entries": [[1, 0, 3, 4]]}, "malformed"),
         ({"n": 3, "entries": ["1,0,3,4"]}, "malformed"),
+        ({"n": 5.7, "entries": []}, "^census JSON is malformed: .* got 5.7$"),
+        ({"n": 5, "entries": [dict(_ROW, rank=1.9)]}, "^census JSON is malformed: .* got 1.9$"),
+        ({"n": 5, "entries": [dict(_ROW, loops=True)]}, "^census JSON is malformed: .* got True$"),
+        ({"n": 5, "entries": [dict(_ROW, cogirth="1_0")]}, "^census JSON is malformed: .* got '1_0'$"),
+        ({"n": 5, "entries": [dict(_ROW, count=2.5)]}, "^census JSON is malformed: .* got 2.5$"),
+        ({"n": 5, "entries": [dict(_ROW, rank="x")]}, "^census JSON is malformed: .* got 'x'$"),
     ],
 )
 def test_census_from_json_rejects_missing_fields(data, field):
