@@ -22,11 +22,9 @@ from . import __version__
 from .forms import (
     METHODS,
     MULTIVARIATE_BASES,
-    _check_domain,
-    _check_rank,
+    checked_form,
     closed_form,
     coefficient_formula,
-    multivariate_closed_form,
 )
 from .matroid import (
     INFINITY,
@@ -51,8 +49,6 @@ FORMATS = ("text", "json", "csv")
 # so the longest admitted range at k = 256 takes 12-14 s.
 SEQUENCES_MAX_ROWS = 1000
 
-_METHOD_FLAGS = {m.replace("_", "-"): m for m in METHODS}
-
 
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -71,7 +67,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         default="all",
-        choices=("all", "gamma") + tuple(_METHOD_FLAGS),
+        choices=("all", "gamma") + tuple(m.replace("_", "-") for m in METHODS),
         help="expansion to use; 'all' runs every method and compares them, "
         "and exits 2 when any is out of its bound",
     )
@@ -129,35 +125,20 @@ def _multipoly_terms_csv(label: str, poly: SqfMultiPoly) -> list[str]:
 
 def _cmd_compute(args) -> int:
     augmented = args.augmented
-    if args.multivariate:
-        if args.method == "all":
-            methods = list(MULTIVARIATE_BASES)
-        elif args.method in MULTIVARIATE_BASES:
-            methods = [args.method]
-        else:
-            raise ValueError(
-                f"method {args.method!r} has no multivariate form "
-                f"(choose from {MULTIVARIATE_BASES} or all)"
-            )
-        results = {
-            m: multivariate_closed_form(args.k, args.n, m, augmented) for m in methods
-        }
-    else:
-        if args.method == "all":
-            methods = list(METHODS)
-        elif args.method == "gamma":
-            raise ValueError(
-                "'gamma' is a multivariate basis; univariate gamma methods are "
-                "gamma-eulerian and gamma-perm"
-            )
-        else:
-            methods = [_METHOD_FLAGS[args.method]]
-        # every bound before any form runs: 'all' would otherwise finish
-        # monomial before gamma_eulerian refuses the rank
-        _check_domain(args.k, args.n, augmented)
-        for m in methods:
-            _check_rank(m, args.k)
-        results = {m: closed_form(args.k, args.n, m, augmented) for m in methods}
+    table = MULTIVARIATE_BASES if args.multivariate else METHODS
+    methods = table if args.method == "all" else (args.method.replace("-", "_"),)
+    if methods[0] not in table:  # argparse admits only 'all', 'gamma' and METHODS
+        raise ValueError(
+            f"method {args.method!r} has no multivariate form "
+            f"(choose from {MULTIVARIATE_BASES} or all)"
+            if args.multivariate
+            else "'gamma' is a multivariate basis; univariate gamma methods are "
+            "gamma-eulerian and gamma-perm"
+        )
+    # every bound before any form runs: 'all' would otherwise finish
+    # monomial before gamma_eulerian refuses the rank
+    runs = [checked_form(args.k, args.n, m, augmented, args.multivariate) for m in methods]
+    results = {m: run() for m, run in zip(methods, runs)}
     difference = _first_difference(results)
 
     if args.format == "json":

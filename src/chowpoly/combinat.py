@@ -55,16 +55,8 @@ def runs_partition(index_set: Iterable[int]) -> list[tuple[int, ...]]:
     elems = _as_index_set(index_set)
     if not elems:
         raise ValueError("empty set has no run partition")
-    runs: list[tuple[int, ...]] = []
-    start = prev = elems[0]
-    for e in elems[1:]:
-        if e == prev + 1:
-            prev = e
-            continue
-        runs.append(tuple(range(start, prev + 1)))
-        start = prev = e
-    runs.append(tuple(range(start, prev + 1)))
-    return runs
+    cuts = [i for i in range(1, len(elems)) if elems[i] != elems[i - 1] + 1]
+    return [elems[a:b] for a, b in zip([0, *cuts], [*cuts, len(elems)])]
 
 
 def delta_multinomial(n: int, index_set: Iterable[int]) -> int:
@@ -98,9 +90,6 @@ def nc_subsets(m: int, exclude_one: bool = False) -> Iterator[tuple[int, ...]]:
     width = m - lo + 1
     max_size = max(0, (width + 1) // 2)
     for s in range(max_size + 1):
-        if s == 0:
-            yield ()
-            continue
         for base in combinations(range(lo, m - s + 2), s):
             yield tuple(b + j for j, b in enumerate(base))
 

@@ -20,11 +20,17 @@ matroid on n elements, selected by name:
 The two multivariate refinements (``monomial`` and ``gamma`` bases) collapse
 to the univariate forms under ``specialize``; they have up to 2^k terms.  All
 results are exact.
+
+One table per kind, ``_FORMS`` and ``_BASES``, maps each name to the form's
+function and its growth in k, which sets its rank bound.  ``METHODS`` and
+``MULTIVARIATE_BASES`` are the tables' names in order: a new form is one row.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb
+from typing import Callable, NamedTuple
 
 from .combinat import (
     derangement_poly,
@@ -32,18 +38,14 @@ from .combinat import (
     exact_descent_counts,
     perm_descent_aggregates,
 )
-from .polynomial import SqfMultiPoly, UniPoly
+from .polynomial import SqfMultiPoly, UniPoly, _is_int
 from .polynomial import gamma_reconstruct, gamma_reconstruct_multivariate, run_minima
-
-METHODS = ("monomial", "gamma_eulerian", "gamma_perm", "convolution")
-MULTIVARIATE_BASES = ("monomial", "gamma")
 
 # Largest rank for the forms exponential in k: ``gamma_eulerian`` sums over
 # Fib(k) descent sets (augmented, 2 CPUs, Python 3.11: 0.02 s at k = n = 20,
 # 0.07 s at 22) and both multivariate bases fill 2^k coefficients (k = n = 18,
 # plain / augmented: monomial 0.03 / 0.04 s, gamma 0.03 / 0.06 s).  Above it
-# they raise ValueError; ``monomial``, ``gamma_perm`` and ``convolution`` are
-# polynomial in k.
+# the rows marked exponential raise ValueError.
 EXPONENTIAL_RANK_MAX = 18
 
 # Largest rank for every form and for ``coefficient_formula``.  The
@@ -51,10 +53,10 @@ EXPONENTIAL_RANK_MAX = 18
 # slowest takes about 1.3 s at k = n = 200, 3 s at 256 and 6 s at 320.
 RANK_MAX = 256
 
-_POLYNOMIAL_FORMS = ("monomial", "gamma_perm", "convolution", "coefficient_formula")
-
 
 def _check_domain(k: int, n: int, augmented: bool) -> None:
+    if not (_is_int(k) and _is_int(n)):
+        raise ValueError(f"rank k and ground size n must be ints, got k={k!r}, n={n!r}")
     lower = 0 if augmented else 1
     if not lower <= k <= n:
         note = (
@@ -65,11 +67,12 @@ def _check_domain(k: int, n: int, augmented: bool) -> None:
         raise ValueError(f"rank k={k} out of domain {lower} <= k <= n for n={n}{note}")
 
 
-def _check_rank(form: str, k: int) -> None:
-    if form not in _POLYNOMIAL_FORMS and k > EXPONENTIAL_RANK_MAX:
+def _check_rank(form: str, k: int, exponential: bool) -> None:
+    if exponential and k > EXPONENTIAL_RANK_MAX:
+        *most, last = (name for name, row in _FORMS.items() if not row.exponential)
         raise ValueError(
             f"the {form} form is exponential in k and capped at k <= {EXPONENTIAL_RANK_MAX}, "
-            f"got k={k}; use monomial, gamma_perm or convolution"
+            f"got k={k}; use {', '.join(most)} or {last}"
         )
     if k > RANK_MAX:
         raise ValueError(f"{form} is capped at rank k <= {RANK_MAX}, got k={k}")
@@ -115,6 +118,8 @@ def _gamma_eulerian_form(k: int, n: int, augmented: bool) -> UniPoly:
 
 
 def _gamma_perm_form(k: int, n: int, augmented: bool) -> UniPoly:
+    if k == 0:  # augmented only; sole contribution is the empty index set
+        return UniPoly.one()
     binoms = [0] + [comb(n - t, k - t) for t in range(1, k + 1)]
     agg = perm_descent_aggregates(k, binoms, first_ascent_required=not augmented)
     return gamma_reconstruct(agg, k if augmented else k - 1)
@@ -131,12 +136,63 @@ def _convolution_form(k: int, n: int, augmented: bool) -> UniPoly:
     return acc
 
 
+def _gamma_basis(k: int, n: int, augmented: bool) -> SqfMultiPoly:
+    weights = exact_descent_counts(n, k - 1, not augmented)
+    return gamma_reconstruct_multivariate(weights, (0 if augmented else 1, k - 1))
+
+
+def _monomial_basis(k: int, n: int, augmented: bool) -> SqfMultiPoly:
+    # dense position q is an index set as a bit pattern: bit i of q is
+    # variable lo + i, index lo + i + 1, and the non-augmented sets all hold
+    # index 1, which has no variable.  The gap multinomial depends only on
+    # the run minima M, entry q of ``run_minima``: non-augmented, bit 0
+    # (index 2) is never one, as index 1 precedes it, and index 1 is left
+    # out.  The weight telescopes as in ``_monomial_form``:
+    # weight(M) = weight(M - top) * C(n - prev + 1, top - prev) over the two
+    # largest minima by index, with prev = 1 when there is no second, and
+    # the empty M weighs 1.  Ascending order puts M - top before M.
+    lo = 0 if augmented else 1
+    minima = run_minima(k - lo, 1 - lo)
+    weight = {0: 1}
+    for m in sorted(set(minima) - {0}):
+        rest = m ^ (1 << (m.bit_length() - 1))
+        top = m.bit_length() + lo
+        prev = rest.bit_length() + lo or 1
+        weight[m] = weight[rest] * comb(n - prev + 1, top - prev)
+    return SqfMultiPoly.from_dense((lo, k - 1), map(weight.__getitem__, minima))
+
+
+class _Form(NamedTuple):
+    function: Callable[[int, int, bool], UniPoly | SqfMultiPoly]
+    exponential: bool  # in k, so capped at EXPONENTIAL_RANK_MAX
+
+
 _FORMS = {
-    "monomial": _monomial_form,
-    "gamma_eulerian": _gamma_eulerian_form,
-    "gamma_perm": _gamma_perm_form,
-    "convolution": _convolution_form,
+    "monomial": _Form(_monomial_form, exponential=False),
+    "gamma_eulerian": _Form(_gamma_eulerian_form, exponential=True),
+    "gamma_perm": _Form(_gamma_perm_form, exponential=False),
+    "convolution": _Form(_convolution_form, exponential=False),
 }
+_BASES = {
+    "monomial": _Form(_monomial_basis, exponential=True),
+    "gamma": _Form(_gamma_basis, exponential=True),
+}
+METHODS = tuple(_FORMS)
+MULTIVARIATE_BASES = tuple(_BASES)
+
+
+def checked_form(
+    k: int, n: int, name: str, augmented: bool = False, multivariate: bool = False
+) -> Callable[[], UniPoly | SqfMultiPoly]:
+    """Check the domain, the name of the form (``multivariate``: basis) and its
+    rank bound, in this order; return a call without arguments that runs it."""
+    _check_domain(k, n, augmented)
+    kind, table = ("basis", _BASES) if multivariate else ("method", _FORMS)
+    if name not in table:
+        raise ValueError(f"unknown {kind} {name!r}, expected one of {tuple(table)}")
+    function, exponential = table[name]
+    _check_rank(f"multivariate {name}" if multivariate else name, k, exponential)
+    return partial(function, k, n, augmented)
 
 
 def closed_form(
@@ -146,19 +202,11 @@ def closed_form(
     {1..n}, computed by the named expansion.
 
     All methods agree; computing several and comparing is a useful
-    independent check.  Requires 1 <= k <= n (k = 0 is admitted for the
+    independent check.  Requires int 1 <= k <= n (k = 0 is admitted for the
     augmented polynomial and yields the constant 1) and k <= RANK_MAX;
     ``gamma_eulerian`` also requires k <= EXPONENTIAL_RANK_MAX.
     """
-    _check_domain(k, n, augmented)
-    try:
-        form = _FORMS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}") from None
-    _check_rank(method, k)
-    if k == 0:  # augmented only; sole contribution is the empty index set
-        return UniPoly.one()
-    return form(k, n, augmented)
+    return checked_form(k, n, method, augmented)()
 
 
 def multivariate_closed_form(
@@ -170,36 +218,10 @@ def multivariate_closed_form(
     in x_0..x_{k-1}.  The ``monomial`` basis attaches each index set I to the
     squarefree monomial over the shifted set; the ``gamma`` basis expands
     products of (1 + x_i) over positions not adjacent to a descent.
-    Specializing all variables to x recovers ``closed_form``.
+    Specializing all variables to x recovers ``closed_form``.  Both bases
+    require k <= EXPONENTIAL_RANK_MAX.
     """
-    _check_domain(k, n, augmented)
-    if basis not in MULTIVARIATE_BASES:
-        raise ValueError(
-            f"unknown basis {basis!r}, expected one of {MULTIVARIATE_BASES}"
-        )
-    _check_rank(f"multivariate {basis}", k)
-    var_range = (0 if augmented else 1, k - 1)
-    if basis == "gamma":
-        weights = exact_descent_counts(n, k - 1, not augmented)
-        return gamma_reconstruct_multivariate(weights, var_range)
-    # dense position q is an index set as a bit pattern: bit i of q is
-    # variable lo + i, index lo + i + 1, and the non-augmented sets all hold
-    # index 1, which has no variable.  The gap multinomial depends only on
-    # the run minima M, entry q of ``run_minima``: non-augmented, bit 0
-    # (index 2) is never one, as index 1 precedes it, and index 1 is left
-    # out.  The weight telescopes as in ``_monomial_form``:
-    # weight(M) = weight(M - top) * C(n - prev + 1, top - prev) over the two
-    # largest minima by index, with prev = 1 when there is no second, and
-    # the empty M weighs 1.  Ascending order puts M - top before M.
-    lo = var_range[0]
-    minima = run_minima(k - lo, 1 - lo)
-    weight = {0: 1}
-    for m in sorted(set(minima) - {0}):
-        rest = m ^ (1 << (m.bit_length() - 1))
-        top = m.bit_length() + lo
-        prev = rest.bit_length() + lo or 1
-        weight[m] = weight[rest] * comb(n - prev + 1, top - prev)
-    return SqfMultiPoly.from_dense(var_range, map(weight.__getitem__, minima))
+    return checked_form(k, n, basis, augmented, multivariate=True)()
 
 
 def _binomial_sum(n: int, lo: int, hi: int) -> int:
@@ -225,7 +247,7 @@ def coefficient_formula(k: int, n: int, m: int, augmented: bool = False) -> int:
     first binomial multiplies one sum over j per i.
     """
     _check_domain(k, n, augmented)
-    _check_rank("coefficient_formula", k)
+    _check_rank("coefficient_formula", k, exponential=False)
     if m == 1:
         if augmented:
             return sum(comb(n, i - 1) for i in range(1, k + 1))

@@ -30,7 +30,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .polynomial import SqfMultiPoly, UniPoly
+from .polynomial import SqfMultiPoly, UniPoly, _is_int
 from .polynomial import gamma_reconstruct, gamma_reconstruct_multivariate
 
 INFINITY = float("inf")
@@ -54,14 +54,7 @@ def mask_of(elements: Iterable[int], n: int) -> int:
 
 
 def elements_of(mask: int) -> tuple[int, ...]:
-    out = []
-    e = 1
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return tuple(out)
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 class Matroid:
@@ -400,10 +393,6 @@ def matroid_to_json(m: Matroid) -> dict:
         "rank": m.rank,
         "bases": [list(b) for b in sorted(m.bases_sets())],
     }
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def matroid_from_json(data: dict) -> Matroid:

@@ -83,8 +83,6 @@ class UniPoly:
     @classmethod
     def monomial(cls, coeff: int, power: int) -> "UniPoly":
         """coeff * x**power."""
-        if coeff == 0:
-            return cls.zero()
         return cls((0,) * power + (coeff,))
 
     @classmethod
@@ -143,16 +141,12 @@ class UniPoly:
         return UniPoly(-c for c in self.coeffs)
 
     def __sub__(self, other: "UniPoly | int") -> "UniPoly":
-        if isinstance(other, int):
-            other = UniPoly((other,))
-        if not isinstance(other, UniPoly):
+        if not isinstance(other, (UniPoly, int)):
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "UniPoly | int") -> "UniPoly":
         if isinstance(other, int):
-            if other == 0:
-                return UniPoly.zero()
             return UniPoly(other * c for c in self.coeffs)
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -330,10 +324,14 @@ def _range_width(lo: int, hi: int) -> int:
     return width
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _json_int(value) -> int:
     """An int (not a bool), or a string of ASCII digits with an optional minus
     sign read as one; anything else is a ValueError."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return value
     if isinstance(value, str) and value.isascii() and value.removeprefix("-").isdigit():
         return int(value)

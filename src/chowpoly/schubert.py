@@ -31,8 +31,8 @@ from typing import Iterable, NamedTuple
 from . import kernels
 from .combinat import delta_multinomial
 from .forms import closed_form
-from .matroid import INFINITY, Matroid, _is_int, mask_of
-from .polynomial import _json_int
+from .matroid import INFINITY, Matroid, mask_of
+from .polynomial import _is_int, _json_int
 
 # Largest ground size for ``census`` and the CLI ``oracle``: census(8) takes
 # about 0.05 s and 16 MB of peak RSS, census(9) about 0.27 s and 25 MB
@@ -150,6 +150,27 @@ def sm_count(n: int, m: int, loops: int, k: int) -> int:
 # -- census -------------------------------------------------------------------
 
 
+def _check_census_n(n: int) -> None:
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"a census table needs an int n >= 1, got {n!r}")
+
+
+def _add_cell(
+    entries: dict, n: int, rank: int, loops: int, cogirth: int | float, count: int
+) -> None:
+    """Add a cell read from a document; refuse one that no census of n holds."""
+    for field, value in (("rank", rank), ("loops", loops)):
+        if not 0 <= value <= n:
+            raise ValueError(f"{field} {value} outside 0..{n}")
+    if cogirth != INFINITY and not 1 <= cogirth <= n:
+        raise ValueError(f"cogirth {cogirth} outside 1..{n} and not inf")
+    if count < 0:
+        raise ValueError(f"negative count {count}")
+    if (rank, loops, cogirth) in entries:
+        raise ValueError(f"repeated cell {(rank, loops, cogirth)}")
+    entries[(rank, loops, cogirth)] = count
+
+
 class _CensusTableFields(NamedTuple):
     n: int
     entries: dict
@@ -173,13 +194,7 @@ class CensusTable(_CensusTableFields):
 
     def rows(self) -> list[tuple[int, int, int | float, int]]:
         """(rank, loops, cogirth, count) sorted lexicographically; inf sorts last."""
-        return [
-            (r, l, g, self.entries[(r, l, g)])
-            for (r, l, g) in sorted(self.entries)
-        ]
-
-    def count(self, rank: int, loops: int, cogirth: int | float) -> int:
-        return self.entries.get((rank, loops, cogirth), 0)
+        return [(*key, c) for key, c in sorted(self.entries.items())]
 
     def slice_count(self, rank: int, min_cogirth_exclusive: int, loopless: bool) -> int:
         """Matroids of the given rank and cogirth strictly above the bound."""
@@ -193,15 +208,14 @@ class CensusTable(_CensusTableFields):
         return hash((self.n, frozenset(self.entries.items())))
 
     def to_csv(self) -> str:
-        lines = ["rank,loops,cogirth,count"]
-        for r, l, g, c in self.rows():
-            lines.append(f"{r},{l},{g},{c}")
-        return "\n".join(lines) + "\n"
+        rows = (f"{r},{l},{g},{c}" for r, l, g, c in self.rows())
+        return "\n".join(["rank,loops,cogirth,count", *rows]) + "\n"
 
     @classmethod
     def from_csv(cls, n: int, text: str) -> "CensusTable":
         """Parse ``to_csv`` output; blank lines are skipped.  A malformed row
-        is a one-line ValueError naming its line number in ``text``."""
+        or out-of-bound cell is a one-line ValueError naming its line number."""
+        _check_census_n(n)
         entries = {}
         body = text.lstrip()
         first = text[: len(text) - len(body)].count("\n") + 1
@@ -219,11 +233,15 @@ class CensusTable(_CensusTableFields):
             r, l, g, c = fields
             try:
                 cog = INFINITY if g == "inf" else _json_int(g)
-                entries[(_json_int(r), _json_int(l), cog)] = _json_int(c)
+                cell = _json_int(r), _json_int(l), cog, _json_int(c)
             except ValueError:
                 raise ValueError(
                     f"census CSV line {number} has a field that is not an integer: {ln!r}"
                 ) from None
+            try:
+                _add_cell(entries, n, *cell)
+            except ValueError as exc:
+                raise ValueError(f"census CSV line {number} has {exc}: {ln!r}") from None
         return cls(n, entries)
 
     def to_json(self) -> dict:
@@ -246,11 +264,14 @@ class CensusTable(_CensusTableFields):
         """Inverse of ``to_json``; a malformed document is a ValueError."""
         entries = {}
         try:
-            for row in data["entries"]:
+            rows = data["entries"]
+            n = _json_int(data["n"])
+            _check_census_n(n)
+            for row in rows:
                 g = INFINITY if row["cogirth"] == "inf" else _json_int(row["cogirth"])
                 r, l = _json_int(row["rank"]), _json_int(row["loops"])
-                entries[(r, l, g)] = _json_int(row["count"])
-            return cls(_json_int(data["n"]), entries)
+                _add_cell(entries, n, r, l, g, _json_int(row["count"]))
+            return cls(n, entries)
         except KeyError as exc:
             raise ValueError(f"census JSON lacks the field {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -340,18 +361,15 @@ def verify_coefficient_counts(
 
 
 def census_matches_formula(table: CensusTable) -> bool:
-    """True when every census cell (and no phantom cell) equals ``sm_count``."""
+    """True when the table's nonzero cells are exactly the formula's: every
+    nonzero ``sm_count(n, m, loops, k)`` at key (m, loops, n + 1 - k), and
+    the rank-0 matroid, whose n elements are all loops, at (0, n, inf)."""
     n = table.n
+    expected = {(0, n, INFINITY): 1}
     for m in range(1, n + 1):
         for loops in range(0, n):
             for k in range(loops + 1, n + 1):
-                expected = sm_count(n, m, loops, k)
-                if table.count(m, loops, n + 1 - k) != expected:
-                    return False
-    # nothing besides the rank-0 cell may fall outside the formula's key grid
-    for (r, l, g), c in table.entries.items():
-        if r == 0:
-            continue
-        if g == INFINITY or not 1 <= g <= n:
-            return False
-    return True
+                count = sm_count(n, m, loops, k)
+                if count:
+                    expected[(m, loops, n + 1 - k)] = count
+    return {key: c for key, c in table.entries.items() if c} == expected

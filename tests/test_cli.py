@@ -460,24 +460,40 @@ def test_matroid_output_to_missing_directory(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:") and str(target) in lines[0]
 
 
+@pytest.mark.parametrize("k", ["40", str(forms.EXPONENTIAL_RANK_MAX + 1)])
 @pytest.mark.parametrize(
     "extra",
-    [[], ["--method", "gamma-eulerian"], ["--multivariate"]],
+    [
+        [],
+        ["--method", "gamma-eulerian"],
+        ["--multivariate"],
+        ["--multivariate", "--method", "monomial"],
+        ["--multivariate", "--method", "gamma"],
+    ],
 )
-def test_compute_exponential_forms_refuse_large_rank(capsys, extra):
-    code, out, err = run(capsys, "compute", "--k", "40", "--n", "40", *extra)
+def test_compute_exponential_forms_refuse_large_rank(capsys, no_form_work, extra, k):
+    code, out, err = run(capsys, "compute", "--k", k, "--n", k, *extra)
     assert code == 2
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "use monomial, gamma_perm or convolution" in lines[0]
+    assert lines[0].endswith("; use monomial, gamma_perm or convolution")
 
 
+@pytest.mark.parametrize("k", ["40", str(forms.EXPONENTIAL_RANK_MAX + 1)])
 @pytest.mark.parametrize("method", ["monomial", "gamma-perm", "convolution"])
-def test_compute_polynomial_forms_reach_large_rank(capsys, method):
-    code, out, _ = run(capsys, "compute", "--k", "40", "--n", "40", "--method", method)
+def test_compute_polynomial_forms_reach_large_rank(capsys, method, k):
+    code, out, _ = run(capsys, "compute", "--k", k, "--n", k, "--method", method)
     assert code == 0
     assert out.startswith(f"{method.replace('-', '_')}: 1 + ")
+
+
+def test_compute_method_choices_come_from_the_table():
+    commands = next(a for a in cli._parser()._actions if a.dest == "command")
+    method = next(a for a in commands.choices["compute"]._actions if a.dest == "method")
+    hyphenated = tuple(m.replace("_", "-") for m in forms.METHODS)
+    assert method.choices == ("all", "gamma") + hyphenated
+    assert hyphenated == ("monomial", "gamma-eulerian", "gamma-perm", "convolution")
 
 
 @pytest.fixture
@@ -485,8 +501,9 @@ def no_form_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work started before the rank was checked")
 
-    for name in forms.METHODS:
-        monkeypatch.setitem(forms._FORMS, name, no_work)
+    for table in (forms._FORMS, forms._BASES):
+        for name, row in table.items():
+            monkeypatch.setitem(table, name, row._replace(function=no_work))
     monkeypatch.setattr(forms, "comb", no_work)
 
 

@@ -264,6 +264,42 @@ def test_coefficients_beyond_64_bit_stay_exact():
     assert p.is_palindromic(15)
 
 
+@pytest.mark.parametrize(
+    "multivariate, name",
+    [(False, m) for m in METHODS] + [(True, b) for b in MULTIVARIATE_BASES],
+)
+def test_each_row_is_bounded_by_its_growth(multivariate, name):
+    # one above the exponential cap: the exponential rows refuse and name
+    # exactly the polynomial rows, each of which computes there
+    k = forms.EXPONENTIAL_RANK_MAX + 1
+    polynomial = [m for m, row in forms._FORMS.items() if not row.exponential]
+    assert polynomial == ["monomial", "gamma_perm", "convolution"]
+    table = forms._BASES if multivariate else forms._FORMS
+    compute = multivariate_closed_form if multivariate else closed_form
+    if not table[name].exponential:
+        assert compute(k, k, name).is_palindromic(k - 1)
+        return
+    with pytest.raises(ValueError) as info:
+        compute(k, k, name)
+    form = f"multivariate {name}" if multivariate else name
+    assert str(info.value) == (
+        f"the {form} form is exponential in k and capped at k <= {k - 1}, "
+        f"got k={k}; use monomial, gamma_perm or convolution"
+    )
+
+
+@pytest.mark.parametrize("k, n", [(3.0, 5), (3, 5.0), (True, 5), (3, "5")])
+def test_forms_refuse_a_rank_or_size_that_is_not_an_int(k, n):
+    message = rf"^rank k and ground size n must be ints, got k={k!r}, n={n!r}$"
+    for call in (
+        lambda: closed_form(k, n),
+        lambda: multivariate_closed_form(k, n),
+        lambda: coefficient_formula(k, n, 1),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_exponential_forms_guard_rank(monkeypatch):
     monkeypatch.setattr(forms, "EXPONENTIAL_RANK_MAX", 3)
     for method in METHODS:
@@ -282,13 +318,17 @@ def test_rank_bound_is_checked_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work started before the rank was checked")
 
-    for name in METHODS:
-        monkeypatch.setitem(forms._FORMS, name, no_work)
+    for table in (forms._FORMS, forms._BASES):
+        for name, row in table.items():
+            monkeypatch.setitem(table, name, row._replace(function=no_work))
     monkeypatch.setattr(forms, "comb", no_work)
     for augmented in (False, True):
         for method in METHODS:
             with pytest.raises(ValueError, match="capped at"):
                 closed_form(257, 257, method, augmented)
+        for basis in MULTIVARIATE_BASES:
+            with pytest.raises(ValueError, match="capped at"):
+                multivariate_closed_form(19, 19, basis, augmented)
         for m in (1, 2):
             with pytest.raises(ValueError, match=r"k <= 256, got k=257"):
                 coefficient_formula(257, 257, m, augmented)

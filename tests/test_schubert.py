@@ -242,14 +242,23 @@ def test_census_at_eight_matches_formula():
     assert sum(c for (r, _, _), c in table.entries.items() if r == 4) == 44_929
 
 
-def test_census_matches_formula_fails_on_doctored_tables():
+@pytest.mark.parametrize(
+    "cell, count",
+    [
+        ((1, 0, INFINITY), 1),  # a rank >= 1 cell outside the formula's key grid
+        ((6, 0, 1), 5),  # rank above n
+        ((1, 5, 1), 3),  # loops = n
+        ((2, 3, 5), 7),  # loops >= n + 1 - cogirth
+        ((0, 5, INFINITY), 2),  # a wrong rank-0 count
+        ((0, 2, INFINITY), 1),  # a second rank-0 cell
+    ],
+)
+def test_census_matches_formula_fails_on_doctored_tables(cell, count):
     table = census(5)
     changed = dict(table.entries)
     changed[(2, 0, 4)] += 1
     assert not census_matches_formula(CensusTable(5, changed))
-    # a rank >= 1 cell outside the formula's key grid
-    phantom = {**table.entries, (1, 0, INFINITY): 1}
-    assert not census_matches_formula(CensusTable(5, phantom))
+    assert not census_matches_formula(CensusTable(5, {**table.entries, cell: count}))
 
 
 def test_census_is_deterministic():
@@ -329,16 +338,30 @@ def test_census_from_csv_rejects_wrong_header(header):
         ("1,0,1,1_000\n", 2, "has a field that is not an integer: '1,0,1,1_000'"),
         ("1,0,1, 5\n", 2, "has a field that is not an integer: '1,0,1, 5'"),
         ("1,0,1,+5\n", 2, "has a field that is not an integer: '1,0,1,+5'"),
+        ("9,0,1,1\n", 2, "has rank 9 outside 0..3: '9,0,1,1'"),
+        ("1,-1,1,1\n", 2, "has loops -1 outside 0..3: '1,-1,1,1'"),
+        ("1,-2,1,1\n", 2, "has loops -2 outside 0..3: '1,-2,1,1'"),
+        ("1,0,-1,1\n", 2, "has cogirth -1 outside 1..3 and not inf: '1,0,-1,1'"),
+        ("1,0,-2,1\n", 2, "has cogirth -2 outside 1..3 and not inf: '1,0,-2,1'"),
+        ("1,0,1,-5\n", 2, "has negative count -5: '1,0,1,-5'"),
+        ("1,0,3,1\n1,0,3,7\n", 3, "has repeated cell (1, 0, 3): '1,0,3,7'"),
     ],
 )
 def test_census_from_csv_names_a_malformed_line(lead, rows, line, problem):
-    # a wrong field count or a non-integer field is a one-line ValueError
-    # naming the line, counted from 1 in the text, leading blank lines too
+    # a wrong field count, a non-integer field or a cell that no census of
+    # n = 3 holds is a one-line ValueError naming the line, counted from 1
+    # in the text, leading blank lines too
     text = lead + "rank,loops,cogirth,count\n" + rows
     number = line + lead.count("\n")
     with pytest.raises(ValueError) as info:
         CensusTable.from_csv(3, text)
     assert str(info.value) == f"census CSV line {number} {problem}"
+
+
+@pytest.mark.parametrize("n", [-3, 0, 3.0, True])
+def test_census_from_csv_needs_an_int_ground_size(n):
+    with pytest.raises(ValueError, match=r"^a census table needs an int n >= 1, got \S+$"):
+        CensusTable.from_csv(n, "rank,loops,cogirth,count\n")
 
 
 def test_verify_coefficient_counts_golden():
@@ -456,20 +479,20 @@ def test_census_csv_json_roundtrip():
     assert keys == sorted(keys, key=lambda t: (int(t[0]), int(t[1]), float(t[2])))
 
 
+def _census_documents(n):
+    # the cells a census of n may hold: rank and loops in 0..n, cogirth in
+    # 1..n or inf, count >= 0
+    cell = st.tuples(
+        st.integers(0, n), st.integers(0, n), st.one_of(st.integers(1, n), st.just(INFINITY))
+    )
+    entries = st.dictionaries(cell, st.integers(0, 10**30), max_size=20)
+    return st.tuples(st.just(n), entries)
+
+
 @settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 12),
-    st.dictionaries(
-        st.tuples(
-            st.integers(0, 12),
-            st.integers(0, 12),
-            st.one_of(st.integers(1, 12), st.just(INFINITY)),
-        ),
-        st.integers(1, 10**30),
-        max_size=20,
-    ),
-)
-def test_census_table_roundtrip_random(n, entries):
+@given(st.integers(1, 12).flatmap(_census_documents))
+def test_census_table_roundtrip_random(document):
+    n, entries = document
     table = CensusTable(n, {(0, n, INFINITY): 1, **entries})
     assert CensusTable.from_csv(n, table.to_csv()) == table
     assert CensusTable.from_json(json.loads(json.dumps(table.to_json()))) == table
@@ -491,6 +514,17 @@ _ROW = {"rank": 1, "loops": 0, "cogirth": 2, "count": "3"}
         ({"n": 5, "entries": [dict(_ROW, cogirth="1_0")]}, "^census JSON is malformed: .* got '1_0'$"),
         ({"n": 5, "entries": [dict(_ROW, count=2.5)]}, "^census JSON is malformed: .* got 2.5$"),
         ({"n": 5, "entries": [dict(_ROW, rank="x")]}, "^census JSON is malformed: .* got 'x'$"),
+        ({"n": -3, "entries": []}, r"^census JSON is malformed: .* n >= 1, got -3$"),
+        ({"n": 3, "entries": [dict(_ROW, rank=9)]}, "^census JSON is malformed: rank 9 outside 0..3$"),
+        ({"n": 3, "entries": [dict(_ROW, loops=-1)]}, "^census JSON is malformed: loops -1 outside"),
+        ({"n": 3, "entries": [dict(_ROW, loops=-2)]}, "^census JSON is malformed: loops -2 outside"),
+        ({"n": 3, "entries": [dict(_ROW, cogirth=-1)]}, "^census JSON is malformed: cogirth -1 outside"),
+        ({"n": 3, "entries": [dict(_ROW, cogirth=-2)]}, "^census JSON is malformed: cogirth -2 outside"),
+        ({"n": 3, "entries": [dict(_ROW, count="-5")]}, "^census JSON is malformed: negative count -5$"),
+        (
+            {"n": 3, "entries": [dict(_ROW, cogirth=3, count="1"), dict(_ROW, cogirth=3, count="7")]},
+            r"^census JSON is malformed: repeated cell \(1, 0, 3\)$",
+        ),
     ],
 )
 def test_census_from_json_rejects_missing_fields(data, field):
