@@ -38,14 +38,21 @@ from .combinat import (
     exact_descent_counts,
     perm_descent_aggregates,
 )
-from .polynomial import SqfMultiPoly, UniPoly, _is_int
-from .polynomial import gamma_reconstruct, gamma_reconstruct_multivariate, run_minima
+from .polynomial import (
+    SqfMultiPoly,
+    UniPoly,
+    _is_int,
+    expand_run_minima,
+    gamma_reconstruct,
+    gamma_reconstruct_multivariate,
+    run_minima_sets,
+)
 
 # Largest rank for the forms exponential in k: ``gamma_eulerian`` sums over
 # Fib(k) descent sets (augmented, 2 CPUs, Python 3.11: 0.02 s at k = n = 20,
 # 0.07 s at 22) and both multivariate bases fill 2^k coefficients (k = n = 18,
-# plain / augmented: monomial 0.03 / 0.04 s, gamma 0.03 / 0.06 s).  Above it
-# the rows marked exponential raise ValueError.
+# plain / augmented, best of 7: monomial 0.007 / 0.016 s, gamma 0.018 /
+# 0.032 s).  Above it the rows marked exponential raise ValueError.
 EXPONENTIAL_RANK_MAX = 18
 
 # Largest rank for every form and for ``coefficient_formula``.  The
@@ -145,21 +152,21 @@ def _monomial_basis(k: int, n: int, augmented: bool) -> SqfMultiPoly:
     # dense position q is an index set as a bit pattern: bit i of q is
     # variable lo + i, index lo + i + 1, and the non-augmented sets all hold
     # index 1, which has no variable.  The gap multinomial depends only on
-    # the run minima M, entry q of ``run_minima``: non-augmented, bit 0
-    # (index 2) is never one, as index 1 precedes it, and index 1 is left
-    # out.  The weight telescopes as in ``_monomial_form``:
+    # the run minima M, ``q & ~(q << 1)``: non-augmented, bit 0 (index 2) is
+    # never one, as index 1 precedes it, and index 1 is left out.  The weight
+    # telescopes as in ``_monomial_form``:
     # weight(M) = weight(M - top) * C(n - prev + 1, top - prev) over the two
     # largest minima by index, with prev = 1 when there is no second, and
     # the empty M weighs 1.  Ascending order puts M - top before M.
     lo = 0 if augmented else 1
-    minima = run_minima(k - lo, 1 - lo)
+    width = k - lo
     weight = {0: 1}
-    for m in sorted(set(minima) - {0}):
+    for m in run_minima_sets(width, 1 - lo)[1:]:
         rest = m ^ (1 << (m.bit_length() - 1))
         top = m.bit_length() + lo
         prev = rest.bit_length() + lo or 1
         weight[m] = weight[rest] * comb(n - prev + 1, top - prev)
-    return SqfMultiPoly.from_dense((lo, k - 1), map(weight.__getitem__, minima))
+    return SqfMultiPoly.from_dense((lo, k - 1), expand_run_minima(weight, width, 1 - lo))
 
 
 class _Form(NamedTuple):
@@ -248,23 +255,21 @@ def coefficient_formula(k: int, n: int, m: int, augmented: bool = False) -> int:
     """
     _check_domain(k, n, augmented)
     _check_rank("coefficient_formula", k, exponential=False)
+    if not _is_int(m) or m not in (1, 2):
+        raise ValueError(f"unsupported coefficient index m={m!r}, only 1 and 2 are available")
     if m == 1:
         if augmented:
             return sum(comb(n, i - 1) for i in range(1, k + 1))
         return (1 if k >= 2 else 0) + sum(comb(n, i - 1) for i in range(3, k + 1))
-    if m == 2:
-        if augmented:
-            total = sum(comb(n, i - 1) for i in range(1, k))
-            total += sum(
-                comb(n, i - 1) * _binomial_sum(n - i + 1, 2, k - i + 1)
-                for i in range(1, k - 1)
-            )
-            return total
-        total = 1 if k >= 3 else 0
-        total += sum(comb(n, i) for i in range(3, k))
-        total += sum(comb(n, i) for i in range(2, k - 1))
+    if augmented:
+        total = sum(comb(n, i - 1) for i in range(1, k))
         total += sum(
-            comb(n, i) * _binomial_sum(n - i, 2, k - i) for i in range(2, k - 2)
+            comb(n, i - 1) * _binomial_sum(n - i + 1, 2, k - i + 1)
+            for i in range(1, k - 1)
         )
         return total
-    raise ValueError(f"unsupported coefficient index m={m}, only 1 and 2 are available")
+    total = 1 if k >= 3 else 0
+    total += sum(comb(n, i) for i in range(3, k))
+    total += sum(comb(n, i) for i in range(2, k - 1))
+    total += sum(comb(n, i) * _binomial_sum(n - i, 2, k - i) for i in range(2, k - 2))
+    return total

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # Widest range of a SqfMultiPoly, which stores 2^width coefficients: every
 # basis (k <= EXPONENTIAL_RANK_MAX) and chain oracle (rank <= MAX_GROUND) fits.
@@ -262,12 +262,17 @@ class SqfMultiPoly:
     def monomials(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """(index tuple, position in ``coeffs``) of every monomial of the
         range, in the canonical order: by total degree, then by index tuple."""
-        width = len(self.coeffs).bit_length() - 1
-        variables = range(self.var_range[0], self.var_range[0] + width)
-        bits = [1 << i for i in range(width)]
+        lo = self.var_range[0]
+        return self._walk(range(lo, lo + len(self.coeffs).bit_length() - 1))
+
+    @staticmethod
+    def _walk(labels: Sequence) -> Iterator[tuple[tuple, int]]:
+        """(labels of a monomial's variables, its position in ``coeffs``) in
+        the order of ``monomials``, with labels[i] standing for x_{lo+i}."""
+        bits = [1 << i for i in range(len(labels))]
         return chain.from_iterable(
-            zip(combinations(variables, d), map(sum, combinations(bits, d)))
-            for d in range(width + 1)
+            zip(combinations(labels, d), map(sum, combinations(bits, d)))
+            for d in range(len(labels) + 1)
         )
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
@@ -286,9 +291,9 @@ class SqfMultiPoly:
     def render(self) -> str:
         """Human-readable form like ``1 + 2*x1 + x1*x2``, in the order of
         ``sorted_terms``; unit coefficients are elided."""
-        return _join_terms(
-            ("*".join(f"x{i}" for i in k), c) for k, c in self.sorted_terms()
-        )
+        lo, cs = self.var_range[0], self.coeffs
+        names = [f"x{i}" for i in range(lo, lo + len(cs).bit_length() - 1)]
+        return _join_terms(("*".join(k), cs[q]) for k, q in self._walk(names) if cs[q])
 
     def __repr__(self) -> str:
         return f"SqfMultiPoly({self.var_range}, {self.render()})"
@@ -380,18 +385,43 @@ def gamma_reconstruct(gammas: Iterable[int], d: int) -> UniPoly:
     return result
 
 
-def run_minima(width: int, first: int) -> list[int]:
-    """Entry q is ``q & ~(q << 1)``, the lowest bit of each run of ones in q,
-    for every q below 2^width; bit 0 is dropped when ``first`` is 0.
+def run_minima_sets(width: int, first: int) -> list[int]:
+    """The sets ``q & ~(q << 1)`` of the q below 2^width, bit 0 dropped when
+    ``first`` is 0, in ascending order: every mask without two adjacent bits
+    inside bits 0..width-1 (1..width-1 when ``first`` is 0), Fib-many.
 
-    Built one bit at a time: the entries from 2^t on repeat the lower half,
-    with bit t added where bit t - 1 is clear."""
-    minima = [0, 1 if first else 0][: 1 << width]
+    Those of width t are those of width t - 1, then those of width t - 2 with
+    bit t - 1 added.  A width above MAX_VARIABLES is a ValueError."""
+    width = _range_width(0, width - 1)
+    shorter, family = [0], [0, 1] if first else [0]
     for t in range(1, width):
-        bit, half = 1 << t, 1 << (t - 1)
-        minima += map(bit.__or__, minima[:half])
-        minima += minima[half:bit]
-    return minima
+        shorter, family = family, family + [a | 1 << t for a in shorter]
+    return family if width else shorter
+
+
+def expand_run_minima(values: Mapping[int, int], width: int, first: int) -> list[int]:
+    """Entry q is ``values[q & ~(q << 1)]`` for every q below 2^width, bit 0
+    dropped when ``first`` is 0.  ``values`` is read once per set of
+    ``run_minima_sets(width, first)``, and a width above MAX_VARIABLES is a
+    ValueError.
+
+    For q from 2^(w-1) on, bit w - 1 is a run minimum exactly when bit w - 2
+    is clear: so those entries are the width-(w-2) expansion with bit w - 1
+    added to every key, then a copy of the entries from 2^(w-2) to 2^(w-1)."""
+    width = _range_width(0, width - 1)
+
+    def expand(w: int, high: int) -> list[int]:
+        # below width 3 a direct list is faster than the recursion
+        if w < 3:
+            low = values[high]
+            if w == 0:
+                return [low]
+            one = values[high | 1] if first else low
+            return [low, one, values[high | 2], one] if w == 2 else [low, one]
+        lower = expand(w - 1, high)
+        return lower + expand(w - 2, high | 1 << (w - 1)) + lower[1 << (w - 2) :]
+
+    return expand(width, 0)
 
 
 def gamma_reconstruct_multivariate(
@@ -410,12 +440,13 @@ def gamma_reconstruct_multivariate(
     S = D + E.  So x_S has coefficient W(A(S)), the sum of weights[D] over
     the D inside A(S).  The run-minima sets are closed under taking subsets,
     so one zeta pass per position gives every W: the pass over bit i adds
-    W(A - i) to each A holding i, and changes no set that lacks i.
+    W(A - i) to each A holding i, and changes no set that lacks i.  Each W
+    then fills the coefficients of its sets S by ``expand_run_minima``.
     """
     lo, hi = var_range
     if lo < 0:
         raise ValueError(f"x{lo}..x{hi} starts below x0, and a mask has no negative bits")
-    width = _range_width(lo, hi)  # before run_minima lists 2^width entries
+    width = _range_width(lo, hi)  # before anything of 2^width is allocated
     window = max((1 << width) - 2, 0) << lo  # positions lo+1..hi
     for mask in weights:
         if not isinstance(mask, int) or mask & ~window or mask & mask >> 1:
@@ -425,9 +456,8 @@ def gamma_reconstruct_multivariate(
                 f"inside positions {lo + 1}..{hi}"
             )
     # bit 0 is position lo, which no D holds
-    minima = run_minima(width, 0)
-    summed = {a: weights.get(a << lo, 0) for a in set(minima)}
+    summed = {a: weights.get(a << lo, 0) for a in run_minima_sets(width, 0)}
     for i in range(1, width):
         bit = 1 << i
         summed.update({a: summed[a] + summed[a ^ bit] for a in summed if a & bit})
-    return SqfMultiPoly.from_dense(var_range, map(summed.__getitem__, minima))
+    return SqfMultiPoly.from_dense(var_range, expand_run_minima(summed, width, 0))

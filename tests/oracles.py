@@ -183,6 +183,20 @@ def brute_gamma_reconstruct_multivariate(
     return {key: c for key, c in terms.items() if c}
 
 
+def run_minima(width: int, first: int) -> list[int]:
+    """Entry q is ``q & ~(q << 1)``, the lowest bit of each run of ones in q,
+    for every q below 2^width; bit 0 is dropped when ``first`` is 0.
+
+    Built one bit at a time: the entries from 2^t on repeat the lower half,
+    with bit t added where bit t - 1 is clear."""
+    minima = [0, 1 if first else 0][: 1 << width]
+    for t in range(1, width):
+        bit, half = 1 << t, 1 << (t - 1)
+        minima += map(bit.__or__, minima[:half])
+        minima += minima[half:bit]
+    return minima
+
+
 def brute_subsets(lo: int, hi: int) -> list[tuple[int, ...]]:
     """Every subset of the variables lo..hi as a sorted tuple, at the position
     q whose bit i is set exactly when lo + i is in it."""

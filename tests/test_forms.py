@@ -250,8 +250,10 @@ def test_coefficient_formula_matches_extraction():
 
 
 def test_coefficient_formula_rejects_other_indices():
-    with pytest.raises(ValueError):
-        coefficient_formula(3, 5, 3)
+    for m in (3, 0, True, False, 1.0, 2.0, "1"):
+        for augmented in (False, True):
+            with pytest.raises(ValueError, match="unsupported coefficient index"):
+                coefficient_formula(3, 5, m, augmented)
 
 
 def test_coefficients_beyond_64_bit_stay_exact():

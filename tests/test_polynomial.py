@@ -17,7 +17,7 @@ from chowpoly import (
 )
 from chowpoly.forms import EXPONENTIAL_RANK_MAX, MULTIVARIATE_BASES, multivariate_closed_form
 from chowpoly.matroid import MAX_GROUND
-from chowpoly.polynomial import MAX_VARIABLES, run_minima
+from chowpoly.polynomial import MAX_VARIABLES, expand_run_minima, run_minima_sets
 from tests.oracles import (
     brute_eulerian_poly,
     brute_gamma_reconstruct_multivariate,
@@ -25,6 +25,7 @@ from tests.oracles import (
     brute_subsets,
     by_mask,
     positions_mask,
+    run_minima,
 )
 
 
@@ -138,6 +139,12 @@ def test_variable_range_is_bounded():
         SqfMultiPoly.from_dense(wide, unread())
     with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
         gamma_reconstruct_multivariate({}, (0, 10**6))
+    # and so is a run-minima width, before its sets or values are read
+    for width in (MAX_VARIABLES + 1, 10**6):
+        with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
+            run_minima_sets(width, 1)
+        with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
+            expand_run_minima({}, width, 1)
     # a declared range is refused before its coefficients are allocated
     with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
         SqfMultiPoly.from_json({"vars": [0, 10**6], "terms": []})
@@ -191,11 +198,42 @@ def test_from_json_reads_decimal_strings_and_ints():
     assert SqfMultiPoly.from_json(data) == SqfMultiPoly((1, 2), {(1, 2): -5, (1,): 2})
 
 
+def _run_minima_definition(width: int, first: int) -> list[int]:
+    return [q & ~(q << 1) & ~(1 - first) for q in range(1 << width)]
+
+
 @pytest.mark.parametrize("first", [0, 1])
 def test_run_minima_matches_definition(first):
     for width in range(EXPONENTIAL_RANK_MAX + 1):
-        expected = [q & ~(q << 1) & ~(1 - first) for q in range(1 << width)]
-        assert run_minima(width, first) == expected, width
+        assert run_minima(width, first) == _run_minima_definition(width, first), width
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_run_minima_sets_match_definition(first):
+    for width in range(EXPONENTIAL_RANK_MAX + 1):
+        expected = sorted(set(_run_minima_definition(width, first)))
+        assert run_minima_sets(width, first) == expected, width
+
+
+class _CountingDict(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads: list[int] = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_expand_run_minima_matches_definition(first):
+    for width in range(EXPONENTIAL_RANK_MAX + 1):
+        sets = sorted(set(_run_minima_definition(width, first)))
+        # distinct values, none equal to its key
+        values = _CountingDict({a: -1 - 3 * a for a in sets})
+        expanded = expand_run_minima(values, width, first)
+        assert sorted(values.reads) == sets, width  # one read per set
+        assert expanded == [values[m] for m in run_minima(width, first)], width
 
 
 @pytest.mark.parametrize(
