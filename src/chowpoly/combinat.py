@@ -9,20 +9,20 @@ multinomial attached to an index set (via its partition into maximal
 consecutive runs); the no-consecutive subsets of {1..m}; descent-set
 counting over the symmetric group (every no-consecutive set at once: the
 count with descents inside a set is its parent's times one binomial, and a
-Moebius transform makes the counts exact); the weighted sums
-over permutations with no two adjacent descents that ``gamma_perm`` needs
-(an exact insertion DP, polynomial in k; ``tests/oracles.py`` holds the k!
-scan it replaces), and the Eulerian and derangement polynomials.
+Moebius transform makes the counts exact), both listed by
+``polynomial.run_minima_sets``; the weighted sums over permutations with
+no two adjacent descents that ``gamma_perm`` needs (an exact insertion DP,
+polynomial in k; ``tests/oracles.py`` holds the k! scan it replaces), and
+the Eulerian and derangement polynomials.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .polynomial import UniPoly
+from .polynomial import UniPoly, run_minima_sets
 
 
 def _as_index_set(elements: Iterable[int]) -> tuple[int, ...]:
@@ -78,20 +78,14 @@ def delta_multinomial(n: int, index_set: Iterable[int]) -> int:
     return multinomial(parts)
 
 
-def nc_subsets(m: int, exclude_one: bool = False) -> Iterator[tuple[int, ...]]:
-    """All subsets of {1..m} with no two consecutive elements.
-
-    Emitted by size, then lexicographically.  With ``exclude_one`` the element
-    1 is additionally forbidden.  m = 0 yields only the empty set.
-    """
-    lo = 2 if exclude_one else 1
-    # no-consecutive s-subsets of the run {lo..m} correspond to plain
-    # s-subsets of {lo..m-s+1} spread out by their position
-    width = m - lo + 1
-    max_size = max(0, (width + 1) // 2)
-    for s in range(max_size + 1):
-        for base in combinations(range(lo, m - s + 2), s):
-            yield tuple(b + j for j, b in enumerate(base))
+def nc_subsets(m: int, exclude_one: bool = False) -> list[tuple[int, ...]]:
+    """All subsets of {1..m} with no two consecutive elements, by size, then
+    lexicographically: ``run_minima_sets`` with bit i - 1 read as element i.
+    With ``exclude_one`` the element 1 is also forbidden.  m = 0 gives only
+    the empty set, and an m above MAX_VARIABLES is a ValueError."""
+    masks = run_minima_sets(m, not exclude_one)
+    sets = [tuple(i + 1 for i in range(m) if a >> i & 1) for a in masks]
+    return sorted(sets, key=lambda s: (len(s), s))
 
 
 def descent_set(seq: Sequence[int]) -> tuple[int, ...]:
@@ -105,31 +99,27 @@ def descent_count(seq: Sequence[int]) -> int:
 
 def exact_descent_counts(n: int, m: int, exclude_one: bool = False) -> dict[int, int]:
     """Number of permutations of {1..n} with descent set exactly D, for every
-    D that ``nc_subsets(m, exclude_one)`` yields, keyed in that order by its
-    bitmask (bit i for position i).
+    D inside positions 1..m (2..m with ``exclude_one``) without two
+    consecutive positions, keyed by its bitmask (bit i for position i) in
+    ascending order.  An m above MAX_VARIABLES is a ValueError.
 
     A permutation has its descents inside D exactly when it increases on
     each block between the cuts of D, so that count is the multinomial of
-    the block sizes.  The family is built level by level, each set as its
-    parent extended by one larger position t, in ``nc_subsets`` order; the
-    extension splits the last block, so its count is the parent's times
-    C(n - last, t - last), with last = 0 for the empty set.  The family is
-    closed under taking subsets, so one in-place Moebius transform over it
-    turns every such count into the exact count.
+    the block sizes.  The sets are ``run_minima_sets`` shifted by one, and
+    ascending order puts each set after the set without its largest
+    position t; adding t splits the last block, so its count is that set's
+    times C(n - last, t - last), with last = 0 for the empty set.  The
+    family is closed under taking subsets, so one in-place Moebius transform
+    over it turns every such count into the exact count.
     """
     if m > max(n - 1, 0):
         raise ValueError(f"descent position {m} out of range for n={n}")
-    lo = 2 if exclude_one else 1
-    # (mask, last position, permutations with descents inside the set)
-    level = [(1 << t, t, comb(n, t)) for t in range(lo, m + 1)]
     counts = {0: 1}
-    while level:
-        counts.update((mask, count) for mask, _, count in level)
-        level = [
-            (mask | 1 << t, t, count * comb(n - last, t - last))
-            for mask, last, count in level
-            for t in range(last + 2, m + 1)
-        ]
+    for a in run_minima_sets(m, not exclude_one)[1:]:  # bit i - 1 for position i
+        t = a.bit_length()
+        rest = a ^ 1 << (t - 1)
+        last = rest.bit_length()
+        counts[a << 1] = counts[rest << 1] * comb(n - last, t - last)
     for i in range(1, m + 1):
         bit = 1 << i
         for mask in counts:
@@ -213,8 +203,6 @@ def derangement_poly(n: int) -> UniPoly:
     """
     if n < 0:
         raise ValueError(f"negative n={n}")
-    if n == 0:
-        return UniPoly.one()
     rest = UniPoly.zero()
     for j in range(n):
         rest = rest + comb(n, j) * derangement_poly(j)

@@ -28,8 +28,9 @@ function and its growth in k, which sets its rank bound.  ``METHODS`` and
 
 from __future__ import annotations
 
+import sys
 from functools import partial
-from math import comb
+from math import comb, log10
 from typing import Callable, NamedTuple
 
 from .combinat import (
@@ -52,7 +53,7 @@ from .polynomial import (
 # Fib(k) descent sets (augmented, 2 CPUs, Python 3.11: 0.02 s at k = n = 20,
 # 0.07 s at 22) and both multivariate bases fill 2^k coefficients (k = n = 18,
 # plain / augmented, best of 7: monomial 0.007 / 0.016 s, gamma 0.018 /
-# 0.032 s).  Above it the rows marked exponential raise ValueError.
+# 0.033 s).  Above it the rows marked exponential raise ValueError.
 EXPONENTIAL_RANK_MAX = 18
 
 # Largest rank for every form and for ``coefficient_formula``.  The
@@ -72,6 +73,15 @@ def _check_domain(k: int, n: int, augmented: bool) -> None:
             else ""
         )
         raise ValueError(f"rank k={k} out of domain {lower} <= k <= n for n={n}{note}")
+    # Each coefficient sums at most 2^k gap multinomials below n^k, so it has
+    # at most k * (n.bit_length() + 1) bits; a limit of 0 admits any length.
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # none before 3.10.7
+    digits = int(k * (n.bit_length() + 1) * log10(2)) + 1
+    if 0 < limit < digits:
+        raise ValueError(
+            f"coefficients at k={k} and a {n.bit_length()}-bit n can have {digits} digits, "
+            f"more than the {limit} that Python converts to a string"
+        )
 
 
 def _check_rank(form: str, k: int, exponential: bool) -> None:
@@ -210,7 +220,8 @@ def closed_form(
 
     All methods agree; computing several and comparing is a useful
     independent check.  Requires int 1 <= k <= n (k = 0 is admitted for the
-    augmented polynomial and yields the constant 1) and k <= RANK_MAX;
+    augmented polynomial and yields the constant 1), k <= RANK_MAX and
+    coefficients that fit the ``sys.get_int_max_str_digits()`` limit;
     ``gamma_eulerian`` also requires k <= EXPONENTIAL_RANK_MAX.
     """
     return checked_form(k, n, method, augmented)()

@@ -273,9 +273,7 @@ class FlatLattice(_FlatLatticeFields):
         for f in self.flats:  # sorted by rank, so predecessors come first
             if f == self.top:
                 break
-            here = states.pop(f, None)
-            if not here:
-                continue
+            here = states.pop(f)
             pos = self.flat_rank[f]  # position of a descent from f's label to g's
             for g, label in self.covers[f]:
                 there = states.setdefault(g, {})

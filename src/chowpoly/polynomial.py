@@ -95,7 +95,7 @@ class UniPoly:
     @classmethod
     def geometric(cls, top: int) -> "UniPoly":
         """1 + x + ... + x**top (zero polynomial when top < 0)."""
-        return cls((1,) * (top + 1)) if top >= 0 else cls.zero()
+        return cls((1,) * (top + 1))
 
     @property
     def degree(self) -> int:
@@ -150,8 +150,6 @@ class UniPoly:
             return UniPoly(other * c for c in self.coeffs)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if not self or not other:
-            return UniPoly.zero()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:

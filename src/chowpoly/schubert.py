@@ -90,8 +90,6 @@ def schubert_matroid(spec: SchubertSpec, validate: bool = True) -> Matroid:
 
     An empty index set yields the rank-0 matroid with the single empty basis.
     """
-    if not spec.index_set:
-        return Matroid(spec.n, [0], validate=False)
     position = {e: i for i, e in enumerate(spec.perm)}
     ordered_i = sorted(spec.index_set, key=position.__getitem__)
     k = len(ordered_i)
@@ -363,8 +361,10 @@ def verify_coefficient_counts(
 def census_matches_formula(table: CensusTable) -> bool:
     """True when the table's nonzero cells are exactly the formula's: every
     nonzero ``sm_count(n, m, loops, k)`` at key (m, loops, n + 1 - k), and
-    the rank-0 matroid, whose n elements are all loops, at (0, n, inf)."""
+    the rank-0 matroid, whose n elements are all loops, at (0, n, inf).
+    Its cost about doubles with each n, so n is held to MAX_EXHAUSTIVE_N."""
     n = table.n
+    check_ground_size("census_matches_formula", n)
     expected = {(0, n, INFINITY): 1}
     for m in range(1, n + 1):
         for loops in range(0, n):

@@ -276,6 +276,15 @@ def test_census_csv_roundtrip(capsys):
     assert CensusTable.from_csv(4, out) == census(4)
 
 
+def test_census_csv_verify_reports_on_stderr(capsys):
+    code, out, err = run(capsys, "census", "--n", "4", "--verify", "--format", "csv")
+    assert code == 0
+    assert CensusTable.from_csv(4, out) == census(4)
+    assert err.splitlines() == ["counting formula cells: PASS"] + [
+        f"coefficient counts k={k}: PASS" for k in range(1, 5)
+    ]
+
+
 def test_census_json_with_verification(capsys):
     code, out, _ = run(
         capsys, "census", "--n", "3", "--verify", "--format", "json"
@@ -314,6 +323,14 @@ def test_sequences_csv(capsys):
     assert lines[0] == "n,value"
     values = [int(ln.split(",")[1]) for ln in lines[1:]]
     assert values == [4, 7, 11, 16]
+
+
+def test_sequences_text(capsys):
+    code, out, _ = run(
+        capsys, "sequences", "--coeff", "1", "--k", "3", "--n-from", "3", "--n-to", "6"
+    )
+    assert code == 0
+    assert out.splitlines() == ["n=3: 4", "n=4: 7", "n=5: 11", "n=6: 16"]
 
 
 def test_sequences_match_extraction(capsys):
@@ -545,3 +562,44 @@ def test_compute_all_checks_every_rank_bound_first(capsys, no_form_work):
         "error: the gamma_eulerian form is exponential in k and capped at k <= 18, "
         "got k=200; use monomial, gamma_perm or convolution"
     ]
+
+
+HUGE_N = str(10**400)  # 1329 bits: 12 * 1330 bits reach 4805 digits
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        f"compute --k 12 --n {HUGE_N}",
+        f"compute --k 12 --n {HUGE_N} --format csv",
+        f"compute --k 12 --n {HUGE_N} --multivariate --format json",
+        f"sequences --coeff 2 --k 12 --n-from {HUGE_N} --n-to {HUGE_N}",
+    ],
+    ids=["compute", "compute-csv", "multivariate", "sequences"],
+)
+def test_coefficients_too_long_to_print_are_refused_first(
+    capsys, monkeypatch, no_form_work, argv
+):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: coefficients at k=12 and a 1329-bit n can have 4805 digits, "
+        "more than the 4300 that Python converts to a string"
+    ]
+
+
+def test_coefficients_up_to_the_digit_bound_are_admitted(capsys, monkeypatch):
+    # 10^300 has 997 bits: 12 * 998 bits make at most 3605 digits
+    n = str(10**300)
+    code, out, _ = run(capsys, "sequences", "--coeff", "2", "--k", "12", "--n-from", n, "--n-to", n)
+    assert code == 0
+    assert out.startswith(f"n={n}: ")
+    # a limit of 0 admits every length, and the bit bound holds
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    big = 10**400
+    for method in forms.METHODS:
+        p = forms.closed_form(12, big, method)
+        longest = max(c.bit_length() for c in p)
+        assert 4300 * 3.33 < longest <= 12 * (big.bit_length() + 1), method

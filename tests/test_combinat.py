@@ -6,15 +6,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chowpoly import (
+    NotPalindromicError,
+    UniPoly,
     delta_multinomial,
     derangement_poly,
     descent_set,
     eulerian_poly,
     exact_descent_counts,
+    gamma_vector,
     nc_subsets,
     runs_partition,
 )
 from chowpoly.combinat import multinomial, perm_descent_aggregates
+from chowpoly.polynomial import MAX_VARIABLES
 from tests.oracles import (
     SubsetPermutation,
     brute_delta_multinomial,
@@ -78,6 +82,41 @@ def test_nc_subsets_exclude_one_matches_filter():
         )
 
 
+def test_position_families_refuse_a_width_above_max_variables(monkeypatch):
+    def no_count(*args):
+        raise AssertionError("a count ran before the width was checked")
+
+    monkeypatch.setattr("chowpoly.combinat.comb", no_count)
+    for m in (MAX_VARIABLES + 1, 60):
+        for exclude_one in (False, True):
+            with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
+                exact_descent_counts(10**6, m, exclude_one)
+            with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
+                nc_subsets(m, exclude_one)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: delta_multinomial(5, (0, 2)), ValueError, "positive integers only, got 0"),
+        (lambda: eulerian_poly(-1), ValueError, "negative n=-1"),
+        (lambda: derangement_poly(-1), ValueError, "negative n=-1"),
+        (lambda: UniPoly.one_plus_x_power(-1), ValueError, "negative exponent -1"),
+        (lambda: UniPoly.x()[-1], IndexError, "negative exponent -1"),
+        (lambda: UniPoly.x() ** -1, ValueError, "negative exponent -1"),
+        (lambda: gamma_vector(UniPoly.one(), -1), ValueError, "negative center parameter d=-1"),
+        (lambda: gamma_vector(UniPoly.x(), 0), NotPalindromicError, "degree exceeds 0"),
+    ],
+    ids=[
+        "index-set", "eulerian", "derangement", "binomial-row",
+        "coefficient", "power", "gamma-center", "gamma-degree",
+    ],
+)
+def test_negative_and_oversized_arguments_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_descent_set():
     assert descent_set((3, 6, 4, 1)) == (2, 3)
     assert descent_set((1, 2, 5, 9)) == ()
@@ -112,8 +151,8 @@ def test_exact_descent_counts_against_scan():
             for exclude_one in (False, True):
                 counts = exact_descent_counts(n, m, exclude_one)
                 want = {positions_mask(d): census.get(d, 0) for d in nc_subsets(m, exclude_one)}
-                # the same counts, keyed in nc_subsets order
-                assert list(counts.items()) == list(want.items()), (n, m, exclude_one)
+                # the same counts, keyed in ascending mask order
+                assert list(counts.items()) == sorted(want.items()), (n, m, exclude_one)
 
 
 def test_exact_descent_counts_match_per_set_check_at_wide_point():

@@ -284,6 +284,16 @@ def test_census_resource_guard(monkeypatch):
         census(9)
 
 
+def test_census_matches_formula_refuses_a_loaded_table_past_the_bound(monkeypatch):
+    def no_count(*args):
+        raise AssertionError("sm_count ran before the ground size was checked")
+
+    monkeypatch.setattr("chowpoly.schubert.sm_count", no_count)
+    table = CensusTable.from_json({"n": 9, "entries": []})
+    with pytest.raises(ResourceLimitError, match=r"census_matches_formula\(n=9\).*n <= 8"):
+        census_matches_formula(table)
+
+
 def test_census_guard_ignores_the_removed_env_override(monkeypatch):
     # the bound used to be raised by this environment variable
     monkeypatch.setenv("_".join(("CHOW", "MAX", "N")), "100")
