@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
-from .polynomial import UniPoly, run_minima_sets
+from .polynomial import MAX_VARIABLES, UniPoly, run_minima_sets
 
 
 def _as_index_set(elements: Iterable[int]) -> tuple[int, ...]:
@@ -78,11 +78,20 @@ def delta_multinomial(n: int, index_set: Iterable[int]) -> int:
     return multinomial(parts)
 
 
+def _check_positions(m: int) -> None:
+    """Refuse more than MAX_VARIABLES positions 1..m before any is listed."""
+    if m > MAX_VARIABLES:
+        raise ValueError(
+            f"descent positions 1..{m} are {m} positions, more than {MAX_VARIABLES = }"
+        )
+
+
 def nc_subsets(m: int, exclude_one: bool = False) -> list[tuple[int, ...]]:
     """All subsets of {1..m} with no two consecutive elements, by size, then
     lexicographically: ``run_minima_sets`` with bit i - 1 read as element i.
     With ``exclude_one`` the element 1 is also forbidden.  m = 0 gives only
     the empty set, and an m above MAX_VARIABLES is a ValueError."""
+    _check_positions(m)
     masks = run_minima_sets(m, not exclude_one)
     sets = [tuple(i + 1 for i in range(m) if a >> i & 1) for a in masks]
     return sorted(sets, key=lambda s: (len(s), s))
@@ -114,6 +123,7 @@ def exact_descent_counts(n: int, m: int, exclude_one: bool = False) -> dict[int,
     """
     if m > max(n - 1, 0):
         raise ValueError(f"descent position {m} out of range for n={n}")
+    _check_positions(m)
     counts = {0: 1}
     for a in run_minima_sets(m, not exclude_one)[1:]:  # bit i - 1 for position i
         t = a.bit_length()

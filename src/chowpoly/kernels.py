@@ -13,23 +13,27 @@ collections, so deduplication is exact.
 * A collection is relabeled by the swap of elements i < j as a delta swap:
   the positions whose mask holds i but not j move up by 2^j - 2^i, and
   those holding j but not i move down by as much.
-* A seed is closed under the relabelings of {1..n-1} in n - 2 stages.
+* A seed is closed under the relabelings of {1..n-2} in n - 3 stages.
   Every permutation of {1..m+1} is a permutation of {1..m} followed by the
   swap of m + 1 with some element up to m + 1, so stage m
   (``relabel_stage``) adds the images of the members under each such swap
   and deduplicates them in a ``set``.  The work grows with the distinct
-  members of each stage, not with n!: 79,137 images over the ranks 1..8 at
-  n = 8, against 10,281,600 (index set, permutation) pairs.
+  members of each stage, not with n!: 24,348 images over the ranks 1..8 at
+  n = 8, each member's own included, against 10,281,600 (index set,
+  permutation) pairs.
 * ``loops_and_cogirth`` reads both invariants off a collection with a few
   whole-int operations; relabeling preserves them, so a seed's values hold
   for its whole orbit.
-* ``orbit_counts`` counts the last stage instead of listing it: with M the
-  seed's closure under {1..n-1}, its orbit under every relabeling of
-  {1..n} has n |M| / c members, where c counts the swaps (j n), j = n
-  included, that keep the seed in M (orbit-stabilizer).  It tallies the
-  orbits of a rank's seeds by (loops, cogirth), skipping a seed that
-  already lies in an earlier orbit: the orbits of a group are equal or
-  disjoint.
+* ``orbit_counts`` counts the top two levels instead of listing them:
+  with M the seed's closure under {1..n-2}, its orbit under every
+  relabeling of {1..n} has n (n-1) |M| / (c1 c2) members, where c1 counts
+  the swaps (i n-1), i = n-1 included, that keep the seed in M, and c2 the
+  swaps (j n), j = n included, that keep it in its orbit under {1..n-1}
+  (orbit-stabilizer, once per level).  Both counts read one row of n - 1
+  images (i n-1).(j n).s per j: 56 per seed, 14,336 over the ranks at
+  n = 8.  It tallies the orbits of a rank's seeds by (loops, cogirth),
+  skipping a seed that already lies in an earlier orbit: the orbits of a
+  group are equal or disjoint.
 
 Ground-set convention: element e of {1..n} is bit e-1 of a subset mask.
 """
@@ -129,38 +133,54 @@ def orbit_counts(seeds: Iterable[int], n: int) -> dict[tuple[int, int], int]:
     """(loops, cogirth) -> number of distinct collections in the union of the
     orbits of ``seeds``.
 
-    Each seed s is closed only under the permutations of {1..n-1}, by
-    stages 1..n-2, into M = S_{n-1}.s.  Every permutation of {1..n} is one
-    of those followed by a swap (j n), so the orbit S_n.s is the union of
-    the (j n).M, and by orbit-stabilizer its size is n |M| / c with
-    c = #{j : (j n).s in M}: (j n).s lies in M exactly when some stabilizer
-    element of s sends n to j, so c is the size of the stabilizer orbit of
-    n.  A seed t lies in an earlier orbit exactly when some (j n).t (t itself
-    for j = n) lies in an earlier M, and then it is skipped, since the
-    orbits of a group are equal or disjoint; each other orbit adds its size
-    to the cell of its seed.
+    Each seed s is closed only under the permutations of {1..n-2}, by
+    stages 1..n-3, into M = S_{n-2}.s, and the two top levels are counted by
+    orbit-stabilizer.  Every permutation of {1..n-1} is one of {1..n-2}
+    followed by a swap (i n-1), so S_{n-1}.s is the union of the (i n-1).M,
+    and a collection y lies in it exactly when y or some (i n-1).y lies in
+    M.  Its size is (n-1) |M| / c1 with c1 = #{i : (i n-1).s in M}, i = n-1
+    (the identity) included: (i n-1).s lies in M exactly when some
+    stabilizer element of s sends n-1 to i, so c1 is the size of the
+    stabilizer orbit of n-1.  In the same way S_n.s, the union of the
+    (j n).S_{n-1}.s, has n |S_{n-1}.s| / c2 members with
+    c2 = #{j : (j n).s in S_{n-1}.s}.  So one row of n-1 images
+    (i n-1).(j n).s per j decides both counts; each division is checked to
+    be exact.  A seed t lies in an earlier orbit exactly when one of its
+    rows meets an earlier M, and then it is skipped, since the orbits of a
+    group are equal or disjoint; each other orbit adds its size to the cell
+    of its seed.  The rows and each row start with the unswapped collection,
+    so n = 1 and 2 take the same path: one row of one image at n = 1, two
+    at n = 2.
     """
-    top = n - 1
-    deltas = [_delta(n, i, top) for i in range(top)]
+    top, sub = n - 1, n - 2
+    top_deltas = [_delta(n, j, top) for j in range(top)]
+    sub_deltas = [_delta(n, i, sub) for i in range(sub)]
     seen: set[int] = set()  # the union of the M of the seeds counted so far
     counts: dict[tuple[int, int], int] = {}
     for seed in seeds:
-        # (j n).seed for j = n, 1, .., n - 1, as a list: two swaps may give
-        # one image, and c counts each j
-        swapped = [seed, *_swap_images((seed,), deltas)]
-        if not seen.isdisjoint(swapped):
+        # (j n).seed for j = n, 1, .., n - 1, then every (i n-1) of those:
+        # row j is images[j::width], and row 0 (j = n) holds the (i n-1).seed;
+        # lists, since two swaps may give one image and each c counts them
+        swapped = [seed, *_swap_images((seed,), top_deltas)]
+        width = len(swapped)
+        images = swapped + _swap_images(swapped, sub_deltas)
+        if not seen.isdisjoint(images):
             continue
         members = {seed}
-        for m in range(1, top):
+        for m in range(1, sub):
             members = relabel_stage(members, n, m)
-        c = sum(1 for x in swapped if x in members)
-        if not c or n * len(members) % c:
-            raise RuntimeError(
-                f"inexact orbit count at n={n}: {c} of the swaps (j {n}) keep the"
-                f" seed among its {len(members)} closed members, and {c} does not"
-                f" divide {n} * {len(members)}"
-            )
+        size = len(members)
+        c1 = sum(1 for x in images[::width] if x in members)
+        c2 = sum(1 for j in range(width) if not members.isdisjoint(images[j::width]))
+        for swaps, c in ((len(sub_deltas) + 1, c1), (width, c2)):
+            if not c or swaps * size % c:
+                raise RuntimeError(
+                    f"inexact orbit count at n={n}: {c} of {swaps} swaps keep the"
+                    f" seed in a closure of {size} members, and {c} does not divide"
+                    f" {swaps} * {size}"
+                )
+            size = swaps * size // c
         seen |= members
         key = loops_and_cogirth(seed, n)
-        counts[key] = counts.get(key, 0) + n * len(members) // c
+        counts[key] = counts.get(key, 0) + size
     return counts

@@ -14,9 +14,9 @@ tabulates counts by (rank, loops, cogirth).  It runs on the plain-Python
 kernels in ``chowpoly.kernels`` and never lists the pairs: a basis
 collection is one int with a bit for each basis mask, the identity-order
 matroid of each index set is built from the definition (the k-subsets
-dominating it), and each one is closed under the relabelings of {1..n-1}
-one element at a time, deduplicating after each stage; the last element's
-stage is counted by orbit-stabilizer instead of listed.  That is exact by
+dominating it), and each one is closed under the relabelings of {1..n-2}
+one element at a time, deduplicating after each stage; the stages of the
+last two elements are counted by orbit-stabilizer instead of listed.  That is exact by
 group theory alone and shares no code with the counting formula.
 
 The census is exponential in n, so ``census`` refuses n > MAX_EXHAUSTIVE_N
@@ -35,7 +35,7 @@ from .matroid import INFINITY, Matroid, mask_of
 from .polynomial import _is_int, _json_int
 
 # Largest ground size for ``census`` and the CLI ``oracle``: census(8) takes
-# about 0.05 s and 16 MB of peak RSS, census(9) about 0.27 s and 25 MB
+# about 0.02 s and 15 MB of peak RSS, census(9) about 0.10 s and 17 MB
 # (986,410 matroids; fresh processes, 2 CPUs, Python 3.11.7), and the
 # matroids, and with them the work, grow about n-fold with each further n.
 MAX_EXHAUSTIVE_N = 8
@@ -280,14 +280,15 @@ def census(n: int) -> CensusTable:
     """Exhaustive deduplicated census of Schubert matroids on {1..n}.
 
     For each rank k, the identity-order Schubert matroid of each k-subset
-    is closed under every relabeling of {1..n-1}, one element at a time:
+    is closed under every relabeling of {1..n-2}, one element at a time:
     the members closed under the permutations of the first m elements are
     joined by their images under the swaps of element m + 1 with each
     earlier one, and deduplicated exactly.  The size of its orbit under
-    every relabeling of {1..n} follows by orbit-stabilizer from that
-    closure and the seed's images under the swaps of n with each element,
-    with the division checked to be exact.  A seed that already lies in an
-    earlier orbit is skipped.  The union of the orbits is the set of basis
+    every relabeling of {1..n} follows by orbit-stabilizer, applied at
+    element n - 1 and then at element n, from that closure and the seed's
+    images under the swaps of n with each element, each followed by the
+    swaps of n - 1 with each element; both divisions are checked to be
+    exact.  A seed that already lies in an earlier orbit is skipped.  The union of the orbits is the set of basis
     collections of all (index set, permutation) pairs, counted without
     listing the pairs.  Each orbit is classified by (rank, loops, cogirth)
     from its seed's bases, which relabeling preserves; the rank-0 matroid

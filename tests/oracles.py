@@ -241,13 +241,14 @@ def swap(collection: int, n: int, i: int, j: int) -> int:
     return collection ^ moved ^ (moved << shift)
 
 
-def orbit(seed: int, n: int) -> set[int]:
-    """The distinct images of ``seed`` under every permutation of {1..n}, as
-    its closure under the adjacent swaps, which generate them all."""
+def orbit(seed: int, n: int, m: int | None = None) -> set[int]:
+    """The distinct images of ``seed`` under every permutation of {1..m}
+    (m = n when not given), as its closure under the adjacent swaps of those
+    elements, which generate them all."""
     members, frontier = {seed}, [seed]
     while frontier:
         x = frontier.pop()
-        for i in range(n - 1):
+        for i in range((n if m is None else m) - 1):
             y = swap(x, n, i, i + 1)
             if y not in members:
                 members.add(y)

@@ -87,12 +87,18 @@ def test_position_families_refuse_a_width_above_max_variables(monkeypatch):
         raise AssertionError("a count ran before the width was checked")
 
     monkeypatch.setattr("chowpoly.combinat.comb", no_count)
+    monkeypatch.setattr("chowpoly.combinat.run_minima_sets", no_count)
     for m in (MAX_VARIABLES + 1, 60):
+        # the message names the descent positions the caller gave, not the
+        # variables of a multivariate range
+        message = rf"^descent positions 1\.\.{m} are {m} positions, more than MAX_VARIABLES = 18$"
         for exclude_one in (False, True):
-            with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
+            with pytest.raises(ValueError, match=message):
                 exact_descent_counts(10**6, m, exclude_one)
-            with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
+            with pytest.raises(ValueError, match=message):
                 nc_subsets(m, exclude_one)
+    with pytest.raises(ValueError, match=r"^descent positions 1\.\.19 are 19 positions"):
+        exact_descent_counts(30, 19)
 
 
 @pytest.mark.parametrize(

@@ -38,10 +38,11 @@ def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:
 
 
 @cache
-def _orbits(n: int, k: int) -> tuple[frozenset[int], ...]:
-    """The orbit of each rank-k seed, in ``combinations`` order, from the
+def _orbits(n: int, k: int, m: int | None = None) -> tuple[frozenset[int], ...]:
+    """The orbit of each rank-k seed under the permutations of {1..m} (of
+    {1..n} when m is not given), in ``combinations`` order, from the
     adjacent-swap closure of the oracles."""
-    return tuple(frozenset(orbit(s, n)) for s in kernels.schubert_seeds(n, k))
+    return tuple(frozenset(orbit(s, n, m)) for s in kernels.schubert_seeds(n, k))
 
 
 @cache
@@ -248,10 +249,11 @@ def test_orbit_counts_refuse_an_inexact_count(monkeypatch):
 
 
 def test_census_relabels_only_distinct_rows(monkeypatch):
-    # census(8) relabels the distinct members of each stage of each orbit
-    # under the relabelings of {1..7} and counts the last stage: 79,137
-    # images over the ranks 1..8, counting each member's own, not the
-    # 10,281,600 (index set, permutation) pairs, and 27 for the rank-0
+    # census(8) lists each seed's closure only under the relabelings of
+    # {1..6} and counts the top two levels: stage m relabels the seed's
+    # closure under {1..m}, as the oracle closure lists it, each member to
+    # itself and by m swaps.  That is 24,348 images over the ranks 1..8, not
+    # the 10,281,600 (index set, permutation) pairs, and 20 for the rank-0
     # matroid, which is its own image
     images = []
     stage = kernels.relabel_stage
@@ -263,15 +265,21 @@ def test_census_relabels_only_distinct_rows(monkeypatch):
 
     monkeypatch.setattr(kernels, "relabel_stage", counted)
     census(8)
-    assert len(images) == 256 * 6  # every index set, 6 stages each
-    assert sum(images) == 79_137 + 27
+    assert len(images) == 256 * 5  # every index set, 5 stages each
+    assert sum(images) == 24_348 + 20
+    assert sum(images) == sum(
+        (m + 1) * len(members)
+        for k in range(9)
+        for m in range(1, 6)
+        for members in _orbits(8, k, m)
+    )
 
 
 @st.composite
-def basis_collections(draw):
-    """A ground size n <= 7, a rank k, and a nonempty collection of k-subset
-    masks."""
-    n = draw(st.integers(1, 7))
+def basis_collections(draw, sizes=st.integers(1, 7)):
+    """A ground size n from ``sizes`` (n <= 7 by default), a rank k, and a
+    nonempty collection of k-subset masks."""
+    n = draw(sizes)
     k = draw(st.integers(0, n))
     masks = st.frozensets(st.sampled_from(_k_subset_masks(n, k)), min_size=1, max_size=10)
     return n, sorted(draw(masks))
@@ -292,3 +300,48 @@ def test_identity_rows_are_the_upper_sets_of_every_index_set():
             seeds = kernels.schubert_seeds(n, k)
             for seed, idx in zip(seeds, combinations(range(1, n + 1), k)):
                 assert seed == brute_fingerprint(_id_order_bases(n, idx)), idx
+
+
+@st.composite
+def seed_lists(draw):
+    """A ground size n <= 6 and one to three collections of subset masks on
+    it: the first from ``basis_collections``, each later one a new such
+    collection, a repeat of an earlier one, or an earlier one relabeled by a
+    permutation."""
+    n, masks = draw(basis_collections(st.integers(1, 6)))
+    collections = [masks]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["new", "repeat", "relabel"]))
+        if kind == "new":
+            collections.append(draw(basis_collections(st.just(n)))[1])
+            continue
+        earlier = draw(st.sampled_from(collections))
+        if kind == "relabel":
+            perm = draw(st.permutations(range(1, n + 1)))
+            earlier = [brute_relabel(mask, perm) for mask in earlier]
+        collections.append(earlier)
+    return n, collections
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed_lists())
+@example((1, [[0], [1], [1]]))
+@example((2, [[0b01], [0b10], [0b11]]))
+@example((2, [[0b01, 0b10], [0b00]]))
+# a perfect matching of {1..6}: its stabilizer permutes the pairs, so it is
+# no Young subgroup, and a relabeled image of it must be skipped
+@example((6, [[0b11, 0b1100, 0b110000], [0b101, 0b1010, 0b110000]]))
+@example((6, [[0b1001, 0b110, 0b110000], [0b11, 0b1100, 0b110000]]))
+def test_orbit_counts_match_a_tally_over_oracle_orbits(case):
+    # Schubert seeds have Young-subgroup stabilizers; arbitrary collections,
+    # repeated and relabeled, exercise the general two-level count and the
+    # skip of a collection in an orbit already counted
+    n, collections = case
+    seeds = [brute_fingerprint(masks) for masks in collections]
+    orbits: dict = {}
+    for seed, masks in zip(seeds, collections):
+        orbits.setdefault(frozenset(orbit(seed, n)), brute_loops_and_cogirth(masks, n))
+    expected: dict = {}
+    for members, key in orbits.items():
+        expected[key] = expected.get(key, 0) + len(members)
+    assert kernels.orbit_counts(seeds, n) == expected
