@@ -8,11 +8,8 @@ of Schubert matroids classified by rank, loops, and cogirth.
 from .combinat import (
     delta_multinomial,
     derangement_poly,
-    descent_count,
-    descent_set,
     eulerian_poly,
     exact_descent_counts,
-    nc_subsets,
     runs_partition,
 )
 from .forms import (
@@ -86,8 +83,6 @@ __all__ = [
     "coefficient_formula",
     "delta_multinomial",
     "derangement_poly",
-    "descent_count",
-    "descent_set",
     "eulerian_poly",
     "exact_descent_counts",
     "flats_lattice",
@@ -98,7 +93,6 @@ __all__ = [
     "matroid_from_json",
     "matroid_to_json",
     "multivariate_closed_form",
-    "nc_subsets",
     "runs_partition",
     "schubert_invariants_formula",
     "schubert_matroid",

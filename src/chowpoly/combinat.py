@@ -6,21 +6,21 @@ sequence (a_1, ..., a_m) is a position i in 1..m-1 with a_i > a_{i+1}.
 The module provides the one multinomial of the package, a running product
 of binomials that never forms a factorial of the total; the gap
 multinomial attached to an index set (via its partition into maximal
-consecutive runs); the no-consecutive subsets of {1..m}; descent-set
-counting over the symmetric group (every no-consecutive set at once: the
-count with descents inside a set is its parent's times one binomial, and a
-Moebius transform makes the counts exact), both listed by
-``polynomial.run_minima_sets``; the weighted sums over permutations with
-no two adjacent descents that ``gamma_perm`` needs (an exact insertion DP,
-polynomial in k; ``tests/oracles.py`` holds the k! scan it replaces), and
-the Eulerian and derangement polynomials.
+consecutive runs); descent-set counting over the symmetric group, for
+every set of positions with no two consecutive at once, listed by
+``polynomial.run_minima_sets`` (the count with descents inside a set is
+its parent's times one binomial, and a Moebius transform makes the counts
+exact); the weighted sums over permutations with no two adjacent descents
+that ``gamma_perm`` needs (an exact insertion DP, polynomial in k;
+``tests/oracles.py`` holds the k! scan it replaces), and the Eulerian and
+derangement polynomials.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .polynomial import MAX_VARIABLES, UniPoly, run_minima_sets
 
@@ -84,26 +84,6 @@ def _check_positions(m: int) -> None:
         raise ValueError(
             f"descent positions 1..{m} are {m} positions, more than {MAX_VARIABLES = }"
         )
-
-
-def nc_subsets(m: int, exclude_one: bool = False) -> list[tuple[int, ...]]:
-    """All subsets of {1..m} with no two consecutive elements, by size, then
-    lexicographically: ``run_minima_sets`` with bit i - 1 read as element i.
-    With ``exclude_one`` the element 1 is also forbidden.  m = 0 gives only
-    the empty set, and an m above MAX_VARIABLES is a ValueError."""
-    _check_positions(m)
-    masks = run_minima_sets(m, not exclude_one)
-    sets = [tuple(i + 1 for i in range(m) if a >> i & 1) for a in masks]
-    return sorted(sets, key=lambda s: (len(s), s))
-
-
-def descent_set(seq: Sequence[int]) -> tuple[int, ...]:
-    """Positions i (1-based) with seq[i] > seq[i+1]."""
-    return tuple(i for i in range(1, len(seq)) if seq[i - 1] > seq[i])
-
-
-def descent_count(seq: Sequence[int]) -> int:
-    return len(descent_set(seq))
 
 
 def exact_descent_counts(n: int, m: int, exclude_one: bool = False) -> dict[int, int]:
@@ -182,24 +162,34 @@ def perm_descent_aggregates(
     return agg
 
 
-@lru_cache(maxsize=None)
+# A_0, A_1, ...: each call extends a copy and rebinds the name, so a caller
+# never sees a partly built table
+_EULERIAN_ROWS = (UniPoly.one(), UniPoly.one())
+
+
 def eulerian_poly(n: int) -> UniPoly:
     """Descent-generating polynomial over all permutations of {1..n}.
 
-    Computed by the triangle recurrence
-    T(n, j) = (j+1) T(n-1, j) + (n-j) T(n-1, j-1); both n = 0 and n = 1 give
-    the constant polynomial 1.
+    Computed row by row by the triangle recurrence
+    T(n, j) = (j+1) T(n-1, j) + (n-j) T(n-1, j-1), without recursion; the
+    rows are kept, so ascending calls build each row once.  Both n = 0 and
+    n = 1 give the constant polynomial 1.
     """
+    global _EULERIAN_ROWS
     if n < 0:
         raise ValueError(f"negative n={n}")
-    if n <= 1:
-        return UniPoly.one()
-    prev = eulerian_poly(n - 1).coeffs
-    out = [0] * n
-    for j in range(len(prev)):
-        out[j] += (j + 1) * prev[j]
-        out[j + 1] += (n - j - 1) * prev[j]
-    return UniPoly(out)
+    rows = _EULERIAN_ROWS
+    if n >= len(rows):
+        grown = list(rows)
+        for m in range(len(rows), n + 1):
+            prev = grown[-1].coeffs
+            out = [0] * m
+            for j, c in enumerate(prev):
+                out[j] += (j + 1) * c
+                out[j + 1] += (m - j - 1) * c
+            grown.append(UniPoly(out))
+        _EULERIAN_ROWS = rows = tuple(grown)
+    return rows[n]
 
 
 @lru_cache(maxsize=None)

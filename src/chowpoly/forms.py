@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import sys
 from functools import partial
-from math import comb, log10
+from math import comb
 from typing import Callable, NamedTuple
 
 from .combinat import (
@@ -75,8 +75,9 @@ def _check_domain(k: int, n: int, augmented: bool) -> None:
         raise ValueError(f"rank k={k} out of domain {lower} <= k <= n for n={n}{note}")
     # Each coefficient sums at most 2^k gap multinomials below n^k, so it has
     # at most k * (n.bit_length() + 1) bits; a limit of 0 admits any length.
+    # The bits times log10(2) are taken in ints: a float overflows past 2^1024.
     limit = getattr(sys, "get_int_max_str_digits", int)()  # none before 3.10.7
-    digits = int(k * (n.bit_length() + 1) * log10(2)) + 1
+    digits = k * (n.bit_length() + 1) * 3010299956639812 // 10**16 + 1
     if 0 < limit < digits:
         raise ValueError(
             f"coefficients at k={k} and a {n.bit_length()}-bit n can have {digits} digits, "

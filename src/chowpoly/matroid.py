@@ -6,7 +6,7 @@ masks and one table holding the rank of every subset, its largest
 intersection with a basis.  Construction checks the rank axioms on that
 table, for every n, so the given sets are the bases of a matroid.
 
-Besides the usual invariants (dual, loops, coloops, girth, cogirth), the
+Besides the usual invariants (loops, coloops, girth, cogirth), the
 module builds the lattice of flats and labels each cover relation by the
 first atom entering the upper flat (atoms ordered by their smallest new
 element).  Summing a gamma-shaped weight over maximal chains whose label
@@ -165,10 +165,6 @@ class Matroid:
     def is_loopless(self) -> bool:
         return not self.loops()
 
-    def dual(self) -> "Matroid":
-        full = self.full_mask
-        return Matroid(self.n, (full ^ b for b in self.bases), validate=False)
-
     def girth(self) -> int | float:
         """Size of the smallest dependent set; inf when everything is independent."""
         rank = self._rank
@@ -206,8 +202,10 @@ def matroid_from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
 
 
 def uniform(k: int, n: int) -> Matroid:
-    """All k-subsets of {1..n} as bases; n is checked before C(n, k) sets are
-    listed."""
+    """All k-subsets of {1..n} as bases; k and n are checked before C(n, k)
+    sets are listed."""
+    if not (_is_int(k) and _is_int(n)):
+        raise MatroidError(f"uniform matroid needs int k and n, got k={k!r}, n={n!r}")
     if not 0 <= k <= n <= MAX_GROUND:
         raise MatroidError(
             f"uniform matroid needs 0 <= k <= n <= {MAX_GROUND}, got k={k}, n={n}"

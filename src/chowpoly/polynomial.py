@@ -160,21 +160,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "UniPoly":
-        if e < 0:
-            raise ValueError(f"negative exponent {e}")
-        result = UniPoly.one()
-        for _ in range(e):
-            result = result * self
-        return result
-
-    def is_palindromic(self, d: int) -> bool:
-        """True if the coefficient vector padded to degree d reads the same reversed."""
-        if self.degree > d:
-            return False
-        padded = list(self.coeffs) + [0] * (d + 1 - len(self.coeffs))
-        return padded == padded[::-1]
-
     def render(self) -> str:
         """Human-readable form like ``1 + 11*x + x^2``; unit coefficients are elided."""
         return _join_terms(

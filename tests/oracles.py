@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Iterable, Iterator
 
-from chowpoly import ResourceLimitError, SchubertSpec, UniPoly, schubert_matroid
+from chowpoly import Matroid, ResourceLimitError, SchubertSpec, UniPoly, schubert_matroid
 
 
 def brute_descents(seq) -> tuple[int, ...]:
@@ -267,6 +267,13 @@ def schubert_fingerprints(n: int, k: int) -> dict[tuple, int]:
             bases = schubert_matroid(SchubertSpec(n, idx, perm), validate=False).bases
             out[idx, perm] = brute_fingerprint(bases)
     return out
+
+
+def brute_dual(matroid: Matroid) -> Matroid:
+    """The dual matroid: the complements of the bases, with the rank axioms
+    checked on them."""
+    full = (1 << matroid.n) - 1
+    return Matroid(matroid.n, [full ^ b for b in matroid.bases])
 
 
 def brute_loops_and_cogirth(masks, n: int) -> tuple[int, int]:

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import chowpoly
 from chowpoly import (
@@ -20,6 +22,8 @@ from chowpoly import (
     uniform,
 )
 from chowpoly.cli import main
+from chowpoly.matroid import MAX_GROUND
+from chowpoly.schubert import MAX_EXHAUSTIVE_N
 
 
 def run(capsys, *argv):
@@ -603,3 +607,64 @@ def test_coefficients_up_to_the_digit_bound_are_admitted(capsys, monkeypatch):
         p = forms.closed_form(12, big, method)
         longest = max(c.bit_length() for c in p)
         assert 4300 * 3.33 < longest <= 12 * (big.bit_length() + 1), method
+
+
+# small values, each bound of the CLI with its two neighbours, and one value
+# past every bound
+SIZES = st.one_of(
+    st.integers(-1, 10),
+    st.sampled_from([
+        b + d
+        for b in (MAX_EXHAUSTIVE_N, MAX_GROUND, forms.EXPONENTIAL_RANK_MAX, forms.RANK_MAX)
+        for d in (-1, 0, 1)
+    ]),
+    st.just(10**400),
+)
+
+
+@st.composite
+def parsed_argvs(draw):
+    """An argument list the parser accepts, drawn from its own commands,
+    choices and flags; a sequences range has fewer than 20 rows."""
+    commands = next(a for a in cli._parser()._actions if a.dest == "command").choices
+    command = draw(st.sampled_from(sorted(commands)))
+    argv, drawn = [command], {}
+    for action in commands[command]._actions:
+        flag = action.option_strings[-1]
+        if action.dest in ("help", "input", "output"):
+            continue  # the matroid tests read and write the files
+        if action.dest == "uniform":
+            argv.append(flag)  # one of --uniform and --input is required
+        elif action.nargs == 0:
+            argv += [flag] * draw(st.booleans())
+        elif action.dest == "n_to":
+            argv += [flag, str(drawn["n_from"] + draw(st.integers(-1, 18)))]
+        elif action.required or draw(st.booleans()):
+            values = SIZES if action.choices is None else st.sampled_from(action.choices)
+            drawn[action.dest] = draw(values)
+            argv += [flag, str(drawn[action.dest])]
+    return argv
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=parsed_argvs())
+@example(argv=["compute", "--k", HUGE_N, "--n", HUGE_N])  # once a float overflow
+@example(argv=["sequences", "--coeff", "1", "--k", HUGE_N, "--n-from", HUGE_N, "--n-to", HUGE_N])
+def test_every_parsed_argv_ends_in_an_exit_code_or_a_form(capsys, no_form_work, argv):
+    try:
+        code = main(argv)
+    except AssertionError as exc:
+        # the checks admitted the arguments and a stubbed form started
+        assert str(exc) == "work started before the rank was checked", argv
+        return
+    finally:
+        out, err = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out == "", argv
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)

@@ -188,8 +188,6 @@ def test_degree_palindromicity_constant_term():
             assert chow.degree == k - 1
             assert aug.degree == k
             assert chow[0] == 1 and aug[0] == 1
-            assert chow.is_palindromic(k - 1)
-            assert aug.is_palindromic(k)
             assert all(g >= 0 for g in gamma_vector(chow, k - 1))
             assert all(g >= 0 for g in gamma_vector(aug, k))
 
@@ -263,7 +261,7 @@ def test_coefficients_beyond_64_bit_stay_exact():
     s = closed_form(16, 30, "gamma_perm")
     assert p == q == r == s
     assert max(p.coeffs) > 2**63
-    assert p.is_palindromic(15)
+    gamma_vector(p, 15)  # raises unless palindromic
 
 
 @pytest.mark.parametrize(
@@ -279,7 +277,7 @@ def test_each_row_is_bounded_by_its_growth(multivariate, name):
     table = forms._BASES if multivariate else forms._FORMS
     compute = multivariate_closed_form if multivariate else closed_form
     if not table[name].exponential:
-        assert compute(k, k, name).is_palindromic(k - 1)
+        gamma_vector(compute(k, k, name), k - 1)  # raises unless palindromic
         return
     with pytest.raises(ValueError) as info:
         compute(k, k, name)

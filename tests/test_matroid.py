@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 from copy import deepcopy
 from functools import cached_property
 from itertools import combinations
@@ -17,7 +18,6 @@ from chowpoly import (
     chain_chow,
     chain_chow_multivariate,
     closed_form,
-    descent_set,
     flats_lattice,
     matroid_from_bases,
     matroid_from_json,
@@ -31,6 +31,8 @@ from chowpoly.matroid import _build_lattice, _chain_descent_weights, elements_of
 from chowpoly.polynomial import UniPoly
 from tests.oracles import (
     brute_chain_descent_weights,
+    brute_descents,
+    brute_dual,
     brute_loops_and_cogirth,
     brute_satisfies_exchange,
     by_mask,
@@ -119,6 +121,15 @@ def test_uniform_refuses_large_ground_sets_before_listing_bases(monkeypatch):
             uniform(k, n)
 
 
+@pytest.mark.parametrize("k, n", [(True, 3), (2.0, 3), (2, 3.0), (2, None), ("2", 3), (1, False)])
+def test_uniform_refuses_an_argument_that_is_not_an_int(monkeypatch, k, n):
+    # a bool is refused too, though True <= 3 would pass the range check
+    monkeypatch.setattr("chowpoly.matroid.combinations", None)
+    message = f"uniform matroid needs int k and n, got k={k!r}, n={n!r}"
+    with pytest.raises(MatroidError, match=f"^{re.escape(message)}$"):
+        uniform(k, n)
+
+
 @st.composite
 def equal_size_families(draw):
     # a random family of k-subsets, or a Schubert matroid's bases with one
@@ -180,17 +191,18 @@ def test_invariants_record():
     assert m.rank == 2
     assert m.loops() == () and m.coloops() == ()
     assert m.girth() == 3 and m.cogirth() == 3
-    assert m.dual() == uniform(2, 4)
+    assert brute_dual(m) == uniform(2, 4)
 
 
 def test_duality_involution():
     mats = [uniform(k, n) for n in range(1, 6) for k in range(0, n + 1)]
     mats.append(matroid_from_bases(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]))
     for m in mats:
-        assert m.dual().dual() == m
-        assert m.dual().rank == m.n - m.rank
-        assert m.cogirth() == m.dual().girth()
-        assert m.loops() == m.dual().coloops()
+        dual = brute_dual(m)
+        assert brute_dual(dual) == m
+        assert dual.rank == m.n - m.rank
+        assert m.cogirth() == dual.girth()
+        assert m.loops() == dual.coloops()
 
 
 def test_flats_of_uniform():
@@ -488,7 +500,7 @@ def test_descents_of_labels_well_defined():
     m = matroid_from_bases(3, [(1, 2), (1, 3)])
     for labels in _label_sequences(flats_lattice(m)):
         assert len(set(labels)) == len(labels)
-        descent_set(labels)
+        brute_descents(labels)
 
 
 def test_json_roundtrip():
@@ -523,7 +535,7 @@ def test_rank_table_invariants_match_brute_scans(m):
         loops, cogirth = brute_loops_and_cogirth(matroid.bases, matroid.n)
         return loops, INFINITY if cogirth == -1 else cogirth
 
-    dual = m.dual()
+    dual = brute_dual(m)
     assert (len(m.loops()), m.cogirth()) == brute(m)
     assert (len(m.coloops()), m.girth()) == brute(dual)
     assert m.cogirth() == dual.girth() and m.girth() == dual.cogirth()
@@ -539,8 +551,11 @@ def test_package_exports():
         "LabeledChain",
         "MatroidInvariants",
         "chain_label_sequences",
+        "descent_count",
+        "descent_set",
         "labeled_chains",
         "matroid_invariants",
+        "nc_subsets",
         "r_label",
     }
     assert not removed & set(chowpoly.__all__)
