@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterator
 
 from . import __version__
 from .forms import (
@@ -33,7 +34,7 @@ from .matroid import (
     matroid_to_json,
     uniform,
 )
-from .polynomial import SqfMultiPoly, UniPoly
+from .polynomial import SqfMultiPoly, UniPoly, _show_int
 from .schubert import (
     census,
     census_matches_formula,
@@ -111,16 +112,33 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _print_json(payload: dict) -> None:
+    _write_json(payload)
+    sys.stdout.write("\n")
+
+
+def _write_json(value) -> None:
+    """Write ``json.dumps`` of ``value`` with each polynomial in place of its
+    ``to_json()`` to stdout, a multivariate one term by term, so that no
+    string of all its terms is built.  Dict keys must be strings."""
     # no indent: the C encoder runs, several times faster on big payloads
-    print(json.dumps(payload))
+    if isinstance(value, dict):
+        sys.stdout.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            sys.stdout.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write_json(item)
+        sys.stdout.write("}")
+    elif isinstance(value, SqfMultiPoly):
+        sys.stdout.writelines(value.json_pieces())
+    else:
+        sys.stdout.write(json.dumps(value.to_json() if isinstance(value, UniPoly) else value))
 
 
-def _poly_terms_csv(label: str, poly: UniPoly) -> list[str]:
-    return [f"{label},{i},{c}" for i, c in enumerate(poly.coeffs)]
+def _poly_terms_csv(label: str, poly: UniPoly) -> Iterator[str]:
+    return (f"{label},{i},{c}\n" for i, c in enumerate(poly.coeffs))
 
 
-def _multipoly_terms_csv(label: str, poly: SqfMultiPoly) -> list[str]:
-    return [f"{label},{' '.join(map(str, k)) or '-'},{c}" for k, c in poly.sorted_terms()]
+def _multipoly_terms_csv(label: str, poly: SqfMultiPoly) -> Iterator[str]:
+    return (f"{label},{' '.join(k) or '-'},{c}\n" for k, c in poly.labelled_terms(str))
 
 
 def _cmd_compute(args) -> int:
@@ -147,7 +165,7 @@ def _cmd_compute(args) -> int:
             "n": args.n,
             "augmented": augmented,
             "multivariate": args.multivariate,
-            "results": {m: p.to_json() for m, p in results.items()},
+            "results": results,
         }
         if len(results) > 1:
             payload["agree"] = difference is None
@@ -156,7 +174,7 @@ def _cmd_compute(args) -> int:
         print(f"method,{'variables' if args.multivariate else 'power'},coefficient")
         rows = _multipoly_terms_csv if args.multivariate else _poly_terms_csv
         for m, p in results.items():
-            print("\n".join(rows(m, p)))
+            sys.stdout.writelines(rows(m, p))
     else:
         for m, p in results.items():
             print(f"{m}: {p.render()}")
@@ -167,7 +185,7 @@ def _cmd_compute(args) -> int:
 
 def _first_difference(results: dict) -> str | None:
     """None if every result equals the first; else the variables, or the first
-    coefficient in ``sorted_terms`` order, where the first that differs leaves it."""
+    coefficient in ``monomials`` order, where the first that differs leaves it."""
     (ref_name, ref), *rest = results.items()
     for name, got in rest:
         if got == ref:
@@ -270,7 +288,7 @@ def _cmd_sequences(args) -> int:
     if args.n_to - args.n_from >= SEQUENCES_MAX_ROWS:
         raise ValueError(
             f"sequences is capped at {SEQUENCES_MAX_ROWS} values of n, "
-            f"got {args.n_to - args.n_from + 1}"
+            f"got {_show_int(args.n_to - args.n_from + 1)}"
         )
     rows = [
         (n, coefficient_formula(args.k, n, args.coeff, args.augmented))

@@ -43,6 +43,7 @@ from .polynomial import (
     SqfMultiPoly,
     UniPoly,
     _is_int,
+    _show_int,
     expand_run_minima,
     gamma_reconstruct,
     gamma_reconstruct_multivariate,
@@ -72,7 +73,9 @@ def _check_domain(k: int, n: int, augmented: bool) -> None:
             if k == 0 and not augmented
             else ""
         )
-        raise ValueError(f"rank k={k} out of domain {lower} <= k <= n for n={n}{note}")
+        raise ValueError(
+            f"rank k={_show_int(k)} out of domain {lower} <= k <= n for n={_show_int(n)}{note}"
+        )
     # Each coefficient sums at most 2^k gap multinomials below n^k, so it has
     # at most k * (n.bit_length() + 1) bits; a limit of 0 admits any length.
     # The bits times log10(2) are taken in ints: a float overflows past 2^1024.
@@ -80,7 +83,8 @@ def _check_domain(k: int, n: int, augmented: bool) -> None:
     digits = k * (n.bit_length() + 1) * 3010299956639812 // 10**16 + 1
     if 0 < limit < digits:
         raise ValueError(
-            f"coefficients at k={k} and a {n.bit_length()}-bit n can have {digits} digits, "
+            f"coefficients at k={_show_int(k)} and a {n.bit_length()}-bit n can have "
+            f"{_show_int(digits)} digits, "
             f"more than the {limit} that Python converts to a string"
         )
 
@@ -90,10 +94,10 @@ def _check_rank(form: str, k: int, exponential: bool) -> None:
         *most, last = (name for name, row in _FORMS.items() if not row.exponential)
         raise ValueError(
             f"the {form} form is exponential in k and capped at k <= {EXPONENTIAL_RANK_MAX}, "
-            f"got k={k}; use {', '.join(most)} or {last}"
+            f"got k={_show_int(k)}; use {', '.join(most)} or {last}"
         )
     if k > RANK_MAX:
-        raise ValueError(f"{form} is capped at rank k <= {RANK_MAX}, got k={k}")
+        raise ValueError(f"{form} is capped at rank k <= {RANK_MAX}, got k={_show_int(k)}")
 
 
 def _monomial_form(k: int, n: int, augmented: bool) -> UniPoly:

@@ -30,7 +30,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .polynomial import SqfMultiPoly, UniPoly, _is_int
+from .polynomial import SqfMultiPoly, UniPoly, _is_int, _show_int
 from .polynomial import gamma_reconstruct, gamma_reconstruct_multivariate
 
 INFINITY = float("inf")
@@ -64,7 +64,7 @@ class Matroid:
         if not _is_int(n):
             raise MatroidError(f"ground size {n!r} is not an int")
         if not 0 <= n <= MAX_GROUND:
-            raise MatroidError(f"ground size {n} not in 0..{MAX_GROUND}")
+            raise MatroidError(f"ground size {_show_int(n)} not in 0..{MAX_GROUND}")
         self.n = n
         bases = tuple(bases)
         for b in bases:
@@ -208,7 +208,8 @@ def uniform(k: int, n: int) -> Matroid:
         raise MatroidError(f"uniform matroid needs int k and n, got k={k!r}, n={n!r}")
     if not 0 <= k <= n <= MAX_GROUND:
         raise MatroidError(
-            f"uniform matroid needs 0 <= k <= n <= {MAX_GROUND}, got k={k}, n={n}"
+            f"uniform matroid needs 0 <= k <= n <= {MAX_GROUND}, "
+            f"got k={_show_int(k)}, n={_show_int(n)}"
         )
     masks = [mask_of(c, n) for c in combinations(range(1, n + 1), k)]
     return Matroid(n, masks, validate=False)

@@ -11,18 +11,21 @@ Two representations are provided:
   most MAX_VARIABLES, stored as a coefficient tuple whose entry q is the
   monomial over the x_{lo+i} with bit i of q set; entry 0 is the constant
   term.  Each key of a dict it is built from is checked to be in range and
-  squarefree.  It has no arithmetic: the multivariate formulas of this
-  package fill one coefficient per subset of the range (``from_dense``),
-  then compare, specialize, render or serialize the result.
+  squarefree.  Its ``terms`` are a read-only ``TermsView`` over that tuple,
+  which builds the index tuple of a term only when a walk reaches it.  It
+  has no arithmetic: the multivariate formulas of this package fill one
+  coefficient per subset of the range (``from_dense``), then compare,
+  specialize, render or serialize the result.
 
 All coefficients are Python ints, so results are exact at any size.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 # Widest range of a SqfMultiPoly, which stores 2^width coefficients: every
 # basis (k <= EXPONENTIAL_RANK_MAX) and chain oracle (rank <= MAX_GROUND) fits.
@@ -196,7 +199,7 @@ class SqfMultiPoly:
 
     __slots__ = ("var_range", "coeffs")
 
-    def __init__(self, var_range: tuple[int, int], terms: dict | None = None):
+    def __init__(self, var_range: tuple[int, int], terms: Mapping | None = None):
         lo, hi = var_range
         dense = [0] * (1 << _range_width(lo, hi))
         for key, coeff in (terms or {}).items():
@@ -227,9 +230,10 @@ class SqfMultiPoly:
         return poly
 
     @property
-    def terms(self) -> dict[tuple[int, ...], int]:
-        """A new {index tuple: coefficient} dict of the nonzero terms."""
-        return dict(self.sorted_terms())
+    def terms(self) -> "TermsView":
+        """Read-only {index tuple: coefficient} view of the nonzero terms, in
+        the order of ``monomials``."""
+        return TermsView(self)
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -258,11 +262,6 @@ class SqfMultiPoly:
             for d in range(len(labels) + 1)
         )
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """The nonzero terms in the order of ``monomials``."""
-        cs = self.coeffs
-        return [(key, cs[q]) for key, q in self.monomials() if cs[q]]
-
     def specialize(self) -> UniPoly:
         """Set every variable to a common x: a monomial over an index set of
         size d collapses to x**d, and coefficients of equal degree add up."""
@@ -271,12 +270,18 @@ class SqfMultiPoly:
             out[q.bit_count()] += c
         return UniPoly(out)
 
+    def labelled_terms(self, label: Callable[[int], str]) -> Iterator[tuple[tuple[str, ...], int]]:
+        """(labels of the variables, coefficient) of each nonzero term, in the
+        order of ``monomials``; ``label(i)`` names x_i and is called once per
+        variable, not once per term."""
+        lo, cs = self.var_range[0], self.coeffs
+        names = [label(i) for i in range(lo, lo + len(cs).bit_length() - 1)]
+        return ((k, cs[q]) for k, q in self._walk(names) if cs[q])
+
     def render(self) -> str:
         """Human-readable form like ``1 + 2*x1 + x1*x2``, in the order of
-        ``sorted_terms``; unit coefficients are elided."""
-        lo, cs = self.var_range[0], self.coeffs
-        names = [f"x{i}" for i in range(lo, lo + len(cs).bit_length() - 1)]
-        return _join_terms(("*".join(k), cs[q]) for k, q in self._walk(names) if cs[q])
+        ``monomials``; unit coefficients are elided."""
+        return _join_terms(("*".join(k), c) for k, c in self.labelled_terms("x{}".format))
 
     def __repr__(self) -> str:
         return f"SqfMultiPoly({self.var_range}, {self.render()})"
@@ -284,10 +289,19 @@ class SqfMultiPoly:
     def to_json(self) -> dict:
         return {
             "vars": [self.var_range[0], self.var_range[1]],
-            "terms": [
-                {"vars": list(k), "coeff": str(c)} for k, c in self.sorted_terms()
-            ],
+            "terms": [{"vars": list(k), "coeff": str(c)} for k, c in self.terms.items()],
         }
+
+    def json_pieces(self) -> Iterator[str]:
+        """The text of ``json.dumps(self.to_json())``, one piece per term, so
+        that a writer never holds the whole document."""
+        lo, hi = self.var_range
+        yield f'{{"vars": [{lo}, {hi}], "terms": ['
+        sep = ""
+        for k, c in self.labelled_terms(str):
+            yield f'{sep}{{"vars": [{", ".join(k)}], "coeff": "{c}"}}'
+            sep = ", "
+        yield "]}"
 
     @classmethod
     def from_json(cls, data: dict) -> "SqfMultiPoly":
@@ -304,6 +318,82 @@ class SqfMultiPoly:
         return cls((lo, hi), terms)
 
 
+class TermsView(Mapping):
+    """The nonzero terms of a SqfMultiPoly as a read-only {index tuple:
+    coefficient} mapping, in the order of ``monomials``.
+
+    It holds only the polynomial: a walk builds each key as it reaches it,
+    and a lookup maps the key to its position in ``coeffs``.  A key that is
+    not a strictly increasing tuple of variables of the range, or whose
+    coefficient is 0, is a KeyError.  It compares equal to any mapping with
+    the same items, a dict included.
+    """
+
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: SqfMultiPoly):
+        self.poly = poly
+
+    def __getitem__(self, key: tuple[int, ...]) -> int:
+        lo, cs = self.poly.var_range[0], self.poly.coeffs
+        end, last, q = lo + len(cs).bit_length() - 1, lo - 1, 0
+        if isinstance(key, tuple):
+            for v in key:
+                if not (isinstance(v, int) and last < v < end):
+                    break
+                last, q = v, q | 1 << (v - lo)
+            else:
+                if cs[q]:
+                    return cs[q]
+        raise KeyError(key)
+
+    def __len__(self) -> int:
+        cs = self.poly.coeffs
+        return len(cs) - cs.count(0)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return (k for k, _ in self.items())
+
+    def items(self) -> ItemsView:
+        return _TermItems(self)
+
+    def values(self) -> ValuesView:
+        return _TermValues(self)
+
+    def __eq__(self, other: object) -> bool:
+        # Mapping.__eq__ would build a dict of each side
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        missing = object()
+        return len(self) == len(other) and all(
+            other.get(k, missing) == c for k, c in self.items()
+        )
+
+    def __repr__(self) -> str:
+        return f"TermsView({self.poly!r})"
+
+
+class _TermItems(ItemsView):
+    """``TermsView.items()``: one walk of ``monomials``, no lookups; the
+    keys and the values of the view are taken from it."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        poly = self._mapping.poly
+        cs = poly.coeffs
+        return ((k, cs[q]) for k, q in poly.monomials() if cs[q])
+
+
+class _TermValues(ValuesView):
+    """``TermsView.values()``: the coefficients in the order of the keys."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[int]:
+        return (c for _, c in self._mapping.items())
+
+
 def _range_width(lo: int, hi: int) -> int:
     """Number of variables in x_lo..x_hi; more than MAX_VARIABLES is a ValueError."""
     width = max(hi - lo + 1, 0)
@@ -314,6 +404,19 @@ def _range_width(lo: int, hi: int) -> int:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _show_int(value: int) -> str:
+    """``value`` in decimal for an error message, or its digit count past 20
+    digits: a 400-digit argument would otherwise fill the message, and past
+    ``sys.get_int_max_str_digits()`` it has no decimal form at all."""
+    size = abs(value)
+    if size < 10**20:
+        return str(value)
+    digits = (size.bit_length() - 1) * 3010299956639812 // 10**16  # a lower bound
+    while 10**digits <= size:
+        digits += 1
+    return f"{'-' if value < 0 else ''}<{digits}-digit int>"
 
 
 def _json_int(value) -> int:

@@ -32,7 +32,7 @@ from . import kernels
 from .combinat import delta_multinomial
 from .forms import closed_form
 from .matroid import INFINITY, Matroid, mask_of
-from .polynomial import _is_int, _json_int
+from .polynomial import _is_int, _json_int, _show_int
 
 # Largest ground size for ``census`` and the CLI ``oracle``: census(8) takes
 # about 0.02 s and 15 MB of peak RSS, census(9) about 0.10 s and 17 MB
@@ -50,7 +50,7 @@ def check_ground_size(operation: str, n: int) -> None:
     exceeds MAX_EXHAUSTIVE_N."""
     if n > MAX_EXHAUSTIVE_N:
         raise ResourceLimitError(
-            f"{operation}(n={n}) exceeds the resource guard n <= {MAX_EXHAUSTIVE_N}"
+            f"{operation}(n={_show_int(n)}) exceeds the resource guard n <= {MAX_EXHAUSTIVE_N}"
         )
 
 

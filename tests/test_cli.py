@@ -24,6 +24,7 @@ from chowpoly import (
 from chowpoly.cli import main
 from chowpoly.matroid import MAX_GROUND
 from chowpoly.schubert import MAX_EXHAUSTIVE_N
+from tests.oracles import brute_sorted_terms, brute_subsets
 
 
 def run(capsys, *argv):
@@ -193,6 +194,49 @@ def test_compute_csv(capsys):
     assert out.splitlines() == ["method,variables,coefficient"] + [
         f"{basis},{term}" for basis in ("monomial", "gamma") for term in terms
     ]
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+@pytest.mark.parametrize("method", ["all", *forms.MULTIVARIATE_BASES])
+def test_multivariate_writers_match_the_payload_and_the_brute_terms(capsys, method, augmented):
+    bases = forms.MULTIVARIATE_BASES if method == "all" else (method,)
+    flag = ["--augmented"] if augmented else []
+    for k in range(0 if augmented else 1, 13):
+        n = k + k % 3
+        argv = ["compute", "--k", str(k), "--n", str(n), "--multivariate", "--method", method]
+        results = {b: multivariate_closed_form(k, n, b, augmented) for b in bases}
+        payload = {
+            "k": k,
+            "n": n,
+            "augmented": augmented,
+            "multivariate": True,
+            "results": {b: p.to_json() for b, p in results.items()},
+        }
+        if method == "all":
+            payload["agree"] = True
+        assert run(capsys, *argv, *flag, "--format", "json") == (0, json.dumps(payload) + "\n", "")
+        lines = ["method,variables,coefficient"]
+        for b, p in results.items():
+            brute = dict(zip(brute_subsets(*p.var_range), p.coeffs))
+            lines += [
+                f"{b},{' '.join(map(str, key)) or '-'},{c}" for key, c in brute_sorted_terms(brute)
+            ]
+        assert run(capsys, *argv, *flag, "--format", "csv") == (0, "\n".join(lines) + "\n", "")
+
+
+def test_univariate_json_matches_the_payload(capsys):
+    for k in range(1, 13):
+        results = {m: forms.closed_form(k, 2 * k, m) for m in forms.METHODS}
+        payload = {
+            "k": k,
+            "n": 2 * k,
+            "augmented": False,
+            "multivariate": False,
+            "results": {m: p.to_json() for m, p in results.items()},
+            "agree": True,
+        }
+        argv = ["compute", "--k", str(k), "--n", str(2 * k), "--format", "json"]
+        assert run(capsys, *argv) == (0, json.dumps(payload) + "\n", "")
 
 
 def test_oracle_equal(capsys):
@@ -594,6 +638,28 @@ def test_coefficients_too_long_to_print_are_refused_first(
     ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        f"compute --k {HUGE_N} --n {HUGE_N}",
+        f"sequences --coeff 2 --k {HUGE_N} --n-from {HUGE_N} --n-to {HUGE_N}",
+        f"compute --k {HUGE_N} --n 5",
+        f"oracle --k {HUGE_N} --n {HUGE_N}",
+        f"census --n {HUGE_N}",
+        f"matroid --uniform --k {HUGE_N} --n {HUGE_N}",
+        f"sequences --coeff 2 --k 1 --n-from 1 --n-to {HUGE_N}",
+    ],
+    ids=["compute", "sequences", "compute-small-n", "oracle", "census", "matroid", "rows"],
+)
+def test_refusals_of_huge_arguments_are_short(capsys, monkeypatch, no_form_work, argv):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    # each 401-digit argument is shown by its digit count
+    assert line.startswith("error: ") and "<401-digit int>" in line and len(line) < 200, line
+
+
 def test_coefficients_up_to_the_digit_bound_are_admitted(capsys, monkeypatch):
     # 10^300 has 997 bits: 12 * 998 bits make at most 3605 digits
     n = str(10**300)
@@ -668,3 +734,4 @@ def test_every_parsed_argv_ends_in_an_exit_code_or_a_form(capsys, no_form_work, 
         assert out == "", argv
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+        assert len(lines[0]) < 200, (argv, err)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -116,13 +117,75 @@ def test_dense_terms_order_and_round_trips(case):
     var_range, coeffs = case
     terms = dict(zip(brute_subsets(*var_range), coeffs))
     poly = SqfMultiPoly(var_range, terms)
-    assert poly.sorted_terms() == brute_sorted_terms(terms)
+    assert list(poly.terms.items()) == brute_sorted_terms(terms)
     assert poly.terms == {k: c for k, c in terms.items() if c}
     assert all(poly.terms.values())
     dense = SqfMultiPoly.from_dense(var_range, poly.coeffs)
     back = SqfMultiPoly.from_json(json.loads(json.dumps(dense.to_json())))
+    assert "".join(poly.json_pieces()) == json.dumps(poly.to_json())
     assert back == dense == poly and hash(back) == hash(poly)
     assert back.to_json() == poly.to_json()
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_coefficients(), st.data())
+def test_terms_view_matches_the_brute_dict(case, data):
+    var_range, coeffs = case
+    brute = dict(zip(brute_subsets(*var_range), coeffs))
+    nonzero = {k: c for k, c in brute.items() if c}
+    poly = SqfMultiPoly.from_dense(var_range, coeffs)
+    view = poly.terms
+    assert view == nonzero and nonzero == view
+    assert not view != nonzero and not nonzero != view
+    assert len(view) == len(nonzero)
+    assert list(view.items()) == brute_sorted_terms(brute)
+    assert list(view) == list(view.keys()) == [k for k, _ in brute_sorted_terms(brute)]
+    assert list(view.values()) == [c for _, c in brute_sorted_terms(brute)]
+    for key, c in brute.items():
+        assert (key in view) == (c != 0) == ((key, c) in view.items())
+        assert view.get(key) == (c or None)
+        if c:
+            assert view[key] == c
+        else:
+            with pytest.raises(KeyError):
+                view[key]
+    lo, hi = var_range
+    bad = [(lo - 1,), (hi + 1,), (lo, lo), [lo], lo, "x"]
+    bad += [key[::-1] for key in brute if len(key) > 1]
+    bad += [key + key[-1:] for key in brute if key]
+    for key in bad:
+        assert key not in view and view.get(key, "absent") == "absent"
+        with pytest.raises(KeyError):
+            view[key]
+    with pytest.raises(TypeError):
+        view[()] = 1
+    with pytest.raises(TypeError):
+        del view[()]
+    assert SqfMultiPoly(var_range, view) == poly
+    # a dict that differs in one value, lacks one key or has one more
+    if nonzero:
+        key = data.draw(st.sampled_from(sorted(nonzero)))
+        assert view != {**nonzero, key: nonzero[key] + 1}
+        assert view != {k: c for k, c in nonzero.items() if k != key}
+    zeros = [k for k, c in brute.items() if not c]
+    if zeros:
+        assert view != {**nonzero, data.draw(st.sampled_from(zeros)): 1}
+
+
+def test_terms_walk_builds_no_copy():
+    poly = multivariate_closed_form(16, 30, "gamma", True)
+    tracemalloc.start()
+    try:
+        for _ in poly.terms.items():
+            pass
+        assert len(poly.terms) == 2**16 and poly.terms == poly.terms
+        for _ in poly.json_pieces():
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dict of the 2^16 terms with their key tuples takes about 14 MB
+    assert peak < 1 << 20
 
 
 def test_variable_range_is_bounded():
