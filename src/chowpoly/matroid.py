@@ -6,18 +6,20 @@ masks and one table holding the rank of every subset, its largest
 intersection with a basis.  Construction checks the rank axioms on that
 table, for every n, so the given sets are the bases of a matroid.
 
-Besides the usual invariants (loops, coloops, girth, cogirth), the
-module builds the lattice of flats and labels each cover relation by the
-first atom entering the upper flat (atoms ordered by their smallest new
-element).  Summing a gamma-shaped weight over maximal chains whose label
-sequence has no two consecutive descents yields the Chow and augmented Chow
-polynomials of the matroid; this is the package's chain oracle against the
-closed forms for uniform matroids.  The oracle counts those chains by their
-descent sets with a transfer count over the flats in rank order, so its cost
-grows with the lattice (at most 2^n flats), not with the number of maximal
-chains; ``tests/oracles.py`` holds the chain-by-chain walk and tally it
-replaces.  Each matroid builds its lattice once, on first use, and the
-lattice counts its chains once, under the augmented rules; the plain
+Besides the usual invariants (loops, coloops, girth, cogirth), the module
+builds the lattice of flats and labels each cover relation by the first atom
+entering the upper flat (atoms ordered by their smallest new element).
+Summing a gamma-shaped weight over maximal chains whose label sequence has
+no two consecutive descents yields the Chow and augmented Chow polynomials
+of the matroid; this is the package's chain oracle against the closed forms
+for uniform matroids.  The lattice grows up from the bottom flat, a flat's
+covers being the closures of its new elements, and the oracle counts the
+chains by descent set over the flats in rank order, with one packed int per
+flat and last label.  So its cost grows with the covers (at most 2^n flats),
+not with the maximal chains, nor with descent sets times covers;
+``tests/oracles.py`` builds the lattice from the definitions and holds the
+chain-by-chain tally.  Each matroid builds its lattice once, on first use,
+and the lattice counts its chains once, under the augmented rules; the plain
 polynomial keeps the descent sets without position 1.  Both are shared by
 every later call on the same matroid, so the lattice exposes read-only
 mappings.
@@ -26,7 +28,8 @@ mappings.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import factorial
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -36,6 +39,10 @@ from .polynomial import gamma_reconstruct, gamma_reconstruct_multivariate
 INFINITY = float("inf")
 
 MAX_GROUND = 16
+
+# bits per descent-set count in ``FlatLattice.admissible_chains``: a count
+# never exceeds MAX_GROUND!
+SLOT = factorial(MAX_GROUND).bit_length()
 
 
 class MatroidError(ValueError):
@@ -93,20 +100,28 @@ class Matroid:
 
         The subsets of bases are independent and get their size, marked down
         from the bases; every other set has the largest rank among its
-        one-smaller subsets.
+        one-smaller subsets.  Both passes walk the set bits of each set.
         """
-        n = self.n
-        rank = [-1] * (1 << n)
+        rank = [-1] * (1 << self.n)
         for b in self.bases:
             rank[b] = self.rank
         for s in range(len(rank) - 1, 0, -1):  # supersets come first
-            if rank[s] > 0:
-                for i in range(n):
-                    if s >> i & 1:
-                        rank[s ^ 1 << i] = rank[s] - 1
+            r = rank[s] - 1
+            if r >= 0:
+                rest = s
+                while rest:
+                    bit = rest & -rest
+                    rank[s ^ bit] = r
+                    rest ^= bit
         for s in range(1, len(rank)):
             if rank[s] < 0:
-                rank[s] = max(rank[s ^ 1 << i] for i in range(n) if s >> i & 1)
+                best, rest = 0, s
+                while rest:
+                    bit = rest & -rest
+                    if rank[s ^ bit] > best:
+                        best = rank[s ^ bit]
+                    rest ^= bit
+                rank[s] = best
         return rank
 
     @cached_property
@@ -250,42 +265,61 @@ class FlatLattice(_FlatLatticeFields):
         raise AttributeError(f"cannot assign {name!r} of a shared FlatLattice")
 
     def maximal_chain_count(self) -> int:
-        counts = {self.bottom: 1}
+        counts = dict.fromkeys(self.flats, 0)
+        counts[self.bottom] = 1
         for f in self.flats:  # sorted by rank, so predecessors come first
+            here = counts[f]
             for g, _ in self.covers[f]:
-                counts[g] = counts.get(g, 0) + counts[f]
+                counts[g] += here
         return counts[self.top]
 
     @cached_property
     def admissible_chains(self) -> Mapping[int, int]:
         """Number of maximal chains with each descent set, as a bitmask (bit i
         for position i), among the chains whose label sequence has no two
-        consecutive descents.
+        consecutive descents; in ascending order of the masks.
 
-        A transfer count over the flats in rank order: ``states[f]`` maps
-        (label of the last cover, bitmask of descent positions) to the number
-        of chains from the bottom to f.  A step whose descent would follow
-        another descent is dropped where it happens, so no extension of it is
-        ever visited.
+        A transfer count over the flats in rank order.  ``rows[f][last]``
+        packs, for the chains from the bottom to f whose last label is
+        ``last``, the count of each admissible descent set in a slot of
+        ``SLOT`` bits.  The slots take the sets over positions 1..t in
+        Fibonacci order (those over 1..t-1, then those over 1..t-2 plus t),
+        which is ascending order.  An ascent keeps the int; a descent at
+        position p keeps the first Fib(p) slots (the sets without p - 1) and
+        shifts them up by Fib(p + 1) slots (past the sets without p).  With
+        prefix sums over the last labels, a cover costs one add, one AND and
+        one shift.  A slot counts distinct chains, each fixed by the smallest
+        new element of each of its covers, so it holds at most n! <= 16! <
+        2^SLOT; and a prefix sum lies slot by slot below the full sum, so
+        their difference borrows across no slot.
         """
-        states: dict[int, dict[tuple[int, int], int]] = {self.bottom: {(0, 0): 1}}
+        covers, flat_rank, top = self.covers, self.flat_rank, self.top
+        blank = [0] * (len(covers[self.bottom]) + 1)  # one entry per atom, and 0
+        rows = {self.bottom: [1] + blank[1:]}  # the empty chain: no label, no descent
+        fib = [0, 1]
+        while len(fib) <= self.rank + 1:
+            fib.append(fib[-1] + fib[-2])
         for f in self.flats:  # sorted by rank, so predecessors come first
-            if f == self.top:
+            if f == top:
                 break
-            here = states.pop(f)
-            pos = self.flat_rank[f]  # position of a descent from f's label to g's
-            for g, label in self.covers[f]:
-                there = states.setdefault(g, {})
-                for (last, mask), count in here.items():
-                    if last > label:
-                        if mask >> (pos - 1) & 1:
-                            continue
-                        mask |= 1 << pos
-                    key = (label, mask)
-                    there[key] = there.get(key, 0) + count
+            below = list(accumulate(rows.pop(f)))  # over the labels up to each
+            total = below[-1]
+            pos = flat_rank[f]  # position of a descent from f's label to g's
+            keep = (1 << SLOT * fib[pos]) - 1
+            shift = SLOT * fib[pos + 1]
+            for g, label in covers[f]:
+                row = rows.get(g)
+                if row is None:
+                    row = rows[g] = blank.copy()
+                row[label] += below[label - 1] + (((total - below[label]) & keep) << shift)
+        packed = sum(rows[top])
         counts: dict[int, int] = {}
-        for (_, mask), count in states.get(self.top, {}).items():
-            counts[mask] = counts.get(mask, 0) + count
+        slot = (1 << SLOT) - 1
+        for mask in range(0, 1 << self.rank, 2):  # positions 1..rank-1
+            if not mask & mask >> 1:
+                if packed & slot:
+                    counts[mask] = packed & slot
+                packed >>= SLOT
         return MappingProxyType(counts)
 
 
@@ -295,45 +329,54 @@ def flats_lattice(m: Matroid) -> FlatLattice:
 
 
 def _build_lattice(m: Matroid) -> FlatLattice:
-    rank = m._rank
-    # a flat is a set that every added element raises in rank
-    flats = []
-    for s, r in enumerate(rank):
-        rest = m.full_mask ^ s
-        while rest and rank[s | rest & -rest] > r:
-            rest &= rest - 1
-        if not rest:
-            flats.append(s)
-    flats.sort(key=lambda s: (rank[s], s))
-    flat_rank = {f: rank[f] for f in flats}
-    by_rank: dict[int, list[int]] = {}
-    for f in flats:
-        by_rank.setdefault(flat_rank[f], []).append(f)
-    bottom = flats[0]
-    # atoms meet only in the bottom flat, so each element outside it lies in
-    # exactly one atom
-    atoms = sorted(by_rank.get(1, ()), key=lambda a: elements_of(a & ~bottom))
-    atom_label = {
-        e: j for j, a in enumerate(atoms, start=1) for e in elements_of(a & ~bottom)
-    }
+    """Walk up from the bottom flat, the loops, one rank at a time.
 
-    def label(f: int, g: int) -> int:
-        fresh = g & ~f
-        return atom_label[(fresh & -fresh).bit_length()]
-
-    covers = {
-        f: tuple(
-            (g, label(f, g)) for g in by_rank.get(flat_rank[f] + 1, ()) if g & f == f
-        )
-        for f in flats
-    }
+    The flats covering a flat f partition E - f.  The one that holds the
+    smallest element e left over is the closure of f + e: f + e and every
+    further x with rank(f + e + x) = rank(f) + 1.  Its label is the atom of
+    e, since e is its smallest new element; the atoms, the covers of the
+    bottom, come out numbered in the order of their smallest elements.
+    """
+    rank, full = m._rank, m.full_mask
+    bottom = sum(1 << i for i in range(m.n) if not rank[1 << i])
+    atom_of: dict[int, int] = {}  # element bit outside the bottom -> its atom
+    flats, flat_rank, covers = [bottom], {bottom: 0}, {}
+    level, up = [bottom], 1
+    while level:
+        above: set[int] = set()
+        for f in level:
+            found = []
+            rest = full ^ f
+            while rest:
+                e = rest & -rest
+                g = base = f | e
+                others = rest ^ e
+                while others:
+                    x = others & -others
+                    if rank[base | x] == up:
+                        g |= x
+                    others ^= x
+                rest &= ~g
+                if f == bottom:
+                    fresh = g ^ bottom
+                    while fresh:
+                        atom_of[fresh & -fresh] = len(found) + 1
+                        fresh &= fresh - 1
+                found.append((g, atom_of[e]))
+                above.add(g)
+            found.sort()
+            covers[f] = tuple(found)
+        level = sorted(above)
+        flats += level
+        flat_rank.update(dict.fromkeys(level, up))
+        up += 1
     return FlatLattice(
         rank=m.rank,
         flats=tuple(flats),
         flat_rank=MappingProxyType(flat_rank),
         covers=MappingProxyType(covers),
         bottom=bottom,
-        top=m.full_mask,
+        top=full,
     )
 
 

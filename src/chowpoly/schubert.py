@@ -34,10 +34,10 @@ from .forms import closed_form
 from .matroid import INFINITY, Matroid, mask_of
 from .polynomial import _is_int, _json_int, _show_int
 
-# Largest ground size for ``census`` and the CLI ``oracle``: census(8) takes
-# about 0.02 s and 15 MB of peak RSS, census(9) about 0.10 s and 17 MB
-# (986,410 matroids; fresh processes, 2 CPUs, Python 3.11.7), and the
-# matroids, and with them the work, grow about n-fold with each further n.
+# Largest ground size for ``census``: census(8) takes about 0.02 s and 15 MB
+# of peak RSS, census(9) about 0.10 s and 17 MB (986,410 matroids; fresh
+# processes, 2 CPUs, Python 3.11.7), and the matroids, and with them the
+# work, grow about n-fold with each further n.
 MAX_EXHAUSTIVE_N = 8
 
 

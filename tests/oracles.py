@@ -2,10 +2,12 @@
 
 Everything here scans permutations, subsets or chains directly from the
 definitions, with no shared code paths into the faster implementations, so
-these stay valid as oracles for them.  The depth-first walk over the maximal
-chains of a lattice of flats lives here, not in the package: the chain tally
-runs it over the package's lattice and its cover labels, which are the
-definitions it counts over.  So do the per-set descent count
+these stay valid as oracles for them.  The lattice of flats is rebuilt here
+from the rank defined by the bases, by a flat test of every subset and a
+scan of every pair of flats of adjacent ranks.  The depth-first walk over
+the maximal chains of a lattice of flats lives here, not in the package: the
+chain tally runs it over the package's lattice and its cover labels, which
+are the definitions it counts over.  So do the per-set descent count
 ``eulerian_fixed_descents``, an inclusion-exclusion over a superset count
 taken from factorials, and the pattern scan behind
 ``grassmannian_avoiding_count``, which checks a coefficient formula of the
@@ -356,6 +358,54 @@ def brute_satisfies_exchange(bases) -> bool:
                 ):
                     return False
     return True
+
+
+def brute_rank_table(matroid: Matroid) -> list[int]:
+    """Rank of every subset mask, as its largest intersection with a basis,
+    one basis at a time."""
+    return [
+        max((s & b).bit_count() for b in matroid.bases) for s in range(1 << matroid.n)
+    ]
+
+
+def brute_flats_lattice(matroid: Matroid) -> dict:
+    """The fields of the labeled lattice of flats, from the definitions.
+
+    A flat is a set that every added element raises in rank; g covers f when
+    g holds f and has rank one more, found by a scan over every pair of flats
+    of adjacent ranks.  The atoms are numbered 1, 2, ... in the order of
+    their smallest element outside the bottom flat, and a cover is labeled by
+    the atom of its smallest new element."""
+    n, rank = matroid.n, brute_rank_table(matroid)
+    full = (1 << n) - 1
+
+    def smallest(mask: int) -> int:
+        return min(i for i in range(n) if mask >> i & 1)
+
+    def is_flat(s: int) -> bool:
+        return all(rank[s | 1 << i] > rank[s] for i in range(n) if not s >> i & 1)
+
+    flats = sorted(filter(is_flat, range(full + 1)), key=lambda s: (rank[s], s))
+    bottom = flats[0]
+    atoms = sorted((a for a in flats if rank[a] == 1), key=lambda a: smallest(a & ~bottom))
+    atom_of = {
+        i: j for j, a in enumerate(atoms, start=1) for i in range(n) if (a & ~bottom) >> i & 1
+    }
+    return {
+        "rank": matroid.rank,
+        "flats": tuple(flats),
+        "flat_rank": {f: rank[f] for f in flats},
+        "covers": {
+            f: tuple(
+                (g, atom_of[smallest(g & ~f)])
+                for g in flats
+                if rank[g] == rank[f] + 1 and g & f == f
+            )
+            for f in flats
+        },
+        "bottom": bottom,
+        "top": full,
+    }
 
 
 def labeled_chains(lattice) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -294,9 +294,13 @@ def test_oracle_reports_a_wrong_non_reference_form(capsys, gamma_perm_plus_x):
 
 
 def test_oracle_resource_guard(capsys):
-    code, _, err = run(capsys, "oracle", "--k", "2", "--n", "9")
+    # the oracle takes every ground size that uniform does
+    code, out, err = run(capsys, "oracle", "--k", "2", "--n", "17")
     assert code == 2
-    assert "resource guard" in err
+    assert out == ""
+    assert err.splitlines() == [
+        "error: uniform matroid needs 0 <= k <= n <= 16, got k=2, n=17"
+    ]
 
 
 def test_census_text_with_verify(capsys):
@@ -350,13 +354,13 @@ def test_census_guard(capsys):
 
 
 def test_guards_ignore_the_removed_env_override(capsys, monkeypatch):
-    # the n <= 8 bound used to be raised by this environment variable
+    # the oracle's bound used to be raised by this environment variable
     monkeypatch.setenv("_".join(("CHOW", "MAX", "N")), "100")
-    code, out, err = run(capsys, "oracle", "--k", "2", "--n", "9")
+    code, out, err = run(capsys, "oracle", "--k", "2", "--n", "17")
     assert code == 2
     assert out == ""
     assert err.splitlines() == [
-        "error: oracle(n=9) exceeds the resource guard n <= 8"
+        "error: uniform matroid needs 0 <= k <= n <= 16, got k=2, n=17"
     ]
 
 

@@ -1,6 +1,7 @@
 import json
 import pickle
 import re
+from collections.abc import Mapping
 from copy import deepcopy
 from functools import cached_property
 from itertools import combinations
@@ -33,7 +34,9 @@ from tests.oracles import (
     brute_chain_descent_weights,
     brute_descents,
     brute_dual,
+    brute_flats_lattice,
     brute_loops_and_cogirth,
+    brute_rank_table,
     brute_satisfies_exchange,
     by_mask,
     chain_label_permutations,
@@ -314,6 +317,14 @@ def test_chain_chow_matches_closed_forms():
                 ), (k, n, augmented)
 
 
+def test_chain_chow_matches_closed_forms_on_fourteen_elements():
+    # the largest descent-set count of augmented U(14, 14) has 28 bits, so a
+    # packed slot narrower than that spills into its neighbour
+    assert max(flats_lattice(uniform(14, 14)).admissible_chains.values()).bit_length() == 28
+    assert chain_chow(uniform(14, 14), True) == closed_form(14, 14, augmented=True)
+    assert chain_chow(uniform(7, 14)) == closed_form(7, 14)
+
+
 def test_chain_chow_multivariate_matches_closed_forms():
     for n in range(1, 9):
         for k in range(1, n + 1):
@@ -358,6 +369,43 @@ def loopless_schubert_matroids(draw):
 def test_transfer_count_matches_brute_chain_tally(m, augmented):
     want = brute_chain_descent_weights(flats_lattice(m), augmented)
     assert _chain_descent_weights(m, augmented) == by_mask(want)
+
+
+@st.composite
+def schubert_matroids(draw):
+    # loops come with an index set that misses the first elements of perm
+    n = draw(st.integers(1, 7))
+    perm = draw(st.permutations(range(1, n + 1)))
+    index_set = draw(st.sets(st.integers(1, n)))
+    return schubert_matroid(SchubertSpec(n, tuple(index_set), tuple(perm)))
+
+
+def _assert_lattice_matches_definitions(m):
+    assert m._rank == brute_rank_table(m), m
+    lattice = _build_lattice(m)
+    got = {
+        name: dict(value) if isinstance(value, Mapping) else value
+        for name, value in zip(FlatLattice._fields, lattice)
+    }
+    assert got == brute_flats_lattice(m), m
+    assert list(lattice.flat_rank) == list(lattice.flats)  # the same order
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(schubert_matroids(), loopless_schubert_matroids()))
+# the loop and parallel-element examples of the cover-label test, and K4
+@example(matroid_from_bases(4, [(1, 2), (1, 3), (2, 3)]))
+@example(matroid_from_bases(3, [(1, 2), (1, 3)]))
+@example(matroid_from_bases(4, [(1, 2), (1, 3), (2, 4), (3, 4)]))
+@example(_graphic_k4())
+def test_lattice_matches_the_definitions(m):
+    _assert_lattice_matches_definitions(m)
+
+
+def test_lattice_of_uniform_matroids_matches_the_definitions():
+    for n in range(8):
+        for k in range(n + 1):
+            _assert_lattice_matches_definitions(uniform(k, n))
 
 
 def test_chain_descent_masks_and_the_plain_rule():
