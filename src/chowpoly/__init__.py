@@ -33,7 +33,6 @@ from .matroid import (
     uniform,
 )
 from .polynomial import (
-    NonSquarefreeProductError,
     NotPalindromicError,
     SqfMultiPoly,
     UniPoly,
@@ -68,7 +67,6 @@ __all__ = [
     "MULTIVARIATE_BASES",
     "Matroid",
     "MatroidError",
-    "NonSquarefreeProductError",
     "NotPalindromicError",
     "ResourceLimitError",
     "SchubertInvariants",

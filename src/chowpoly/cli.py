@@ -116,9 +116,10 @@ def _print_json(payload: dict) -> None:
 
 
 def _write_json(value) -> None:
-    """Write ``json.dumps`` of ``value`` with each polynomial in place of its
-    ``to_json()`` to stdout, a multivariate one term by term, so that no
-    string of all its terms is built.  Dict keys must be strings."""
+    """Write ``json.dumps`` of ``value`` to stdout, with a UniPoly in place of
+    its ``to_json()`` and a SqfMultiPoly written term by term from its
+    ``json_pieces()``, so that no string of all its terms is built.  Dict
+    keys must be strings."""
     # no indent: the C encoder runs, several times faster on big payloads
     if isinstance(value, dict):
         sys.stdout.write("{")

@@ -10,19 +10,18 @@ Two representations are provided:
   squarefree products of the variables x_lo..x_hi of a declared range of at
   most MAX_VARIABLES, stored as a coefficient tuple whose entry q is the
   monomial over the x_{lo+i} with bit i of q set; entry 0 is the constant
-  term.  Each key of a dict it is built from is checked to be in range and
-  squarefree.  Its ``terms`` are a read-only ``TermsView`` over that tuple,
-  which builds the index tuple of a term only when a walk reaches it.  It
+  term.  Its one constructor, ``from_dense``, takes that tuple as it is.  It
   has no arithmetic: the multivariate formulas of this package fill one
-  coefficient per subset of the range (``from_dense``), then compare,
-  specialize, render or serialize the result.
+  coefficient per subset of the range, then compare, specialize, render or
+  write the result.  Its ``terms`` are a read-only ``TermsView`` over the
+  tuple, which builds the index tuple of a term only when a walk reaches it.
 
 All coefficients are Python ints, so results are exact at any size.
 """
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from itertools import chain, combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
@@ -30,10 +29,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 # Widest range of a SqfMultiPoly, which stores 2^width coefficients: every
 # basis (k <= EXPONENTIAL_RANK_MAX) and chain oracle (rank <= MAX_GROUND) fits.
 MAX_VARIABLES = 18
-
-
-class NonSquarefreeProductError(ValueError):
-    """Raised when a multivariate monomial repeats a variable."""
 
 
 class NotPalindromicError(ValueError):
@@ -177,16 +172,6 @@ class UniPoly:
         """Coefficients as decimal strings, exact beyond native integer width."""
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data: list) -> "UniPoly":
-        """Inverse of ``to_json``; a malformed document is a ValueError."""
-        if not isinstance(data, list):
-            raise ValueError(f"polynomial JSON is malformed: {type(data).__name__}, not a list")
-        try:
-            return cls(map(_json_int, data))
-        except ValueError as exc:
-            raise ValueError(f"polynomial JSON is malformed: {exc}") from None
-
 
 class SqfMultiPoly:
     """Multivariate polynomial with squarefree monomials in variables x_lo..x_hi.
@@ -194,33 +179,24 @@ class SqfMultiPoly:
     ``coeffs`` holds one coefficient per subset of the range, 2^width in
     all: entry q is the coefficient of the monomial that holds x_{lo+i}
     exactly when bit i of q is set, so entry 0 is the constant term.  A range
-    of more than MAX_VARIABLES variables is a ValueError.
+    of more than MAX_VARIABLES variables is a ValueError.  ``from_dense`` is
+    the one constructor: calling the class is a TypeError.
     """
 
     __slots__ = ("var_range", "coeffs")
 
-    def __init__(self, var_range: tuple[int, int], terms: Mapping | None = None):
-        lo, hi = var_range
-        dense = [0] * (1 << _range_width(lo, hi))
-        for key, coeff in (terms or {}).items():
-            if coeff == 0:
-                continue
-            k = tuple(sorted(key))
-            if len(set(k)) != len(k):
-                raise NonSquarefreeProductError(f"repeated variable in monomial {k}")
-            if k and not lo <= k[0] <= k[-1] <= hi:
-                v = next(v for v in k if not lo <= v <= hi)
-                raise ValueError(f"variable x{v} outside declared range x{lo}..x{hi}")
-            dense[sum(1 << (i - lo) for i in k)] += coeff
-        self.var_range: tuple[int, int] = (lo, hi)
-        self.coeffs: tuple[int, ...] = tuple(dense)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a SqfMultiPoly is built with SqfMultiPoly.from_dense")
 
     @classmethod
     def from_dense(
         cls, var_range: tuple[int, int], coeffs: Iterable[int]
     ) -> "SqfMultiPoly":
         """The polynomial whose ``coeffs`` are ``coeffs``, one per subset of the
-        range (ValueError for any other length)."""
+        range in the order of their bitmasks (ValueError for any other
+        length).  They are taken as they are; a mapping is a TypeError."""
+        if isinstance(coeffs, Mapping):
+            raise TypeError("from_dense takes one coefficient per subset, in order, not a mapping")
         lo, hi = var_range
         size, dense = 1 << _range_width(lo, hi), tuple(coeffs)
         if len(dense) != size:
@@ -270,7 +246,7 @@ class SqfMultiPoly:
             out[q.bit_count()] += c
         return UniPoly(out)
 
-    def labelled_terms(self, label: Callable[[int], str]) -> Iterator[tuple[tuple[str, ...], int]]:
+    def labelled_terms(self, label: Callable[[int], object]) -> Iterator[tuple[tuple, int]]:
         """(labels of the variables, coefficient) of each nonzero term, in the
         order of ``monomials``; ``label(i)`` names x_i and is called once per
         variable, not once per term."""
@@ -286,15 +262,12 @@ class SqfMultiPoly:
     def __repr__(self) -> str:
         return f"SqfMultiPoly({self.var_range}, {self.render()})"
 
-    def to_json(self) -> dict:
-        return {
-            "vars": [self.var_range[0], self.var_range[1]],
-            "terms": [{"vars": list(k), "coeff": str(c)} for k, c in self.terms.items()],
-        }
-
     def json_pieces(self) -> Iterator[str]:
-        """The text of ``json.dumps(self.to_json())``, one piece per term, so
-        that a writer never holds the whole document."""
+        """The JSON document ``{"vars": [lo, hi], "terms": [...]}``, whose
+        terms are ``{"vars": [index, ...], "coeff": "decimal"}`` in the order
+        of ``monomials``, zero coefficients left out, with ``json.dumps``
+        spacing.  One piece per term, so that a writer never holds the whole
+        document."""
         lo, hi = self.var_range
         yield f'{{"vars": [{lo}, {hi}], "terms": ['
         sep = ""
@@ -303,30 +276,16 @@ class SqfMultiPoly:
             sep = ", "
         yield "]}"
 
-    @classmethod
-    def from_json(cls, data: dict) -> "SqfMultiPoly":
-        """Inverse of ``to_json``; a malformed document is a ValueError."""
-        try:
-            lo, hi = map(_json_int, data["vars"])
-            terms = {
-                tuple(map(_json_int, t["vars"])): _json_int(t["coeff"]) for t in data["terms"]
-            }
-        except KeyError as exc:
-            raise ValueError(f"multivariate polynomial JSON lacks the field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"multivariate polynomial JSON is malformed: {exc}") from None
-        return cls((lo, hi), terms)
-
 
 class TermsView(Mapping):
     """The nonzero terms of a SqfMultiPoly as a read-only {index tuple:
     coefficient} mapping, in the order of ``monomials``.
 
     It holds only the polynomial: a walk builds each key as it reaches it,
-    and a lookup maps the key to its position in ``coeffs``.  A key that is
-    not a strictly increasing tuple of variables of the range, or whose
-    coefficient is 0, is a KeyError.  It compares equal to any mapping with
-    the same items, a dict included.
+    and a lookup maps the key to its position in ``coeffs``, so ``items()``
+    looks up each key it walks.  A key that is not a strictly increasing
+    tuple of variables of the range, or whose coefficient is 0, is a
+    KeyError.
     """
 
     __slots__ = ("poly",)
@@ -352,46 +311,7 @@ class TermsView(Mapping):
         return len(cs) - cs.count(0)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return (k for k, _ in self.items())
-
-    def items(self) -> ItemsView:
-        return _TermItems(self)
-
-    def values(self) -> ValuesView:
-        return _TermValues(self)
-
-    def __eq__(self, other: object) -> bool:
-        # Mapping.__eq__ would build a dict of each side
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        missing = object()
-        return len(self) == len(other) and all(
-            other.get(k, missing) == c for k, c in self.items()
-        )
-
-    def __repr__(self) -> str:
-        return f"TermsView({self.poly!r})"
-
-
-class _TermItems(ItemsView):
-    """``TermsView.items()``: one walk of ``monomials``, no lookups; the
-    keys and the values of the view are taken from it."""
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        poly = self._mapping.poly
-        cs = poly.coeffs
-        return ((k, cs[q]) for k, q in poly.monomials() if cs[q])
-
-
-class _TermValues(ValuesView):
-    """``TermsView.values()``: the coefficients in the order of the keys."""
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[int]:
-        return (c for _, c in self._mapping.items())
+        return (k for k, _ in self.poly.labelled_terms(int))
 
 
 def _range_width(lo: int, hi: int) -> int:

@@ -22,7 +22,14 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Iterable, Iterator
 
-from chowpoly import Matroid, ResourceLimitError, SchubertSpec, UniPoly, schubert_matroid
+from chowpoly import (
+    Matroid,
+    ResourceLimitError,
+    SchubertSpec,
+    SqfMultiPoly,
+    UniPoly,
+    schubert_matroid,
+)
 
 
 def brute_descents(seq) -> tuple[int, ...]:
@@ -209,6 +216,28 @@ def brute_subsets(lo: int, hi: int) -> list[tuple[int, ...]]:
 def brute_sorted_terms(terms: dict) -> list[tuple[tuple[int, ...], int]]:
     """The nonzero (key, coefficient) items, sorted by key length, then key."""
     return sorted(((k, c) for k, c in terms.items() if c), key=lambda t: (len(t[0]), t[0]))
+
+
+def brute_multipoly(var_range: tuple[int, int], terms) -> SqfMultiPoly:
+    """The polynomial over var_range with the {index tuple: coefficient}
+    ``terms``, every other subset of the range at 0: ``from_dense`` over
+    ``brute_subsets``.  A key that is not a sorted subset of the range fails."""
+    subsets = brute_subsets(*var_range)
+    unknown = set(terms) - set(subsets)
+    assert not unknown, f"keys outside the subsets of {var_range}: {sorted(unknown)}"
+    return SqfMultiPoly.from_dense(var_range, [terms.get(key, 0) for key in subsets])
+
+
+def brute_json_document(poly: SqfMultiPoly) -> dict:
+    """The JSON document of a multivariate polynomial: its range, then the
+    variables and the decimal coefficient of each nonzero term, in the order
+    of ``brute_sorted_terms``."""
+    lo, hi = poly.var_range
+    terms = dict(zip(brute_subsets(lo, hi), poly.coeffs))
+    return {
+        "vars": [lo, hi],
+        "terms": [{"vars": list(k), "coeff": str(c)} for k, c in brute_sorted_terms(terms)],
+    }
 
 
 def brute_fingerprint(masks) -> int:

@@ -10,7 +10,6 @@ from chowpoly import forms
 from chowpoly import (
     METHODS,
     MULTIVARIATE_BASES,
-    SqfMultiPoly,
     UniPoly,
     closed_form,
     coefficient_formula,
@@ -21,7 +20,12 @@ from chowpoly import (
     multivariate_closed_form,
 )
 
-from tests.oracles import brute_monomial_form, brute_monomial_terms
+from tests.oracles import (
+    brute_json_document,
+    brute_monomial_form,
+    brute_monomial_terms,
+    brute_multipoly,
+)
 
 GOLDEN_35 = UniPoly((1, 11, 1))
 
@@ -92,7 +96,7 @@ def test_multivariate_bases_agree_exactly():
                 assert a == b, (k, n, augmented)
 
 
-# sha256 of json.dumps(p.to_json()) of both bases at (16, 30), by the
+# sha256 of json.dumps of the JSON document of both bases at (16, 30), by the
 # augmented flag, computed before the bases were built as dense vectors
 WIDE_POINT_DIGESTS = {
     False: "85e82d2a02d2b84cc2a70db435207c195a974a980ed71d3d776f014888b79004",
@@ -112,7 +116,7 @@ def test_multivariate_bases_at_wide_point(augmented):
         16, 30, "gamma_perm", augmented
     )
     for p in (a, b):
-        digest = hashlib.sha256(json.dumps(p.to_json()).encode()).hexdigest()
+        digest = hashlib.sha256(json.dumps(brute_json_document(p)).encode()).hexdigest()
         assert digest == WIDE_POINT_DIGESTS[augmented]
 
 
@@ -163,7 +167,7 @@ def test_multivariate_variable_windows():
     assert q.var_range == (0, 3)
     # k = 0 is the constant 1, as in closed_form, and augmented only
     for basis in MULTIVARIATE_BASES:
-        assert multivariate_closed_form(0, 6, basis, augmented=True) == SqfMultiPoly(
+        assert multivariate_closed_form(0, 6, basis, augmented=True) == brute_multipoly(
             (0, -1), {(): 1}
         )
         with pytest.raises(ValueError, match="only defined for the augmented"):

@@ -1,13 +1,15 @@
 import json
 import re
 import tracemalloc
+from collections import ChainMap, Counter, OrderedDict, defaultdict
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowpoly import (
-    NonSquarefreeProductError,
     NotPalindromicError,
     SqfMultiPoly,
     UniPoly,
@@ -21,6 +23,8 @@ from chowpoly.polynomial import MAX_VARIABLES, expand_run_minima, run_minima_set
 from tests.oracles import (
     brute_eulerian_poly,
     brute_gamma_reconstruct_multivariate,
+    brute_json_document,
+    brute_multipoly,
     brute_nc_subsets,
     brute_sorted_terms,
     brute_subsets,
@@ -66,24 +70,6 @@ def test_getitem_past_degree():
     assert p[1] == 2
 
 
-def test_multivariate_variable_outside_range_rejected():
-    with pytest.raises(ValueError):
-        SqfMultiPoly((1, 2), {(3,): 1})
-
-
-def test_multivariate_constructor_errors():
-    with pytest.raises(NonSquarefreeProductError, match=r"repeated variable"):
-        SqfMultiPoly((1, 3), {(2, 1, 2): 1})
-    # the message names the first variable of the sorted key out of range
-    with pytest.raises(ValueError, match=r"x0 outside declared range x1\.\.x3"):
-        SqfMultiPoly((1, 3), {(5, 2, 0): 1})
-    with pytest.raises(ValueError, match=r"x4 outside declared range x1\.\.x3"):
-        SqfMultiPoly((1, 3), {(2, 4, 5): 1})
-    with pytest.raises(ValueError, match=r"x1 outside declared range x1\.\.x0"):
-        SqfMultiPoly((1, 0), {(1,): 1})
-    assert SqfMultiPoly((1, 3), {(3, 1): 2, (1, 3): -2, (2,): 0}).terms == {}
-
-
 @st.composite
 def dense_coefficients(draw):
     # negative lo, empty ranges (hi below lo) and coefficients past 2^64
@@ -99,32 +85,77 @@ def dense_coefficients(draw):
 
 @settings(max_examples=50, deadline=None)
 @given(dense_coefficients())
-def test_from_dense_matches_constructor(case):
+def test_from_dense_matches_the_oracle(case):
     var_range, coeffs = case
-    keys = brute_subsets(*var_range)
-    expected = SqfMultiPoly(var_range, dict(zip(keys, coeffs)))
+    brute = dict(zip(brute_subsets(*var_range), coeffs))
+    expected = brute_multipoly(var_range, {k: c for k, c in brute.items() if c})
     got = SqfMultiPoly.from_dense(var_range, coeffs)
     assert got == expected and hash(got) == hash(expected)
     assert got.var_range == var_range
     # entry q is the coefficient of the key that holds lo + i for each bit i
-    assert expected.coeffs == tuple(coeffs)
+    assert got.coeffs == tuple(coeffs)
+    assert all(got.terms.get(key, 0) == c for key, c in brute.items())
     assert bool(got) == any(coeffs)
+
+
+class _Unread(Mapping):
+    # a mapping that is no dict, and fails whenever it is read
+    def _read(self, *args):
+        raise AssertionError("the mapping was read")
+
+    __getitem__ = __iter__ = __len__ = _read
+
+
+_KEYED = {(): 5, (1,): 7}
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        _KEYED,
+        OrderedDict(_KEYED),
+        defaultdict(int, _KEYED),
+        Counter(_KEYED),
+        MappingProxyType(_KEYED),
+        ChainMap(_KEYED),
+        _Unread(),
+    ],
+    ids=lambda coeffs: type(coeffs).__name__,
+)
+def test_from_dense_refuses_a_mapping(coeffs):
+    # a mapping iterates its keys, and these two keys pass the length check
+    # of (1, 1): without the refusal the coefficients would be () and (1,).
+    # It is refused before its range is checked, too.
+    for var_range in ((1, 1), (0, MAX_VARIABLES)):
+        with pytest.raises(TypeError, match="not a mapping"):
+            SqfMultiPoly.from_dense(var_range, coeffs)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        (((1, 2), {(1,): 1}), {}),  # the removed dict-keyed form
+        (((0, -1), {(): 1}), {}),  # a dict that a dense __init__ would take as ((),)
+        (((1, 2), [0, 1, 0, 0]), {}),  # the arguments of from_dense
+        ((), {"var_range": (1, 2), "coeffs": [0, 1, 0, 0]}),
+        ((), {}),
+    ],
+)
+def test_calling_the_class_is_refused(args, kwargs):
+    with pytest.raises(TypeError, match="built with SqfMultiPoly.from_dense"):
+        SqfMultiPoly(*args, **kwargs)
 
 
 @settings(max_examples=50, deadline=None)
 @given(dense_coefficients())
-def test_dense_terms_order_and_round_trips(case):
+def test_dense_terms_order_and_json_pieces(case):
     var_range, coeffs = case
     terms = dict(zip(brute_subsets(*var_range), coeffs))
-    poly = SqfMultiPoly(var_range, terms)
+    poly = brute_multipoly(var_range, terms)
     assert list(poly.terms.items()) == brute_sorted_terms(terms)
     assert poly.terms == {k: c for k, c in terms.items() if c}
     assert all(poly.terms.values())
-    dense = SqfMultiPoly.from_dense(var_range, poly.coeffs)
-    back = SqfMultiPoly.from_json(json.loads(json.dumps(dense.to_json())))
-    assert "".join(poly.json_pieces()) == json.dumps(poly.to_json())
-    assert back == dense == poly and hash(back) == hash(poly)
-    assert back.to_json() == poly.to_json()
+    assert "".join(poly.json_pieces()) == json.dumps(brute_json_document(poly))
 
 
 @settings(max_examples=100, deadline=None)
@@ -161,7 +192,7 @@ def test_terms_view_matches_the_brute_dict(case, data):
         view[()] = 1
     with pytest.raises(TypeError):
         del view[()]
-    assert SqfMultiPoly(var_range, view) == poly
+    assert brute_multipoly(var_range, view) == poly
     # a dict that differs in one value, lacks one key or has one more
     if nonzero:
         key = data.draw(st.sampled_from(sorted(nonzero)))
@@ -178,7 +209,7 @@ def test_terms_walk_builds_no_copy():
     try:
         for _ in poly.terms.items():
             pass
-        assert len(poly.terms) == 2**16 and poly.terms == poly.terms
+        assert len(poly.terms) == 2**16
         for _ in poly.json_pieces():
             pass
         peak = tracemalloc.get_traced_memory()[1]
@@ -191,8 +222,6 @@ def test_terms_walk_builds_no_copy():
 def test_variable_range_is_bounded():
     wide = (0, MAX_VARIABLES)  # MAX_VARIABLES + 1 variables
     with pytest.raises(ValueError, match="19 variables, more than MAX_VARIABLES = 18"):
-        SqfMultiPoly(wide)
-    with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
         SqfMultiPoly.from_dense(wide, [])
 
     def unread():
@@ -209,57 +238,14 @@ def test_variable_range_is_bounded():
             run_minima_sets(width, 1)
         with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
             expand_run_minima({}, width, 1)
-    # a declared range is refused before its coefficients are allocated
-    with pytest.raises(ValueError, match="more than MAX_VARIABLES"):
-        SqfMultiPoly.from_json({"vars": [0, 10**6], "terms": []})
-    assert len(SqfMultiPoly((-1, MAX_VARIABLES - 2)).coeffs) == 2**MAX_VARIABLES
+    widest = SqfMultiPoly.from_dense((-1, MAX_VARIABLES - 2), [0] * 2**MAX_VARIABLES)
+    assert len(widest.coeffs) == 2**MAX_VARIABLES
     # every basis at the rank bound fits, and so does every chain oracle
     k = EXPONENTIAL_RANK_MAX
     for basis in MULTIVARIATE_BASES:
         p = multivariate_closed_form(k, k, basis, augmented=True)
         assert len(p.coeffs) == 2**k and p.var_range == (0, k - 1)
     assert MAX_GROUND <= MAX_VARIABLES
-
-
-@pytest.mark.parametrize(
-    "data", [[1.5], [True], ["1.0"], [" 1"], ["1_000"], ["+1"], ["٣"], [None], "12", {"0": 1}]
-)
-def test_unipoly_from_json_rejects_malformed(data):
-    with pytest.raises(ValueError, match="^polynomial JSON is malformed"):
-        UniPoly.from_json(data)
-
-
-_TERM = {"vars": [1], "coeff": "2"}
-
-
-@pytest.mark.parametrize(
-    "data, message",
-    [
-        ({"terms": [_TERM]}, "lacks the field 'vars'"),
-        ({"vars": [1, 2]}, "lacks the field 'terms'"),
-        ({"vars": [1, 2], "terms": [{"vars": [1]}]}, "lacks the field 'coeff'"),
-        ({"vars": [1, 2], "terms": [{"coeff": "2"}]}, "lacks the field 'vars'"),
-        ([], "is malformed"),
-        (None, "is malformed"),
-        ("vars", "is malformed"),
-        ({"vars": [1, 2], "terms": [[1]]}, "is malformed"),
-        ({"vars": [1, 2, 3], "terms": []}, "is malformed"),
-        ({"vars": 2, "terms": []}, "is malformed"),
-        ({"vars": [1, 2], "terms": [{"vars": [1], "coeff": 1.5}]}, "got 1.5"),
-        ({"vars": [1, 2], "terms": [{"vars": [1], "coeff": True}]}, "got True"),
-        ({"vars": [1, 2], "terms": [{"vars": [1.0], "coeff": "2"}]}, "got 1.0"),
-        ({"vars": [1, 2], "terms": [{"vars": [3], "coeff": "2"}]}, "outside declared"),
-    ],
-)
-def test_multipoly_from_json_rejects_malformed(data, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        SqfMultiPoly.from_json(data)
-
-
-def test_from_json_reads_decimal_strings_and_ints():
-    assert UniPoly.from_json(["-3", 4, "0"]) == UniPoly((-3, 4))
-    data = {"vars": ["1", 2], "terms": [{"vars": [2, 1], "coeff": -5}, _TERM]}
-    assert SqfMultiPoly.from_json(data) == SqfMultiPoly((1, 2), {(1, 2): -5, (1,): 2})
 
 
 def _run_minima_definition(width: int, first: int) -> list[int]:
@@ -309,9 +295,9 @@ def test_from_dense_rejects_wrong_length(var_range, length):
 
 
 def test_specialize_degree_is_set_size():
-    p = SqfMultiPoly((1, 2), {(): 1, (1,): 2, (1, 2): 1})
+    p = brute_multipoly((1, 2), {(): 1, (1,): 2, (1, 2): 1})
     assert p.specialize().coeffs == (1, 2, 1)
-    assert SqfMultiPoly((1, 2)).specialize() == UniPoly.zero()
+    assert brute_multipoly((1, 2), {}).specialize() == UniPoly.zero()
 
 
 def test_gamma_vector_golden():
@@ -445,11 +431,11 @@ def test_render_text():
     assert UniPoly((0, 1, 1)).render() == "x + x^2"
     assert UniPoly.zero().render() == "0"
     assert UniPoly((1, -1, -2)).render() == "1 - x - 2*x^2"
-    assert SqfMultiPoly((1, 2), {(): 1, (1, 2): 3}).render() == "1 + 3*x1*x2"
-    poly = SqfMultiPoly((1, 3), {(): -1, (2,): -1, (1, 3): 2, (1, 2, 3): -5})
+    assert brute_multipoly((1, 2), {(): 1, (1, 2): 3}).render() == "1 + 3*x1*x2"
+    poly = brute_multipoly((1, 3), {(): -1, (2,): -1, (1, 3): 2, (1, 2, 3): -5})
     assert poly.render() == "-1 - x2 + 2*x1*x3 - 5*x1*x2*x3"
-    assert SqfMultiPoly((1, 2), {(): 1, (1,): -1, (2,): 1}).render() == "1 - x1 + x2"
-    assert SqfMultiPoly((1, 2)).render() == "0"
+    assert brute_multipoly((1, 2), {(): 1, (1,): -1, (2,): 1}).render() == "1 - x1 + x2"
+    assert brute_multipoly((1, 2), {}).render() == "0"
     assert SqfMultiPoly.from_dense((1, 2), [0, 0, 0, 0]).render() == "0"
 
 
@@ -457,19 +443,13 @@ def test_json_roundtrip_unipoly():
     big = 10**40
     p = UniPoly((1, big, 3))
     data = json.loads(json.dumps(p.to_json()))
-    assert UniPoly.from_json(data) == p
+    assert UniPoly(map(int, data)) == p
     assert data[1] == str(big)
-
-
-def test_json_roundtrip_multipoly():
-    p = SqfMultiPoly((0, 3), {(): 1, (0, 2): 10**30, (1,): -2})
-    data = json.loads(json.dumps(p.to_json()))
-    assert SqfMultiPoly.from_json(data) == p
 
 
 def test_hash_and_eq():
     assert UniPoly((1, 2)) == UniPoly((1, 2, 0))
     assert hash(UniPoly((1, 2))) == hash(UniPoly((1, 2, 0)))
     assert UniPoly((1,)) != UniPoly((1, 1))
-    s = {SqfMultiPoly((1, 2), {(1,): 1}), SqfMultiPoly((1, 2), {(1,): 1})}
+    s = {brute_multipoly((1, 2), {(1,): 1}), brute_multipoly((1, 2), {(1,): 1})}
     assert len(s) == 1

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pickle
+import re
 import sys
 from copy import deepcopy
 from itertools import combinations, permutations
@@ -540,6 +541,37 @@ _ROW = {"rank": 1, "loops": 0, "cogirth": 2, "count": "3"}
 def test_census_from_json_rejects_missing_fields(data, field):
     with pytest.raises(ValueError, match=field):
         CensusTable.from_json(data)
+
+
+# An integer field of a census document is an int (not a bool) or a string of
+# ASCII digits after an optional minus sign; none of these is either.
+_NOT_INTEGERS = [
+    1.5, 1.0, True, False, None, [3], {"0": 3},
+    "3.0", " 3", "3 ", "1_000", "+3", "٣", "", "-", "--3", "0x3",
+]
+
+
+@pytest.mark.parametrize("value", _NOT_INTEGERS)
+def test_census_from_json_rejects_a_malformed_integer(value):
+    with pytest.raises(ValueError, match=r"^census JSON is malformed: expected .*, got "):
+        CensusTable.from_json({"n": 3, "entries": [dict(_ROW, count=value)]})
+
+
+@pytest.mark.parametrize("field", [v for v in _NOT_INTEGERS if isinstance(v, str)])
+def test_census_from_csv_rejects_a_malformed_integer(field):
+    row = f"1,{field},2,3"
+    message = f"^census CSV line 2 has a field that is not an integer: {re.escape(repr(row))}$"
+    with pytest.raises(ValueError, match=message):
+        CensusTable.from_csv(3, f"rank,loops,cogirth,count\n{row}\n")
+
+
+@pytest.mark.parametrize("count", [7, "7", "007", 10**40, str(10**40)])
+def test_census_readers_take_decimal_strings_and_ints(count):
+    expected = CensusTable(3, {(1, 0, 2): int(count)})
+    document = {"n": "3", "entries": [dict(_ROW, rank="1", count=count)]}
+    assert CensusTable.from_json(document) == expected
+    if isinstance(count, str):
+        assert CensusTable.from_csv(3, f"rank,loops,cogirth,count\n1,0,2,{count}\n") == expected
 
 
 def test_grassmannian_avoiding_counts():
