@@ -10,7 +10,6 @@ from .combinat import (
     derangement_poly,
     eulerian_poly,
     exact_descent_counts,
-    runs_partition,
 )
 from .forms import (
     METHODS,
@@ -45,12 +44,8 @@ from .schubert import (
     CoefficientCheck,
     CoefficientCountReport,
     ResourceLimitError,
-    SchubertInvariants,
-    SchubertSpec,
     census,
     census_matches_formula,
-    schubert_invariants_formula,
-    schubert_matroid,
     sm_count,
     verify_coefficient_counts,
 )
@@ -69,8 +64,6 @@ __all__ = [
     "MatroidError",
     "NotPalindromicError",
     "ResourceLimitError",
-    "SchubertInvariants",
-    "SchubertSpec",
     "SqfMultiPoly",
     "UniPoly",
     "census",
@@ -91,9 +84,6 @@ __all__ = [
     "matroid_from_json",
     "matroid_to_json",
     "multivariate_closed_form",
-    "runs_partition",
-    "schubert_invariants_formula",
-    "schubert_matroid",
     "sm_count",
     "uniform",
     "verify_coefficient_counts",

@@ -5,8 +5,8 @@ sequence (a_1, ..., a_m) is a position i in 1..m-1 with a_i > a_{i+1}.
 
 The module provides the one multinomial of the package, a running product
 of binomials that never forms a factorial of the total; the gap
-multinomial attached to an index set (via its partition into maximal
-consecutive runs); descent-set counting over the symmetric group, for
+multinomial attached to an index set (from the minima of its maximal runs
+of consecutive integers); descent-set counting over the symmetric group, for
 every set of positions with no two consecutive at once, listed by
 ``polynomial.run_minima_sets`` (the count with descents inside a set is
 its parent's times one binomial, and a Moebius transform makes the counts
@@ -46,32 +46,20 @@ def multinomial(parts: Iterable[int]) -> int:
     return result
 
 
-def runs_partition(index_set: Iterable[int]) -> list[tuple[int, ...]]:
-    """Split a set into its maximal runs of consecutive integers.
-
-    {2,3,5,7,8} -> [(2,3), (5,), (7,8)].  The runs are disjoint, their minima
-    increase, and their union is the input.  Empty input is rejected.
-    """
-    elems = _as_index_set(index_set)
-    if not elems:
-        raise ValueError("empty set has no run partition")
-    cuts = [i for i in range(1, len(elems)) if elems[i] != elems[i - 1] + 1]
-    return [elems[a:b] for a, b in zip([0, *cuts], [*cuts, len(elems)])]
-
-
 def delta_multinomial(n: int, index_set: Iterable[int]) -> int:
     """Gap multinomial of an index set I inside {1..n}.
 
-    With I partitioned into consecutive runs I_1, ..., I_s (minima m_1 < ... <
-    m_s), this is n! divided by (m_1 - 1)!, the gaps (m_{j+1} - m_j)!, and the
-    remainder (n - m_s + 1)!.  The empty set yields 1.
+    With m_1 < ... < m_s the minima of the maximal runs of consecutive
+    integers in I (the elements e with e - 1 not in I), this is n! divided by
+    (m_1 - 1)!, the gaps (m_{j+1} - m_j)!, and the remainder (n - m_s + 1)!.
+    The empty set yields 1.
     """
     elems = _as_index_set(index_set)
     if not elems:
         return 1
     if elems[-1] > n:
         raise ValueError(f"element {elems[-1]} exceeds ground size n={n}")
-    minima = [run[0] for run in runs_partition(elems)]
+    minima = [e for i, e in enumerate(elems) if i == 0 or elems[i - 1] != e - 1]
     parts = [minima[0] - 1]
     parts += [b - a for a, b in zip(minima, minima[1:])]
     parts.append(n - minima[-1] + 1)

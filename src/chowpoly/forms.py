@@ -40,6 +40,7 @@ from .combinat import (
     perm_descent_aggregates,
 )
 from .polynomial import (
+    MAX_VARIABLES,
     SqfMultiPoly,
     UniPoly,
     _is_int,
@@ -54,8 +55,11 @@ from .polynomial import (
 # Fib(k) descent sets (augmented, 2 CPUs, Python 3.11: 0.02 s at k = n = 20,
 # 0.07 s at 22) and both multivariate bases fill 2^k coefficients (k = n = 18,
 # plain / augmented, best of 7: monomial 0.007 / 0.016 s, gamma 0.018 /
-# 0.033 s).  Above it the rows marked exponential raise ValueError.
-EXPONENTIAL_RANK_MAX = 18
+# 0.033 s).  Above it the rows marked exponential raise ValueError.  It is
+# the variable bound of the multivariate polynomials and of the descent
+# positions, not a second number, so a form that ``checked_form`` lets start
+# is never refused by those bounds halfway.
+EXPONENTIAL_RANK_MAX = MAX_VARIABLES
 
 # Largest rank for every form and for ``coefficient_formula``.  The
 # polynomial forms still grow like k^3 to k^4 big-integer operations: the

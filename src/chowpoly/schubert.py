@@ -1,13 +1,14 @@
-"""Schubert matroids: construction, invariants, counting, and an exhaustive census.
+"""Schubert matroids: their count by rank, loops and cogirth, and an exhaustive census.
 
-A Schubert matroid on {1..n} is built from an index set I and a permutation
-p: its bases are the |I|-subsets that dominate I componentwise in the total
-order given by p's one-line notation.  The loops and the cogirth can be read
-off the p-positions of the extremes of I without building the matroid; the
-number of distinct matroids of given rank, loop count, and cogirth is a sum
-of gap multinomials.
+A Schubert matroid on {1..n} is given by an index set I and a total order
+of {1..n}: its bases are the |I|-subsets that dominate I componentwise in
+that order.  The number of distinct ones of given rank, loop count, and
+cogirth is a sum of gap multinomials (``sm_count``).  The construction from
+(I, order) and the reading of the loops and the cogirth off the extremes of
+I are brute-force references in ``tests/oracles.py``; nothing here builds a
+matroid from such a pair.
 
-``census`` cross-checks all of this exhaustively: it finds the distinct
+``census`` cross-checks the count exhaustively: it finds the distinct
 basis collections of all (index set, permutation) pairs, by exact basis-set
 equality, classifies each distinct matroid from its own bases, and
 tabulates counts by (rank, loops, cogirth).  It runs on the plain-Python
@@ -26,12 +27,12 @@ The census is exponential in n, so ``census`` refuses n > MAX_EXHAUSTIVE_N
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from . import kernels
 from .combinat import delta_multinomial
 from .forms import closed_form
-from .matroid import INFINITY, Matroid, mask_of
+from .matroid import INFINITY
 from .polynomial import _is_int, _json_int, _show_int
 
 # Largest ground size for ``census``: census(8) takes about 0.02 s and 15 MB
@@ -52,75 +53,6 @@ def check_ground_size(operation: str, n: int) -> None:
         raise ResourceLimitError(
             f"{operation}(n={_show_int(n)}) exceeds the resource guard n <= {MAX_EXHAUSTIVE_N}"
         )
-
-
-class _SchubertSpecFields(NamedTuple):
-    n: int
-    index_set: tuple[int, ...]
-    perm: tuple[int, ...]
-
-
-class SchubertSpec(_SchubertSpecFields):
-    """Defining data (ground size, index set, total order) of a Schubert matroid.
-
-    The index set is stored sorted and both sequences as tuples; a perm that
-    is not a permutation of 1..n, or an index outside 1..n or repeated, is a
-    ValueError.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, n: int, index_set: Iterable[int], perm: Iterable[int]
-    ) -> "SchubertSpec":
-        index_set = tuple(sorted(index_set))
-        perm = tuple(perm)
-        if tuple(sorted(perm)) != tuple(range(1, n + 1)):
-            raise ValueError(f"{perm} is not a permutation of 1..{n}")
-        for e in index_set:
-            if not 1 <= e <= n:
-                raise ValueError(f"index {e} outside ground set 1..{n}")
-        if len(set(index_set)) != len(index_set):
-            raise ValueError(f"repeated index in {index_set}")
-        return super().__new__(cls, n, index_set, perm)
-
-
-def schubert_matroid(spec: SchubertSpec, validate: bool = True) -> Matroid:
-    """Matroid whose bases are the |I|-subsets dominating I in the order of p.
-
-    An empty index set yields the rank-0 matroid with the single empty basis.
-    """
-    position = {e: i for i, e in enumerate(spec.perm)}
-    ordered_i = sorted(spec.index_set, key=position.__getitem__)
-    k = len(ordered_i)
-    bases = []
-    for j in combinations(range(1, spec.n + 1), k):
-        ordered_j = sorted(j, key=position.__getitem__)
-        if all(position[a] <= position[b] for a, b in zip(ordered_i, ordered_j)):
-            bases.append(mask_of(j, spec.n))
-    return Matroid(spec.n, bases, validate=validate)
-
-
-class SchubertInvariants(NamedTuple):
-    loops: tuple[int, ...]
-    cogirth: int
-
-
-def schubert_invariants_formula(spec: SchubertSpec) -> SchubertInvariants:
-    """Loops and cogirth read off the permutation positions of min and max of
-    the index set, without constructing the matroid.
-
-    The loops are the elements strictly before the order-minimum of I in the
-    one-line notation; the cogirth is n + 1 - c where c is the (1-based)
-    position of the order-maximum of I.
-    """
-    if not spec.index_set:
-        raise ValueError("formula requires a nonempty index set")
-    position = {e: i for i, e in enumerate(spec.perm)}
-    min_pos = min(position[e] for e in spec.index_set)
-    max_pos = max(position[e] for e in spec.index_set)
-    loops = tuple(sorted(spec.perm[:min_pos]))
-    return SchubertInvariants(loops=loops, cogirth=spec.n - max_pos)
 
 
 def sm_count(n: int, m: int, loops: int, k: int) -> int:
@@ -292,13 +224,10 @@ def census(n: int) -> CensusTable:
     collections of all (index set, permutation) pairs, counted without
     listing the pairs.  Each orbit is classified by (rank, loops, cogirth)
     from its seed's bases, which relabeling preserves; the rank-0 matroid
-    {empty set} has cogirth inf.  A non-int n (``bool`` included) is a
-    ValueError.
+    {empty set} has cogirth inf.  An n that is not an int >= 1 (``bool``
+    included) is the ValueError of the census readers.
     """
-    if not _is_int(n):
-        raise ValueError(f"census needs an int n, got {n!r}")
-    if n < 1:
-        raise ValueError(f"census needs n >= 1, got {n}")
+    _check_census_n(n)
     check_ground_size("census", n)
     entries: dict[tuple[int, int, int | float], int] = {}
     for k in range(n + 1):

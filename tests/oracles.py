@@ -11,7 +11,10 @@ are the definitions it counts over.  So do the per-set descent count
 ``eulerian_fixed_descents``, an inclusion-exclusion over a superset count
 taken from factorials, and the pattern scan behind
 ``grassmannian_avoiding_count``, which checks a coefficient formula of the
-paper.
+paper.  So do the Schubert matroid of an (index set, order) pair, built
+from the definition by ``schubert_bases``, and the paper's reading of its
+loops and cogirth off the pair: the package counts these matroids without
+building one from a pair.
 """
 
 from __future__ import annotations
@@ -22,14 +25,7 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Iterable, Iterator
 
-from chowpoly import (
-    Matroid,
-    ResourceLimitError,
-    SchubertSpec,
-    SqfMultiPoly,
-    UniPoly,
-    schubert_matroid,
-)
+from chowpoly import Matroid, ResourceLimitError, SqfMultiPoly, UniPoly
 
 
 def brute_descents(seq) -> tuple[int, ...]:
@@ -287,16 +283,44 @@ def orbit(seed: int, n: int, m: int | None = None) -> set[int]:
     return members
 
 
+def schubert_bases(n: int, index_set, perm=None) -> list[int]:
+    """Bases of the Schubert matroid of ``index_set`` in the total order of
+    {1..n} given by the one-line ``perm`` (the identity when not given), as
+    masks: the |I|-subsets that dominate I componentwise in that order.  An
+    empty index set gives the single empty basis."""
+    position = {e: i for i, e in enumerate(perm or range(1, n + 1))}
+    ordered_i = sorted(index_set, key=position.__getitem__)
+    return [
+        sum(1 << (e - 1) for e in j)
+        for j in combinations(range(1, n + 1), len(ordered_i))
+        if all(
+            position[a] <= position[b]
+            for a, b in zip(ordered_i, sorted(j, key=position.__getitem__))
+        )
+    ]
+
+
+def schubert_loops_and_cogirth(n: int, index_set, perm) -> tuple[tuple[int, ...], int]:
+    """The loops and the cogirth of the Schubert matroid of (``index_set``,
+    ``perm``) read off the order positions of the extremes of I, without
+    its bases: the loops are the elements before the order-minimum of I,
+    and the cogirth is n + 1 - c for c the 1-based position of its
+    order-maximum.  An empty index set is a ValueError."""
+    if not index_set:
+        raise ValueError("the reading needs a nonempty index set")
+    positions = [perm.index(e) for e in index_set]
+    return tuple(sorted(perm[: min(positions)])), n - max(positions)
+
+
 @cache
 def schubert_fingerprints(n: int, k: int) -> dict[tuple, int]:
-    """(index set, order) -> ``brute_fingerprint`` of the bases that
-    ``schubert_matroid`` builds, for every k-subset and every permutation of
-    {1..n}.  The values are the whole rank-k census, with repeats."""
+    """(index set, order) -> ``brute_fingerprint`` of ``schubert_bases``, for
+    every k-subset and every permutation of {1..n}.  The values are the
+    whole rank-k census, with repeats."""
     out = {}
     for perm in permutations(range(1, n + 1)):
         for idx in combinations(range(1, n + 1), k):
-            bases = schubert_matroid(SchubertSpec(n, idx, perm), validate=False).bases
-            out[idx, perm] = brute_fingerprint(bases)
+            out[idx, perm] = brute_fingerprint(schubert_bases(n, idx, perm))
     return out
 
 
@@ -318,16 +342,6 @@ def brute_loops_and_cogirth(masks, n: int) -> tuple[int, int]:
             if all(hitter & m for m in members):
                 return loops, size
     return loops, -1
-
-
-def _id_order_bases(n: int, index_set: tuple[int, ...]) -> list[int]:
-    """Bases of the identity-order Schubert matroid of ``index_set``, as
-    masks: the k-subsets that dominate it componentwise."""
-    return [
-        sum(1 << (e - 1) for e in j)
-        for j in combinations(range(1, n + 1), len(index_set))
-        if all(a <= b for a, b in zip(index_set, j))
-    ]
 
 
 _GRASSMANNIAN_MAX_N = 9

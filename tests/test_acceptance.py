@@ -27,12 +27,10 @@ from chowpoly import (
     gamma_vector,
     matroid_from_bases,
     multivariate_closed_form,
-    schubert_matroid,
     uniform,
     verify_coefficient_counts,
 )
-from chowpoly.schubert import SchubertSpec
-from tests.oracles import brute_descents, grassmannian_avoiding_count
+from tests.oracles import brute_descents, grassmannian_avoiding_count, schubert_bases
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -183,12 +181,10 @@ def _loopless_corpus() -> list[Matroid]:
         for size in range(1, n + 1):
             for rest in combinations(range(2, n + 1), size - 1):
                 index_set = (1,) + rest
-                corpus.append(
-                    schubert_matroid(SchubertSpec(n, index_set, identity), validate=False)
-                )
+                corpus.append(Matroid(n, schubert_bases(n, index_set), validate=False))
                 image = tuple(sorted(rotation[e - 1] for e in index_set))
                 corpus.append(
-                    schubert_matroid(SchubertSpec(n, image, rotation), validate=False)
+                    Matroid(n, schubert_bases(n, image, rotation), validate=False)
                 )
     corpus.extend(uniform(k, 6) for k in range(1, 7))
     corpus.append(_fano())

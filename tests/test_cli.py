@@ -354,6 +354,14 @@ def test_census_guard(capsys):
     assert "resource guard" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_census_refuses_a_ground_size_below_one(capsys, n):
+    code, out, err = run(capsys, "census", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: a census table needs an int n >= 1, got {n}"]
+
+
 def test_guards_ignore_the_removed_env_override(capsys, monkeypatch):
     # the oracle's bound used to be raised by this environment variable
     monkeypatch.setenv("_".join(("CHOW", "MAX", "N")), "100")

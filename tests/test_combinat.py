@@ -18,7 +18,6 @@ from chowpoly import (
     eulerian_poly,
     exact_descent_counts,
     gamma_vector,
-    runs_partition,
 )
 from chowpoly.combinat import multinomial, perm_descent_aggregates
 from chowpoly.polynomial import MAX_VARIABLES
@@ -36,14 +35,6 @@ from tests.oracles import (
 )
 
 
-def test_runs_partition():
-    assert runs_partition((2, 3, 5, 7, 8)) == [(2, 3), (5,), (7, 8)]
-    assert runs_partition((1, 2, 3)) == [(1, 2, 3)]
-    assert runs_partition((1, 3, 5)) == [(1,), (3,), (5,)]
-    with pytest.raises(ValueError):
-        runs_partition(())
-
-
 def test_delta_multinomial_values():
     assert delta_multinomial(8, (2, 3, 5, 7, 8)) == 1680
     assert delta_multinomial(12, ()) == 1
@@ -57,6 +48,17 @@ def test_delta_multinomial_matches_direct_factorials():
         for size in range(0, n + 1):
             for idx in combinations(range(1, n + 1), size):
                 assert delta_multinomial(n, idx) == brute_delta_multinomial(n, idx)
+
+
+def test_delta_multinomial_reads_only_the_run_minima():
+    # {2,3,5,7,8} has the runs (2,3), (5,), (7,8) and the same gap
+    # multinomial as their minima {2,5,7}
+    assert delta_multinomial(8, (2, 3, 5, 7, 8)) == delta_multinomial(8, (2, 5, 7))
+    for n in range(1, 9):
+        for size in range(1, n + 1):
+            for idx in combinations(range(1, n + 1), size):
+                minima = tuple(e for e in idx if e - 1 not in idx)
+                assert delta_multinomial(n, idx) == delta_multinomial(n, minima), idx
 
 
 def test_position_families_refuse_a_width_above_max_variables(monkeypatch):

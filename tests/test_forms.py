@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowpoly import forms
+from chowpoly.polynomial import MAX_VARIABLES
 from chowpoly import (
     METHODS,
     MULTIVARIATE_BASES,
@@ -302,6 +303,23 @@ def test_forms_refuse_a_rank_or_size_that_is_not_an_int(k, n):
     ):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_exponential_rows_run_up_to_the_variable_bound():
+    # the exponential cap is the variable bound itself, so every exponential
+    # row that the cap admits fills its variables or descent positions
+    # without a later refusal
+    k = forms.EXPONENTIAL_RANK_MAX
+    assert k == MAX_VARIABLES
+    for augmented in (False, True):
+        reference = closed_form(k, k, "monomial", augmented=augmented)
+        for name, row in forms._FORMS.items():
+            if row.exponential:
+                assert closed_form(k, k, name, augmented=augmented) == reference, name
+        for name, row in forms._BASES.items():
+            if row.exponential:
+                poly = multivariate_closed_form(k, k, name, augmented=augmented)
+                assert poly.specialize() == reference, name
 
 
 def test_exponential_forms_guard_rank(monkeypatch):

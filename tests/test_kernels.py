@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chowpoly import SchubertSpec, census, delta_multinomial, kernels, schubert_matroid
+from chowpoly import census, delta_multinomial, kernels
 from tests.oracles import (
-    _id_order_bases,
     brute_fingerprint,
     brute_loops_and_cogirth,
     brute_relabel,
     orbit,
+    schubert_bases,
     schubert_fingerprints,
     swap,
 )
@@ -24,10 +24,9 @@ def _k_subset_masks(n: int, k: int) -> list[int]:
 def _schubert_fingerprint(n: int, idx, perm) -> int:
     # the image under perm of the identity-order Schubert matroid of idx is
     # the Schubert matroid of perm(idx) in the order perm, built from the
-    # definition in chowpoly.schubert, not from the kernels
+    # definition in tests.oracles, not from the kernels
     image = tuple(sorted(perm[e - 1] for e in idx))
-    bases = schubert_matroid(SchubertSpec(n, image, tuple(perm)), validate=False).bases
-    return brute_fingerprint(bases)
+    return brute_fingerprint(schubert_bases(n, image, perm))
 
 
 def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:
@@ -127,7 +126,7 @@ def test_swaps_of_every_seed_at_rank_four_of_eight():
     for seed, idx in zip(seeds, combinations(range(1, n + 1), k)):
         for i, j in pairs:
             assert swap(seed, n, i, j) == _schubert_fingerprint(n, idx, _transposition(n, i, j))
-        bases = schubert_matroid(SchubertSpec(n, idx, tuple(range(1, n + 1)))).bases
+        bases = schubert_bases(n, idx)
         assert kernels.loops_and_cogirth(seed, n) == brute_loops_and_cogirth(bases, n), idx
 
 
@@ -156,9 +155,9 @@ def test_census_fingerprints_match_brute_oracle(case):
 
 def test_closure_matches_schubert_bases_exhaustively():
     # for n <= 6 the orbit of each index set's seed is, as a set, the
-    # fingerprints of schubert_matroid over all its (index set, permutation)
+    # fingerprints of schubert_bases over all its (index set, permutation)
     # pairs, and the union over a rank is that rank's whole census;
-    # schubert_matroid shares no code with the kernels
+    # schubert_bases shares no code with the kernels
     for n in range(1, 7):
         for k in range(n + 1):
             brute = schubert_fingerprints(n, k)
@@ -299,7 +298,7 @@ def test_identity_rows_are_the_upper_sets_of_every_index_set():
         for k in range(n + 1):
             seeds = kernels.schubert_seeds(n, k)
             for seed, idx in zip(seeds, combinations(range(1, n + 1), k)):
-                assert seed == brute_fingerprint(_id_order_bases(n, idx)), idx
+                assert seed == brute_fingerprint(schubert_bases(n, idx)), idx
 
 
 @st.composite

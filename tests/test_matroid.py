@@ -15,7 +15,6 @@ from chowpoly import (
     FlatLattice,
     Matroid,
     MatroidError,
-    SchubertSpec,
     chain_chow,
     chain_chow_multivariate,
     closed_form,
@@ -24,7 +23,6 @@ from chowpoly import (
     matroid_from_json,
     matroid_to_json,
     multivariate_closed_form,
-    schubert_matroid,
     uniform,
 )
 from chowpoly import matroid as matroid_module
@@ -41,6 +39,7 @@ from tests.oracles import (
     by_mask,
     chain_label_permutations,
     labeled_chains,
+    schubert_bases,
 )
 
 
@@ -144,8 +143,7 @@ def equal_size_families(draw):
         return n, draw(st.sets(st.sampled_from(subsets), min_size=1))
     index_set = draw(st.sets(st.integers(1, n), min_size=k, max_size=k))
     perm = draw(st.permutations(range(1, n + 1)))
-    spec = SchubertSpec(n, tuple(index_set), tuple(perm))
-    bases = schubert_matroid(spec, validate=False).bases
+    bases = schubert_bases(n, index_set, perm)
     return n, set(bases) ^ {draw(st.sampled_from(subsets))} or set(bases)
 
 
@@ -357,7 +355,7 @@ def loopless_schubert_matroids(draw):
     n = draw(st.integers(1, 7))
     perm = draw(st.permutations(range(1, n + 1)))
     index_set = draw(st.sets(st.integers(1, n))) | {perm[0]}
-    return schubert_matroid(SchubertSpec(n, tuple(index_set), tuple(perm)))
+    return Matroid(n, schubert_bases(n, index_set, perm))
 
 
 @settings(max_examples=80, deadline=None)
@@ -377,7 +375,7 @@ def schubert_matroids(draw):
     n = draw(st.integers(1, 7))
     perm = draw(st.permutations(range(1, n + 1)))
     index_set = draw(st.sets(st.integers(1, n)))
-    return schubert_matroid(SchubertSpec(n, tuple(index_set), tuple(perm)))
+    return Matroid(n, schubert_bases(n, index_set, perm))
 
 
 def _assert_lattice_matches_definitions(m):
@@ -448,7 +446,7 @@ def test_matroids_of_equal_size_and_rank_keep_their_own_lattices():
     # two loopless rank-3 Schubert matroids on 1..5, evaluated one after the
     # other; each must match a tally over a lattice built for it alone
     first, second = (
-        schubert_matroid(SchubertSpec(5, index_set, (1, 2, 3, 4, 5)))
+        Matroid(5, schubert_bases(5, index_set))
         for index_set in ((1, 2, 4), (1, 3, 5))
     )
     assert first != second and first.rank == second.rank == 3
@@ -567,7 +565,7 @@ def small_matroids(draw):
         return uniform(draw(st.integers(0, n)), n)
     index_set = draw(st.sets(st.integers(1, n)))
     perm = draw(st.permutations(range(1, n + 1)))
-    return schubert_matroid(SchubertSpec(n, tuple(index_set), tuple(perm)))
+    return Matroid(n, schubert_bases(n, index_set, perm))
 
 
 @settings(max_examples=60, deadline=None)
@@ -598,6 +596,8 @@ def test_package_exports():
     removed = {
         "LabeledChain",
         "MatroidInvariants",
+        "SchubertInvariants",
+        "SchubertSpec",
         "chain_label_sequences",
         "descent_count",
         "descent_set",
@@ -605,6 +605,9 @@ def test_package_exports():
         "matroid_invariants",
         "nc_subsets",
         "r_label",
+        "runs_partition",
+        "schubert_invariants_formula",
+        "schubert_matroid",
     }
     assert not removed & set(chowpoly.__all__)
     assert not any(hasattr(chowpoly, name) for name in removed)

@@ -13,15 +13,13 @@ from hypothesis import strategies as st
 from chowpoly import (
     CensusTable,
     INFINITY,
+    Matroid,
     ResourceLimitError,
-    SchubertSpec,
     census,
     census_matches_formula,
     coefficient_formula,
     delta_multinomial,
     eulerian_poly,
-    schubert_invariants_formula,
-    schubert_matroid,
     sm_count,
     uniform,
     verify_coefficient_counts,
@@ -30,59 +28,38 @@ from tests.oracles import (
     _grassmannian_perms,
     brute_descents,
     grassmannian_avoiding_count,
+    schubert_bases,
     schubert_fingerprints,
+    schubert_loops_and_cogirth,
 )
 
 
-def spec(n, idx, perm=None):
-    return SchubertSpec(n, tuple(idx), tuple(perm or range(1, n + 1)))
+def schubert(n, idx, perm=None):
+    return Matroid(n, schubert_bases(n, idx, perm))
 
 
 def test_schubert_bases_examples():
-    assert schubert_matroid(spec(4, (1, 2))) == uniform(2, 4)
-    m = schubert_matroid(spec(4, (2, 3)))
+    assert schubert(4, (1, 2)) == uniform(2, 4)
+    m = schubert(4, (2, 3))
     assert m.bases_sets() == ((2, 3), (2, 4), (3, 4))
-    top = schubert_matroid(spec(5, (3, 4, 5)))
+    top = schubert(5, (3, 4, 5))
     assert top.bases_sets() == ((3, 4, 5),)
-    empty = schubert_matroid(spec(3, ()))
+    empty = schubert(3, ())
     assert empty.rank == 0 and empty.loops() == (1, 2, 3)
 
 
 def test_schubert_respects_permutation_order():
     # under the reversed order 4 < 3 < 2 < 1, the singletons dominating {3}
     # are {3}, {2}, {1}, leaving 4 as a loop
-    m = schubert_matroid(spec(4, (3,), (4, 3, 2, 1)))
+    m = schubert(4, (3,), (4, 3, 2, 1))
     assert m.bases_sets() == ((1,), (2,), (3,))
     assert m.loops() == (4,)
-
-
-@pytest.mark.parametrize(
-    "idx, perm, message",
-    [
-        ((1, 2), (1, 1, 3, 4), "not a permutation"),
-        ((1, 2), (1, 2, 3), "not a permutation"),
-        ((0, 2), None, "index 0 outside"),
-        ((2, 5), None, "index 5 outside"),
-        ((2, 2), None, "repeated index"),
-    ],
-)
-def test_schubert_spec_rejects_bad_data(idx, perm, message):
-    with pytest.raises(ValueError, match=message):
-        spec(4, idx, perm)
-
-
-def test_schubert_spec_sorts_the_index_set_and_tuples_the_order():
-    sp = SchubertSpec(4, [3, 1], iter([2, 1, 4, 3]))
-    assert sp.index_set == (1, 3) and sp.perm == (2, 1, 4, 3)
-    assert sp == SchubertSpec(n=4, index_set=(1, 3), perm=(2, 1, 4, 3))
-    assert repr(sp) == "SchubertSpec(n=4, index_set=(1, 3), perm=(2, 1, 4, 3))"
 
 
 def test_records_are_read_only():
     table = census(4)
     report = verify_coefficient_counts(3, 4, table)
-    sp = spec(4, (2, 3))
-    records = [sp, schubert_invariants_formula(sp), table, report.checks[0], report]
+    records = [table, report.checks[0], report]
     for record in records:
         for field in type(record)._fields:
             with pytest.raises(AttributeError):
@@ -91,24 +68,20 @@ def test_records_are_read_only():
             record.extra = 1
 
 
-def test_spec_and_census_table_survive_pickle_and_deepcopy():
+def test_census_table_survives_pickle_and_deepcopy():
     table = census(4)
-    for record in (spec(4, (1, 3), (2, 1, 4, 3)), table):
-        for copied in (pickle.loads(pickle.dumps(record)), deepcopy(record)):
-            assert copied == record and type(copied) is type(record)
+    for copied in (pickle.loads(pickle.dumps(table)), deepcopy(table)):
+        assert copied == table and type(copied) is CensusTable
     assert deepcopy(table).entries is not table.entries
     reordered = CensusTable(4, dict(reversed(table.entries.items())))
     assert reordered == table and hash(reordered) == hash(table)
 
 
 def test_invariants_formula_examples():
-    inv = schubert_invariants_formula(spec(4, (2, 3)))
-    assert inv.loops == (1,)
-    assert inv.cogirth == 2
-    inv2 = schubert_invariants_formula(spec(6, (1, 2, 3)))
-    assert inv2.loops == () and inv2.cogirth == 4
+    assert schubert_loops_and_cogirth(4, (2, 3), (1, 2, 3, 4)) == ((1,), 2)
+    assert schubert_loops_and_cogirth(6, (1, 2, 3), (1, 2, 3, 4, 5, 6)) == ((), 4)
     with pytest.raises(ValueError):
-        schubert_invariants_formula(spec(3, ()))
+        schubert_loops_and_cogirth(3, (), (1, 2, 3))
 
 
 def test_invariants_formula_matches_engine_exhaustively():
@@ -116,11 +89,11 @@ def test_invariants_formula_matches_engine_exhaustively():
         for perm in permutations(range(1, n + 1)):
             for size in range(1, n + 1):
                 for idx in combinations(range(1, n + 1), size):
-                    sp = SchubertSpec(n, idx, perm)
-                    inv = schubert_invariants_formula(sp)
-                    m = schubert_matroid(sp)
-                    assert inv.loops == m.loops(), sp
-                    assert inv.cogirth == m.cogirth(), sp
+                    m = schubert(n, idx, perm)
+                    assert schubert_loops_and_cogirth(n, idx, perm) == (
+                        m.loops(),
+                        m.cogirth(),
+                    ), (idx, perm)
 
 
 def test_invariants_formula_matches_kernel_classification():
@@ -131,9 +104,9 @@ def test_invariants_formula_matches_kernel_classification():
     n = 6
     for size in range(1, n + 1):
         for (idx, perm), fingerprint in schubert_fingerprints(n, size).items():
-            inv = schubert_invariants_formula(SchubertSpec(n, idx, perm))
+            loops, cogirth = schubert_loops_and_cogirth(n, idx, perm)
             got = kernels.loops_and_cogirth(fingerprint, n)
-            assert (len(inv.loops), inv.cogirth) == got, (idx, perm)
+            assert (len(loops), cogirth) == got, (idx, perm)
 
 
 def test_relabeled_bases_versus_identity_order_form():
@@ -141,8 +114,8 @@ def test_relabeled_bases_versus_identity_order_form():
     # the p-preimage of I, but the two basis collections differ as sets
     n, idx, perm = 4, (2, 4), (3, 1, 4, 2)
     preimage = tuple(sorted(perm.index(e) + 1 for e in idx))
-    direct = schubert_matroid(SchubertSpec(n, idx, perm))
-    id_form = schubert_matroid(SchubertSpec(n, preimage, tuple(range(1, n + 1))))
+    direct = schubert(n, idx, perm)
+    id_form = schubert(n, preimage)
     relabeled = sorted(
         tuple(sorted(perm[e - 1] for e in basis)) for basis in id_form.bases_sets()
     )
@@ -152,8 +125,8 @@ def test_relabeled_bases_versus_identity_order_form():
         for size in range(1, 5):
             for i in combinations(range(1, 5), size):
                 pre = tuple(sorted(p.index(e) + 1 for e in i))
-                a = schubert_matroid(SchubertSpec(4, i, p))
-                b = schubert_matroid(SchubertSpec(4, pre, (1, 2, 3, 4)))
+                a = schubert(4, i, p)
+                b = schubert(4, pre)
                 if a != b:
                     found_difference = True
                     break
@@ -178,7 +151,7 @@ def test_orbit_sizes_are_gap_multinomials():
     for n in range(1, 7):
         for size in range(1, n + 1):
             for idx in combinations(range(1, n + 1), size):
-                bases = schubert_matroid(spec(n, idx)).bases
+                bases = schubert(n, idx).bases
                 seen = set()
                 for perm in permutations(range(1, n + 1)):
                     relabeled = tuple(
@@ -218,7 +191,7 @@ def test_census_against_brute_dedup():
         for size in range(0, n + 1):
             for idx in combinations(range(1, n + 1), size):
                 for perm in all_perms:
-                    m = schubert_matroid(SchubertSpec(n, idx, perm))
+                    m = schubert(n, idx, perm)
                     seen[m] = (
                         m.rank,
                         len(m.loops()),
@@ -303,8 +276,12 @@ def test_census_guard_ignores_the_removed_env_override(monkeypatch):
         census(9)
 
 
+# the one refusal of a census ground size, by census and both readers
+CENSUS_N_REFUSAL = r"^a census table needs an int n >= 1, got \S+$"
+
+
 def test_census_needs_a_nonempty_ground_set():
-    with pytest.raises(ValueError, match="n >= 1"):
+    with pytest.raises(ValueError, match=CENSUS_N_REFUSAL):
         census(0)
 
 
@@ -312,8 +289,22 @@ def test_census_needs_a_nonempty_ground_set():
 def test_census_refuses_a_non_int_ground_size(monkeypatch, n):
     # the refusal comes before any seed is closed
     _no_permutations(monkeypatch)
-    with pytest.raises(ValueError, match=r"^census needs an int n, got \S+$"):
+    with pytest.raises(ValueError, match=CENSUS_N_REFUSAL):
         census(n)
+
+
+@pytest.mark.parametrize("n", [0, -1, -8, -(10**40)])
+def test_census_and_its_readers_refuse_a_ground_size_alike(n):
+    message = f"a census table needs an int n >= 1, got {n}"
+    with pytest.raises(ValueError) as by_census:
+        census(n)
+    with pytest.raises(ValueError) as by_csv:
+        CensusTable.from_csv(n, "rank,loops,cogirth,count\n")
+    assert str(by_census.value) == str(by_csv.value) == message
+    for document_n in (n, str(n)):
+        with pytest.raises(ValueError) as by_json:
+            CensusTable.from_json({"n": document_n, "entries": []})
+        assert str(by_json.value) == f"census JSON is malformed: {message}"
 
 
 def test_census_runs_without_numpy(monkeypatch):
@@ -371,7 +362,7 @@ def test_census_from_csv_names_a_malformed_line(lead, rows, line, problem):
 
 @pytest.mark.parametrize("n", [-3, 0, 3.0, True])
 def test_census_from_csv_needs_an_int_ground_size(n):
-    with pytest.raises(ValueError, match=r"^a census table needs an int n >= 1, got \S+$"):
+    with pytest.raises(ValueError, match=CENSUS_N_REFUSAL):
         CensusTable.from_csv(n, "rank,loops,cogirth,count\n")
 
 
