@@ -12,17 +12,18 @@ every set of positions with no two consecutive at once, listed by
 its parent's times one binomial, and a Moebius transform makes the counts
 exact); the weighted sums over permutations with no two adjacent descents
 that ``gamma_perm`` needs (an exact insertion DP, polynomial in k;
-``tests/oracles.py`` holds the k! scan it replaces), and the Eulerian and
-derangement polynomials.
+``tests/oracles.py`` holds the k! scan it replaces), and the rows of the
+Eulerian and derangement polynomials as coefficient lists, each row from the
+one or two before it by its recurrence, so k rows take O(k^2) operations.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import count, islice
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .polynomial import MAX_VARIABLES, UniPoly, run_minima_sets
+from .polynomial import MAX_VARIABLES, UniPoly, _is_int, run_minima_sets
 
 
 def _as_index_set(elements: Iterable[int]) -> tuple[int, ...]:
@@ -31,6 +32,13 @@ def _as_index_set(elements: Iterable[int]) -> tuple[int, ...]:
     if elems and elems[0] < 1:
         raise ValueError(f"index sets contain positive integers only, got {elems[0]}")
     return elems
+
+
+def _check_n(n: int) -> None:
+    if not _is_int(n):
+        raise ValueError(f"n must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"negative n={n}")
 
 
 def multinomial(parts: Iterable[int]) -> int:
@@ -52,8 +60,9 @@ def delta_multinomial(n: int, index_set: Iterable[int]) -> int:
     With m_1 < ... < m_s the minima of the maximal runs of consecutive
     integers in I (the elements e with e - 1 not in I), this is n! divided by
     (m_1 - 1)!, the gaps (m_{j+1} - m_j)!, and the remainder (n - m_s + 1)!.
-    The empty set yields 1.
+    The empty set yields 1, and an n that is not an int >= 0 is a ValueError.
     """
+    _check_n(n)
     elems = _as_index_set(index_set)
     if not elems:
         return 1
@@ -150,48 +159,47 @@ def perm_descent_aggregates(
     return agg
 
 
-# A_0, A_1, ...: each call extends a copy and rebinds the name, so a caller
-# never sees a partly built table
-_EULERIAN_ROWS = (UniPoly.one(), UniPoly.one())
+def eulerian_rows() -> Iterator[list[int]]:
+    """The coefficient lists of the Eulerian polynomials A_0, A_1, ..., row m
+    padded with zeros to length m + 1, by the triangle recurrence
+    T(m, j) = (j+1) T(m-1, j) + (m-j) T(m-1, j-1); A_0 = A_1 = 1."""
+    row = [1]
+    for m in count(1):
+        yield row
+        out = [0] * (m + 1)
+        for j, c in enumerate(row):
+            out[j] += (j + 1) * c
+            out[j + 1] += (m - j - 1) * c
+        row = out
+
+
+def derangement_rows() -> Iterator[list[int]]:
+    """The coefficient lists of the derangement polynomials d_0, d_1, ..., row
+    m padded with zeros to length m + 1, by the recurrence
+    d_m = (m-1) x (d_{m-1} + d_{m-2}) + x (1-x) d'_{m-1}, whose coefficient
+    of x^i is i d_{m-1}[i] + (m-i) d_{m-1}[i-1] + (m-1) d_{m-2}[i-1];
+    d_0 = 1 and d_1 = 0."""
+    older, row = [], [1]
+    for m in count(1):
+        yield row
+        out = [0] * (m + 1)
+        for i, c in enumerate(row):
+            out[i] += i * c
+            out[i + 1] += (m - i - 1) * c
+        for i, c in enumerate(older):
+            out[i + 1] += (m - 1) * c
+        older, row = row, out
 
 
 def eulerian_poly(n: int) -> UniPoly:
-    """Descent-generating polynomial over all permutations of {1..n}.
-
-    Computed row by row by the triangle recurrence
-    T(n, j) = (j+1) T(n-1, j) + (n-j) T(n-1, j-1), without recursion; the
-    rows are kept, so ascending calls build each row once.  Both n = 0 and
-    n = 1 give the constant polynomial 1.
-    """
-    global _EULERIAN_ROWS
-    if n < 0:
-        raise ValueError(f"negative n={n}")
-    rows = _EULERIAN_ROWS
-    if n >= len(rows):
-        grown = list(rows)
-        for m in range(len(rows), n + 1):
-            prev = grown[-1].coeffs
-            out = [0] * m
-            for j, c in enumerate(prev):
-                out[j] += (j + 1) * c
-                out[j + 1] += (m - j - 1) * c
-            grown.append(UniPoly(out))
-        _EULERIAN_ROWS = rows = tuple(grown)
-    return rows[n]
+    """Descent-generating polynomial over all permutations of {1..n}: row n
+    of ``eulerian_rows``.  Both n = 0 and n = 1 give the constant 1."""
+    _check_n(n)
+    return UniPoly(next(islice(eulerian_rows(), n, None)))
 
 
-@lru_cache(maxsize=None)
 def derangement_poly(n: int) -> UniPoly:
-    """Excedance-generating polynomial over fixpoint-free permutations of {1..n}.
-
-    Computed from the exact identity sum_j C(n, j) d_j(x) = A_n(x), where A_n
-    is the Eulerian polynomial for the (equidistributed) excedance statistic:
-    a permutation is a derangement of the points it moves, and fixed points
-    are never excedances.
-    """
-    if n < 0:
-        raise ValueError(f"negative n={n}")
-    rest = UniPoly.zero()
-    for j in range(n):
-        rest = rest + comb(n, j) * derangement_poly(j)
-    return eulerian_poly(n) - rest
+    """Excedance-generating polynomial over fixpoint-free permutations of
+    {1..n}: row n of ``derangement_rows``."""
+    _check_n(n)
+    return UniPoly(next(islice(derangement_rows(), n, None)))

@@ -15,7 +15,9 @@ matroid on n elements, selected by name:
   has no consecutive positions (and an ascent in position 1 when not
   augmented) of C(n - s(k), k - s(k)) times the same gamma-shaped weight.
 * ``convolution``     -- a convolution of derangement (resp. Eulerian)
-  polynomials against binomials with a truncated geometric factor.
+  polynomials against binomials with a truncated geometric factor, in
+  O(k^2) operations: the rows come from their recurrences, and one running
+  sum applies every geometric factor.
 
 The two multivariate refinements (``monomial`` and ``gamma`` bases) collapse
 to the univariate forms under ``specialize``; they have up to 2^k terms.  All
@@ -30,12 +32,13 @@ from __future__ import annotations
 
 import sys
 from functools import partial
+from itertools import accumulate
 from math import comb
 from typing import Callable, NamedTuple
 
 from .combinat import (
-    derangement_poly,
-    eulerian_poly,
+    derangement_rows,
+    eulerian_rows,
     exact_descent_counts,
     perm_descent_aggregates,
 )
@@ -62,8 +65,10 @@ from .polynomial import (
 EXPONENTIAL_RANK_MAX = MAX_VARIABLES
 
 # Largest rank for every form and for ``coefficient_formula``.  The
-# polynomial forms still grow like k^3 to k^4 big-integer operations: the
-# slowest takes about 1.3 s at k = n = 200, 3 s at 256 and 6 s at 320.
+# ``monomial`` and ``gamma_perm`` forms grow like k^3 to k^4 big-integer
+# operations, ``convolution`` like k^2 (2 CPUs, Python 3.11: the slowest,
+# ``monomial``, takes about 1 s at k = n = 200, 2 s at 256 and 6 s at 320;
+# ``convolution`` under 0.1 s at 320).
 RANK_MAX = 256
 
 
@@ -145,21 +150,24 @@ def _gamma_eulerian_form(k: int, n: int, augmented: bool) -> UniPoly:
 
 def _gamma_perm_form(k: int, n: int, augmented: bool) -> UniPoly:
     if k == 0:  # augmented only; sole contribution is the empty index set
-        return UniPoly.one()
+        return UniPoly((1,))
     binoms = [0] + [comb(n - t, k - t) for t in range(1, k + 1)]
     agg = perm_descent_aggregates(k, binoms, first_ascent_required=not augmented)
     return gamma_reconstruct(agg, k if augmented else k - 1)
 
 
 def _convolution_form(k: int, n: int, augmented: bool) -> UniPoly:
-    acc = UniPoly.zero()
-    for j in range(k):
-        series = eulerian_poly(j) if augmented else derangement_poly(j)
-        if series:
-            acc = acc + comb(n, j) * series * UniPoly.geometric(k - 1 - j)
-    if augmented:
-        return UniPoly.one() + UniPoly.x() * acc
-    return acc
+    # sum_j C(n, j) s_j(x) (1 - x^(k-j)) / (1 - x), augmented: 1 + x times
+    # it, as a difference list that one running sum divides by 1 - x
+    shift = int(augmented)
+    diff = [shift, -shift] + [0] * k  # augmented: the constant 1
+    rows = eulerian_rows() if augmented else derangement_rows()
+    for j, series in zip(range(k), rows):
+        binom = comb(n, j)
+        for i, s in enumerate(series, shift):
+            diff[i] += binom * s
+            diff[i + k - j] -= binom * s
+    return UniPoly(accumulate(diff))
 
 
 def _gamma_basis(k: int, n: int, augmented: bool) -> SqfMultiPoly:

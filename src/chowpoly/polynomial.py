@@ -4,7 +4,8 @@ Two representations are provided:
 
 * ``UniPoly`` -- a dense univariate polynomial, stored as a coefficient
   tuple with index i holding the coefficient of x^i.  Trailing zeros are
-  trimmed, so the zero polynomial is the empty tuple.
+  trimmed, so the zero polynomial is the empty tuple.  It has no
+  arithmetic: each formula fills its own coefficient list and wraps it.
 
 * ``SqfMultiPoly`` -- a dense multivariate polynomial whose monomials are
   squarefree products of the variables x_lo..x_hi of a declared range of at
@@ -66,35 +67,6 @@ class UniPoly:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
 
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, coeff: int, power: int) -> "UniPoly":
-        """coeff * x**power."""
-        return cls((0,) * power + (coeff,))
-
-    @classmethod
-    def one_plus_x_power(cls, e: int) -> "UniPoly":
-        """(1 + x)**e via the binomial row, avoiding repeated multiplication."""
-        if e < 0:
-            raise ValueError(f"negative exponent {e}")
-        return cls(comb(e, i) for i in range(e + 1))
-
-    @classmethod
-    def geometric(cls, top: int) -> "UniPoly":
-        """1 + x + ... + x**top (zero polynomial when top < 0)."""
-        return cls((1,) * (top + 1))
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -119,44 +91,6 @@ class UniPoly:
 
     def __hash__(self) -> int:
         return hash(("UniPoly", self.coeffs))
-
-    def __add__(self, other: "UniPoly | int") -> "UniPoly":
-        if isinstance(other, int):
-            other = UniPoly((other,))
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "UniPoly | int") -> "UniPoly":
-        if not isinstance(other, (UniPoly, int)):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: "UniPoly | int") -> "UniPoly":
-        if isinstance(other, int):
-            return UniPoly(other * c for c in self.coeffs)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
 
     def render(self) -> str:
         """Human-readable form like ``1 + 11*x + x^2``; unit coefficients are elided."""
@@ -383,12 +317,18 @@ def gamma_vector(p: UniPoly, d: int) -> tuple[int, ...]:
 def gamma_reconstruct(gammas: Iterable[int], d: int) -> UniPoly:
     """Inverse of gamma_vector: sum g_i * x^i * (1+x)^(d-2i).
 
-    Zero g_i are skipped, so a list padded with zeros past d // 2 is fine."""
-    result = UniPoly.zero()
+    Each g_i adds its binomial row at x^i, the mirror of ``gamma_vector``'s
+    peel.  Zero g_i are skipped, so a list padded with zeros past d // 2 is
+    fine; a nonzero one there is a ValueError."""
+    out = [0] * (d + 1)
     for i, g in enumerate(gammas):
         if g:
-            result = result + UniPoly.monomial(g, i) * UniPoly.one_plus_x_power(d - 2 * i)
-    return result
+            e = d - 2 * i
+            if e < 0:
+                raise ValueError(f"nonzero g_{i} past d // 2 = {d // 2}")
+            for j in range(e + 1):
+                out[i + j] += g * comb(e, j)
+    return UniPoly(out)
 
 
 def run_minima_sets(width: int, first: int) -> list[int]:

@@ -62,6 +62,10 @@ def sm_count(n: int, m: int, loops: int, k: int) -> int:
     Computed as the sum of gap multinomials over index sets inside
     {loops+1..k} of size m containing both endpoints; degenerate ranges give 0.
     """
+    if not all(map(_is_int, (n, m, loops, k))):
+        raise ValueError(
+            f"n, m, loops and k must be ints, got n={n!r}, m={m!r}, loops={loops!r}, k={k!r}"
+        )
     if m < 1:
         raise ValueError(f"rank m must be at least 1, got {m}")
     if not 0 <= loops < k <= n:

@@ -71,7 +71,7 @@ def eulerian_fixed_descents(n: int, dset: Iterable[int]) -> int:
 
 def brute_eulerian_poly(n: int) -> UniPoly:
     if n == 0:
-        return UniPoly.one()
+        return UniPoly((1,))
     coeffs = [0] * n
     for w in permutations(range(1, n + 1)):
         coeffs[len(brute_descents(w))] += 1
@@ -80,7 +80,7 @@ def brute_eulerian_poly(n: int) -> UniPoly:
 
 def brute_derangement_poly(n: int) -> UniPoly:
     if n == 0:
-        return UniPoly.one()
+        return UniPoly((1,))
     coeffs = [0] * (n + 1)
     any_derangement = False
     for w in permutations(range(1, n + 1)):
@@ -88,7 +88,7 @@ def brute_derangement_poly(n: int) -> UniPoly:
             continue
         any_derangement = True
         coeffs[sum(1 for i, v in enumerate(w, start=1) if v > i)] += 1
-    return UniPoly(coeffs) if any_derangement else UniPoly.zero()
+    return UniPoly(coeffs) if any_derangement else UniPoly()
 
 
 def brute_perm_descent_aggregates(

@@ -130,7 +130,7 @@ def test_criterion_5_counting_formula():
 def test_criterion_6_boundary_identities():
     ok = True
     for n in range(2, 10):
-        ok = ok and UniPoly.x() * closed_form(n - 1, n) == derangement_poly(n)
+        ok = ok and UniPoly((0, *closed_form(n - 1, n))) == derangement_poly(n)
         ok = ok and closed_form(n - 1, n, augmented=True) == eulerian_poly(n)
         ok = ok and closed_form(n, n) == eulerian_poly(n)
     _report(

@@ -266,7 +266,7 @@ def gamma_perm_plus_x(monkeypatch):
 
     def closed_form(k, n, method="monomial", augmented=False):
         p = real(k, n, method, augmented)
-        return p + UniPoly.x() if method == "gamma_perm" else p
+        return UniPoly((p[0], p[1] + 1, *p.coeffs[2:])) if method == "gamma_perm" else p
 
     monkeypatch.setattr(cli, "closed_form", closed_form)
 

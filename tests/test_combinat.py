@@ -17,7 +17,9 @@ from chowpoly import (
     derangement_poly,
     eulerian_poly,
     exact_descent_counts,
+    gamma_reconstruct,
     gamma_vector,
+    sm_count,
 )
 from chowpoly.combinat import multinomial, perm_descent_aggregates
 from chowpoly.polynomial import MAX_VARIABLES
@@ -84,10 +86,10 @@ def test_position_families_refuse_a_width_above_max_variables(monkeypatch):
         (lambda: delta_multinomial(5, (0, 2)), ValueError, "positive integers only, got 0"),
         (lambda: eulerian_poly(-1), ValueError, "negative n=-1"),
         (lambda: derangement_poly(-1), ValueError, "negative n=-1"),
-        (lambda: UniPoly.one_plus_x_power(-1), ValueError, "negative exponent -1"),
-        (lambda: UniPoly.x()[-1], IndexError, "negative exponent -1"),
-        (lambda: gamma_vector(UniPoly.one(), -1), ValueError, "negative center parameter d=-1"),
-        (lambda: gamma_vector(UniPoly.x(), 0), NotPalindromicError, "degree exceeds 0"),
+        (lambda: gamma_reconstruct((0, 0, 1), 2), ValueError, r"nonzero g_2 past d // 2 = 1"),
+        (lambda: UniPoly((0, 1))[-1], IndexError, "negative exponent -1"),
+        (lambda: gamma_vector(UniPoly((1,)), -1), ValueError, "negative center parameter d=-1"),
+        (lambda: gamma_vector(UniPoly((0, 1)), 0), NotPalindromicError, "degree exceeds 0"),
     ],
     ids=[
         "index-set", "eulerian", "derangement", "binomial-row",
@@ -96,6 +98,22 @@ def test_position_families_refuse_a_width_above_max_variables(monkeypatch):
 )
 def test_negative_and_oversized_arguments_are_refused(call, error, message):
     with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sm_count(8, 3, 0, True),
+        lambda: sm_count(8.0, 3, 0, 8),
+        lambda: delta_multinomial(True, (1,)),
+        lambda: eulerian_poly(True),
+        lambda: derangement_poly(3.0),
+    ],
+    ids=["sm-count-bool", "sm-count-float", "delta-bool", "eulerian-bool", "derangement-float"],
+)
+def test_non_int_arguments_are_refused(call):
+    with pytest.raises(ValueError, match="must be (an int|ints), got"):
         call()
 
 
@@ -268,14 +286,14 @@ def test_derangement_poly_against_scan():
 
 
 def test_derangement_identity_with_eulerian():
-    # summing over fixed-point sets: A_n = sum C(n, j) d_j
-    from chowpoly import UniPoly
-
-    for n in range(0, 14):
-        acc = UniPoly.zero()
+    # summing over fixed-point sets: A_n = sum C(n, j) d_j, an identity that
+    # neither recurrence uses
+    for n in range(0, 41):
+        acc = [0] * (n + 1)
         for j in range(n + 1):
-            acc = acc + comb(n, j) * derangement_poly(j)
-        assert acc == eulerian_poly(n), n
+            for i, c in enumerate(derangement_poly(j)):
+                acc[i] += comb(n, j) * c
+        assert UniPoly(acc) == eulerian_poly(n), n
 
 
 def test_subset_permutation_extend_standardize():

@@ -292,7 +292,7 @@ def test_unique_increasing_chain_in_intervals():
 
 def test_chain_chow_golden():
     assert chain_chow(uniform(3, 5)) == UniPoly((1, 11, 1))
-    assert chain_chow(uniform(1, 4)) == UniPoly.one()
+    assert chain_chow(uniform(1, 4)) == UniPoly((1,))
     assert chain_chow(uniform(4, 5), augmented=True) == UniPoly((1, 26, 66, 26, 1))
 
 
